@@ -16,7 +16,7 @@ from .subproblem import (SubproblemConfig, SubproblemError, SubproblemSolution,
                          subproblem_objective, weak_pareto_residual)
 from .solver import (Backtracking, BacktrackingError, FixedStep, IterationRecord,
                      PlainProxGrad, RunTrace, SolveResult, SolverConfig,
-                     SolverState, Status, Variant, accepted_L_bound_check,
+                     Status, Variant, accepted_L_bound_check,
                      fista_step, run_solver, sufficient_decrease_check)
 from .suite import (ProblemDescriptor, available_problems, builtin_problem,
                     load_problem_file, pareto_segment, register_problem,
@@ -40,7 +40,7 @@ __all__ = [
     "inner_primal_step", "kkt_residual", "project_simplex", "solve_subproblem",
     "subproblem_objective", "weak_pareto_residual",
     "Backtracking", "BacktrackingError", "FixedStep", "IterationRecord",
-    "PlainProxGrad", "RunTrace", "SolveResult", "SolverConfig", "SolverState",
+    "PlainProxGrad", "RunTrace", "SolveResult", "SolverConfig",
     "Status", "Variant", "accepted_L_bound_check", "fista_step", "run_solver",
     "sufficient_decrease_check",
     "ProblemDescriptor", "available_problems", "builtin_problem",

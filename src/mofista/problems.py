@@ -149,7 +149,12 @@ def evaluate_objectives(p: ProblemInstance, x: Array) -> Array:
     the offending point.
     """
     x = np.asarray(x, dtype=float)
-    fx = np.asarray(p.smooth(x), dtype=float)
+    return _objectives_from(p, x, p.smooth(x))
+
+
+def _objectives_from(p: ProblemInstance, x: Array, fx: Array) -> Array:
+    """``F(x) = f(x) + g(x)`` from an already computed ``fx = f(x)``."""
+    fx = np.asarray(fx, dtype=float)
     if fx.shape != (p.m,):
         raise ValueError(f"smooth eval returned shape {fx.shape}, expected ({p.m},)")
     total = fx + p.nonsmooth.value(x)

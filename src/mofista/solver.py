@@ -17,6 +17,13 @@ accepted iterations satisfy the exact identity
 Seeding ``t_prev = 0`` makes the first iteration use ``t = 1`` and
 ``y = x0`` regardless of retries, so backtracking at the start only adjusts
 ``L``.
+
+All variants run one trial loop and differ in two flags: ``L`` deflates
+then inflates (:class:`Backtracking`), and momentum extrapolates (all but
+:class:`PlainProxGrad`).  A trial calls ``grad f(y)``, ``f(y)`` and ``f(z)``
+once each: ``F(x)`` carries over, and the upper-bound test's ``f(z)`` gives
+the accepted ``F(z)``.  ``T`` trials (iterations plus backtracks) cost
+``1 + 2T`` calls of ``f``, counting ``F(x0)``, and ``T`` of ``grad f``.
 """
 
 from __future__ import annotations
@@ -28,8 +35,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .problems import Array, ProblemInstance, evaluate_objectives
-from .subproblem import SubproblemConfig, solve_subproblem
+from .problems import Array, ProblemInstance, _objectives_from, evaluate_objectives
+from .subproblem import (SubproblemConfig, SubproblemError, SubproblemSolution,
+                         _linearize, _solve_model)
 
 __all__ = [
     "Backtracking",
@@ -37,7 +45,6 @@ __all__ = [
     "PlainProxGrad",
     "Variant",
     "SolverConfig",
-    "SolverState",
     "IterationRecord",
     "RunTrace",
     "Status",
@@ -102,22 +109,6 @@ class SolverConfig:
             raise ValueError("max_iter must be at least 1")
 
 
-@dataclass
-class SolverState:
-    """Mutable loop state; exposed for inspection and tests."""
-
-    k: int
-    x_curr: Array
-    x_prev: Array
-    y: Array
-    t_curr: float
-    t_prev: float
-    L_curr: float
-    L_prev: float
-    omega_prev: float
-    backtracks: int
-
-
 @dataclass(frozen=True)
 class IterationRecord:
     """One accepted iteration; enough to replay every trace diagnostic."""
@@ -174,6 +165,13 @@ def fista_step(x_prev: Array, x_prev2: Array, t_prev: float, omega: float):
     return t, theta, y
 
 
+def _upper_bound_holds(fy: Array, grads: Array, d: Array, fz: Array, L: float) -> bool:
+    """``f(y + d) <= f(y) + grads @ d + (L/2) ||d||^2`` componentwise, up to a
+    relative slack of a few ulp, from already computed oracle values."""
+    bound = fy + grads @ d + 0.5 * L * float(d @ d)
+    return bool(np.all(fz <= bound + 1e-12 * (1.0 + np.abs(fy))))
+
+
 def sufficient_decrease_check(p: ProblemInstance, y: Array, z: Array, L: float) -> bool:
     """Quadratic upper bound on the smooth parts at the trial step.
 
@@ -189,9 +187,17 @@ def sufficient_decrease_check(p: ProblemInstance, y: Array, z: Array, L: float) 
     fy = np.asarray(p.smooth(y), dtype=float)
     fz = np.asarray(p.smooth(z), dtype=float)
     grads = np.asarray(p.smooth_jac(y), dtype=float)
-    d = z - y
-    bound = fy + grads @ d + 0.5 * L * float(d @ d)
-    return bool(np.all(fz <= bound + 1e-12 * (1.0 + np.abs(fy))))
+    return _upper_bound_holds(fy, grads, z - y, fz, L)
+
+
+def _trial(p: ProblemInstance, y: Array, L: float, Fx: Array, sub_cfg: SubproblemConfig,
+           warm: Optional[Array]) -> tuple[SubproblemSolution, Array, bool]:
+    """Solve at ``(y, L)`` against the carried ``Fx = F(x)``; returns the
+    solution, ``f(z)`` and the upper-bound test on exactly those values."""
+    model = _linearize(y, L, p, Fx)
+    sol = _solve_model(model, sub_cfg, warm)
+    fz = np.asarray(p.smooth(sol.z), dtype=float)
+    return sol, fz, _upper_bound_holds(model.fy, model.grads, sol.z - model.y, fz, L)
 
 
 def run_solver(p: ProblemInstance, x0: Array, cfg: Optional[SolverConfig] = None) -> SolveResult:
@@ -216,75 +222,51 @@ def run_solver(p: ProblemInstance, x0: Array, cfg: Optional[SolverConfig] = None
     tol_eff = min(cfg.subproblem.tol, max((cfg.eps / 100.0) ** 2, 1e-12))
     sub_cfg = replace(cfg.subproblem, tol=tol_eff)
 
-    variant = cfg.variant
-    state = SolverState(
-        k=0, x_curr=x0, x_prev=x0, y=x0, t_curr=1.0, t_prev=0.0,
-        L_curr=cfg.L_init, L_prev=cfg.L_init, omega_prev=1.0, backtracks=0,
-    )
+    # The variants differ only in these two flags.
+    adaptive = isinstance(cfg.variant, Backtracking)
+    momentum = not isinstance(cfg.variant, PlainProxGrad)
+    L_prev = cfg.L_init if adaptive else cfg.variant.L
+    x, x_prev, t_prev, Fx = x0, x0, 0.0, objectives0
     records: list[IterationRecord] = []
     status = Status.MAX_ITER
     warm: Optional[Array] = None
 
-    from .subproblem import SubproblemError  # local to avoid cycle in docs
-
     for k in range(1, cfg.max_iter + 1):
         tick = time.perf_counter()
-        state.k = k
-        state.backtracks = 0
+        omega = 1.0 / cfg.sigma if adaptive else 1.0
+        backtracks = 0
         try:
-            if isinstance(variant, Backtracking):
-                omega = 1.0 / cfg.sigma
-                L = omega * state.L_prev
-                t, _, y = fista_step(state.x_curr, state.x_prev, state.t_prev, omega)
-                sol = solve_subproblem(state.x_curr, y, L, p, sub_cfg, warm_weights=warm)
-                while not sufficient_decrease_check(p, y, sol.z, L):
-                    state.backtracks += 1
-                    if state.backtracks > _MAX_BACKTRACKS:
-                        raise BacktrackingError(
-                            f"line search exceeded {_MAX_BACKTRACKS} inflations at"
-                            f" iteration {k}; gradients are likely not"
-                            f" Lipschitz on this region"
-                        )
-                    omega *= cfg.beta
-                    L = omega * state.L_prev
-                    t, _, y = fista_step(state.x_curr, state.x_prev, state.t_prev, omega)
-                    sol = solve_subproblem(state.x_curr, y, L, p, sub_cfg, warm_weights=warm)
-            elif isinstance(variant, FixedStep):
-                omega = 1.0
-                L = variant.L
-                t, _, y = fista_step(state.x_curr, state.x_prev, state.t_prev, omega)
-                sol = solve_subproblem(state.x_curr, y, L, p, sub_cfg, warm_weights=warm)
-            else:
-                omega = 1.0
-                L = variant.L
-                t = 1.0
-                y = state.x_curr
-                sol = solve_subproblem(state.x_curr, y, L, p, sub_cfg, warm_weights=warm)
+            while True:
+                L = omega * L_prev
+                t, _, y = fista_step(x, x_prev, t_prev, omega) if momentum else (1.0, None, x)
+                sol, fz, ok = _trial(p, y, L, Fx, sub_cfg, warm)
+                if ok or not adaptive:
+                    break
+                backtracks += 1
+                if backtracks > _MAX_BACKTRACKS:
+                    raise BacktrackingError(
+                        f"line search exceeded {_MAX_BACKTRACKS} inflations at iteration"
+                        f" {k}; gradients are likely not Lipschitz on this region")
+                omega *= cfg.beta
         except SubproblemError:
             status = Status.SUBPROBLEM_FAILURE
             break
 
-        x_next = sol.z
-        residual = float(np.max(np.abs(x_next - y)))
-        objectives = evaluate_objectives(p, x_next)
-        wall_ms = (time.perf_counter() - tick) * 1e3
+        residual = float(np.max(np.abs(sol.z - y)))
+        Fx = _objectives_from(p, sol.z, fz)
         records.append(IterationRecord(
-            k=k, L=L, backtracks=state.backtracks, residual=residual, t=t,
-            y=np.asarray(y, dtype=float), x=x_next, objectives=objectives,
-            dual_gap=sol.dual_gap, wall_ms=wall_ms,
+            k=k, L=L, backtracks=backtracks, residual=residual, t=t,
+            y=np.asarray(y, dtype=float), x=sol.z, objectives=Fx,
+            dual_gap=sol.dual_gap, wall_ms=(time.perf_counter() - tick) * 1e3,
         ))
         warm = sol.weights
-        state.x_prev, state.x_curr = state.x_curr, x_next
-        state.t_prev, state.t_curr = t, t
-        state.L_prev, state.L_curr = L, L
-        state.omega_prev = omega
-        state.y = np.asarray(y, dtype=float)
+        x_prev, x, t_prev, L_prev = x, sol.z, t, L
         if residual < cfg.eps:
             status = Status.CONVERGED
             break
 
     trace = RunTrace(x0=x0, objectives0=objectives0, records=tuple(records))
-    return SolveResult(x=state.x_curr, status=status, trace=trace)
+    return SolveResult(x=x, status=status, trace=trace)
 
 
 def accepted_L_bound_check(trace: RunTrace, L_true: float, cfg: SolverConfig) -> bool:

@@ -114,6 +114,7 @@ class _Model:
     """Data of one subproblem, precomputed at (x, y, L)."""
 
     grads: Array    # (m, n) rows grad f_i(y)
+    fy: Array       # (m,)   f_i(y)
     offsets: Array  # (m,)   f_i(y) - F_i(x)
     y: Array
     L: float
@@ -140,16 +141,21 @@ class _Model:
         return avg + rest, top + rest, top - avg, z, linear
 
 
-def _model_at(x: Array, y: Array, L: float, p: ProblemInstance) -> _Model:
+def _linearize(y: Array, L: float, p: ProblemInstance, Fx: Array) -> _Model:
+    """Model at ``(y, L)`` from one ``grad f`` and one ``f`` call at ``y``,
+    against objective values ``Fx = F(x)`` the caller already holds."""
     if not L > 0.0:
         raise ValueError("step constant L must be positive")
-    x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     grads = np.asarray(p.smooth_jac(y), dtype=float)
     if grads.shape != (p.m, p.n):
         raise ValueError(f"jacobian shape {grads.shape}, expected {(p.m, p.n)}")
     fy = np.asarray(p.smooth(y), dtype=float)
-    return _Model(grads, fy - evaluate_objectives(p, x), y, float(L), p.nonsmooth)
+    return _Model(grads, fy, fy - Fx, y, float(L), p.nonsmooth)
+
+
+def _model_at(x: Array, y: Array, L: float, p: ProblemInstance) -> _Model:
+    return _linearize(y, L, p, evaluate_objectives(p, x))
 
 
 def subproblem_objective(z: Array, x: Array, y: Array, L: float, p: ProblemInstance) -> float:
@@ -454,15 +460,17 @@ def solve_subproblem(x: Array, y: Array, L: float, p: ProblemInstance,
     ``warm_weights``, when given, seed the ascent for ``m >= 3``; the solver
     itself keeps no state between calls.
     """
-    cfg = cfg or SubproblemConfig()
-    model = _model_at(x, y, L, p)
+    return _solve_model(_model_at(x, y, L, p), cfg or SubproblemConfig(), warm_weights)
+
+
+def _solve_model(model: _Model, cfg: SubproblemConfig,
+                 warm_weights: Optional[Array]) -> SubproblemSolution:
+    """Solve an already built model; dispatches on the objective count."""
     stop = cfg.tol * _GAP_MARGIN  # solve past the advertised relative gap
-    if p.m == 1:
+    m = model.grads.shape[0]
+    if m == 1:
         return _finish(model, np.array([1.0]))
-    if p.m == 2:
-        sol = _solve_two(model, cfg, stop, warm_weights)
-    else:
-        sol = _solve_many(model, cfg, stop, warm_weights)
+    sol = (_solve_two if m == 2 else _solve_many)(model, cfg, stop, warm_weights)
     if sol.dual_gap > cfg.tol * (1.0 + abs(sol.value)):
         raise SubproblemError(
             f"dual gap {sol.dual_gap:.3e} above tolerance", z=sol.z, gap=sol.dual_gap

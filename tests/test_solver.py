@@ -1,13 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mofista import (Backtracking, BacktrackingError, FixedStep, PlainProxGrad,
-                     ProblemInstance, SolverConfig, Status,
+from mofista import (Backtracking, BacktrackingError, EvaluationError, FixedStep,
+                     PlainProxGrad, ProblemInstance, SolverConfig, Status,
                      accepted_L_bound_check, builtin_problem,
                      evaluate_objectives, fista_step, run_solver,
-                     sample_initial_points, sufficient_decrease_check)
+                     sample_initial_points, solve_subproblem,
+                     sufficient_decrease_check)
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -229,3 +232,74 @@ def test_converged_means_small_final_residual():
         res = run_solver(p, x0, SolverConfig(eps=1e-5))
         assert res.status is Status.CONVERGED
         assert res.trace.records[-1].residual < 1e-5
+
+
+# ----------------------------------------------------------- oracle budget
+
+
+def counting_copy(p):
+    """``p`` with its smooth oracles wrapped in call counters."""
+    calls = {"f": 0, "jac": 0}
+
+    def smooth(x):
+        calls["f"] += 1
+        return p.smooth(x)
+
+    def smooth_jac(x):
+        calls["jac"] += 1
+        return p.smooth_jac(x)
+
+    return replace(p, smooth=smooth, smooth_jac=smooth_jac), calls
+
+
+@pytest.mark.parametrize("name", ["SP1_l1", "VFM1"])
+@pytest.mark.parametrize("kind", ["backtracking", "fixed", "pgm"])
+def test_one_oracle_call_per_point(name, kind):
+    # Per trial: f(y), grad f(y) and f(z); F(x) carries over, so the only
+    # extra call is f(x0).
+    p, desc = builtin_problem(name)
+    variant = {"backtracking": Backtracking(), "fixed": FixedStep(desc.L_true),
+               "pgm": PlainProxGrad(desc.L_true)}[kind]
+    counted, calls = counting_copy(p)
+    x0 = sample_initial_points(desc, 1, seed=18)[0]
+    res = run_solver(counted, x0, SolverConfig(eps=1e-6, variant=variant))
+    assert res.status is Status.CONVERGED
+    records = res.trace.records
+    trials = len(records) + sum(r.backtracks for r in records)
+    assert calls["f"] == 1 + 2 * trials
+    assert calls["jac"] == trials
+    if kind == "backtracking":
+        assert trials > len(records)
+
+
+@pytest.mark.parametrize("variant", [FixedStep(1e-3), PlainProxGrad(1e-3)])
+def test_divergent_step_raises_at_overflowed_iterate(variant):
+    # A step constant far below the curvature makes SP1 diverge until f
+    # overflows; the error must carry the iterate whose objectives did.
+    p, desc = builtin_problem("SP1")
+    x0 = sample_initial_points(desc, 1, seed=0)[0]
+    cfg = SolverConfig(variant=variant)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(EvaluationError) as info:
+            run_solver(p, x0, cfg)
+        bad = info.value.x
+        assert np.all(np.isfinite(bad))
+        assert not np.all(np.isfinite(p.smooth(bad)))
+        # Replaying the iterations before the failing one must lead to
+        # exactly that point.
+        k = 1
+        while True:
+            try:
+                recs = run_solver(p, x0, replace(cfg, max_iter=k)).trace.records
+            except EvaluationError:
+                break
+            k += 1
+        assert len(recs) == k - 1
+        x = recs[-1].x
+        if isinstance(variant, FixedStep):
+            _, _, y = fista_step(x, recs[-2].x, recs[-1].t, 1.0)
+        else:
+            y = x
+        # At the default eps the solver couples the inner tolerance to the
+        # default one, so a default-configured solve repeats its step.
+        np.testing.assert_array_equal(solve_subproblem(x, y, variant.L, p).z, bad)
