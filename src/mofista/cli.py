@@ -14,7 +14,6 @@ import csv
 import sys
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -52,7 +51,6 @@ class BenchConfig:
     out_dir: Union[str, Path] = Path("bench_out")
     fixed_L: Optional[float] = None
     fixed_L_scale: float = 1.0
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "problems", tuple(self.problems))
@@ -60,8 +58,6 @@ class BenchConfig:
         object.__setattr__(self, "out_dir", Path(self.out_dir))
         if self.runs < 1:
             raise ConfigError("runs must be at least 1")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be at least 1")
         if not self.problems:
             raise ConfigError("at least one problem required")
         if not self.solvers:
@@ -154,24 +150,14 @@ def run_benchmark(bc: BenchConfig) -> BenchReport:
     base = SolverConfig(L_init=bc.L_init, beta=bc.beta, sigma=bc.sigma,
                         eps=bc.eps, max_iter=bc.max_iter)
 
-    jobs = []
+    rows = []
     for p, desc in resolved:
         starts = sample_initial_points(desc, bc.runs,
                                        (bc.seed, zlib.crc32(desc.name.encode())))
         for solver in bc.solvers:
             cfg = replace(base, variant=_variant_for(solver, desc, bc))
             for run_id in range(bc.runs):
-                jobs.append((p, cfg, starts[run_id], desc.name, solver, run_id))
-
-    if bc.jobs > 1:
-        with ThreadPoolExecutor(max_workers=bc.jobs) as pool:
-            rows = list(pool.map(lambda j: _single_run(*j), jobs))
-    else:
-        rows = [_single_run(*j) for j in jobs]
-    by_key = {(r.problem, r.solver, r.run_id): r for r in rows}
-    rows = [by_key[(desc.name, solver, run_id)]
-            for _, desc in resolved for solver in bc.solvers
-            for run_id in range(bc.runs)]
+                rows.append(_single_run(p, cfg, starts[run_id], desc.name, solver, run_id))
 
     out_dir = Path(bc.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -292,7 +278,6 @@ _FLAG_TYPES = {
     "runs": int,
     "seed": int,
     "max_iter": int,
-    "jobs": int,
     "l0": float,
     "beta": float,
     "sigma": float,
@@ -343,7 +328,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="step constant for the fixed/pgm solvers (overrides scaling)")
     ap.add_argument("--fixed-l-scale", type=float, default=1.0, dest="fixed_l_scale",
                     help="multiple of the known constant used by fixed/pgm (default 1)")
-    ap.add_argument("--jobs", type=int, default=1, help="concurrent runs (default 1)")
     ap.add_argument("--config", type=str, default=None,
                     help="key=value file supplying defaults for any flag")
     return ap
@@ -362,7 +346,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             problems=ns.problems, runs=ns.runs, seed=ns.seed, solvers=ns.solvers,
             L_init=ns.l0, beta=ns.beta, sigma=ns.sigma, eps=ns.eps,
             max_iter=ns.max_iter, out_dir=ns.out, fixed_L=ns.fixed_l,
-            fixed_L_scale=ns.fixed_l_scale, jobs=ns.jobs)
+            fixed_L_scale=ns.fixed_l_scale)
         report = run_benchmark(bc)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

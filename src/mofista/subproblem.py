@@ -11,15 +11,13 @@ for weights ``lam`` the inner minimizer has the closed form
 .. math:: z(\\lambda) = \\operatorname{prox}_{g/L}\\Big(
           y - \\tfrac{1}{L}\\textstyle\\sum_i \\lambda_i \\nabla f_i(y)\\Big),
 
-so the dual is maximized by bisection on the sign of its derivative when
-``m = 2`` (the derivative along the simplex edge is just the difference of
-the two inner linear terms, so sign bisection certifies the maximum to
-machine precision where value comparisons would stall at sqrt(eps)) and by
-projected gradient ascent with Nesterov momentum and adaptive restarts when
-``m >= 3``.  Both stop on a certified primal-dual gap, which for any trial
-weights equals ``max_i b_i(z) - lam . b(z)`` with ``b`` the inner linear
-terms, hence is available at every evaluation for free and without
-cancellation.
+and the dual supergradient at ``lam`` is the vector ``b`` of inner linear
+terms at ``z(lam)``.  One routine serves every ``m``: safeguarded Newton
+rounds on the dual, each maximizing a quadratic model over the simplex
+exactly by an active-set method, with the model's curvature taken from
+differences of ``b``.  It stops on a certified primal-dual gap, which for
+any trial weights equals ``max_i b_i(z) - lam . b(z)``, hence is available
+at every evaluation for free and without cancellation.
 
 Everything here is stateless; warm starts are passed in by the caller.
 """
@@ -67,7 +65,8 @@ class SubproblemConfig:
     """Inner-solver knobs.
 
     ``tol`` is a relative dual-gap tolerance: a solution is accepted once
-    ``primal - dual <= tol * (1 + |primal|)``.
+    ``primal - dual <= tol * (1 + |primal|)``.  ``max_inner_iter`` caps
+    the dual evaluations of one solve.
     """
 
     tol: float = 1e-10
@@ -100,6 +99,8 @@ class SubproblemSolution:
 def project_simplex(v: Array) -> Array:
     """Euclidean projection onto the probability simplex."""
     v = np.asarray(v, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("cannot project non-finite weights onto the simplex")
     u = np.sort(v)[::-1]
     cumulative = np.cumsum(u) - 1.0
     ranks = np.arange(1, v.size + 1)
@@ -200,256 +201,110 @@ def _kkt_residual_model(model: _Model, weights: Array, z: Array) -> float:
     return float(np.linalg.norm(mix + model.L * (z - model.y) + subgrad))
 
 
-def _solve_two(model: _Model, cfg: SubproblemConfig, stop: float,
-               warm: Optional[Array]) -> SubproblemSolution:
-    """Derivative-sign bisection on the concave dual over the 1-simplex.
+def _simplex_qp(c: Array, Q: Array, w: Array, rcond: float) -> Array:
+    """Maximize ``c . w - w . Q w / 2`` (``Q`` symmetric positive
+    semidefinite) over the simplex by a primal active-set method from the
+    feasible ``w``.
 
-    With weights ``(s, 1-s)`` the dual derivative in ``s`` is
-    ``h(s) = b_1(z(s)) - b_2(z(s))`` (envelope theorem), nonincreasing by
-    concavity.  The certified gap at a probe is ``(1-s) h`` or ``-s h``
-    depending on the sign, so driving ``h`` through zero drives the gap to
-    the rounding floor; comparing dual *values* instead would stall once the
-    flat top of the parabola-like dual underflows.
+    Steps live in face coordinates: the largest free weight ``i0`` absorbs
+    the changes of the other free weights, so the Newton system has no
+    multiplier unknown and keeps the relative accuracy of the gradient.
+    The least-squares cutoff ``rcond`` drops curvature below the accuracy
+    of ``Q``; a gradient left in the dropped directions marks a ridge,
+    along which the objective only rises, so it is followed to the boundary.
     """
-
-    def weights_of(s: float) -> Array:
-        return np.array([s, 1.0 - s])
-
-    best_s, best_rel = 0.5, math.inf
-
-    def probe(s: float):
-        nonlocal best_s, best_rel
-        _, primal, gap, _, linear = model.evaluate(weights_of(s))
-        rel = gap / (1.0 + abs(primal))
-        if rel < best_rel:
-            best_s, best_rel = s, rel
-        return float(linear[0] - linear[1]), rel
-
-    # Endpoint optima certify exactly: a nonpositive slope at s=0 (or
-    # nonnegative at s=1) puts all weight on one objective with zero gap.
-    h_lo, rel = probe(0.0)
-    if h_lo <= 0.0 or rel <= stop:
-        return _finish(model, weights_of(best_s))
-    h_hi, rel = probe(1.0)
-    if h_hi >= 0.0 or rel <= stop:
-        return _finish(model, weights_of(best_s))
-    lo, hi = 0.0, 1.0
-    for _ in range(cfg.max_inner_iter):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
+    w = w.copy()
+    free = w > 0.0
+    # Each pass adds or drops one objective; the cap stops cycling on ties.
+    for _ in range(4 * w.size):
+        face = np.flatnonzero(free)
+        i0 = face[np.argmax(w[face])]
+        rest = face[face != i0]
+        grad = c - Q @ w
+        if rest.size:
+            g = grad[rest] - grad[i0]
+            q = (Q[np.ix_(rest, rest)] - Q[rest, i0][:, None] - Q[i0, rest][None, :]
+                 + Q[i0, i0])
+            step = np.linalg.lstsq(q, g, rcond=rcond)[0]
+            flat = g - q @ step
+            ridge = float(np.linalg.norm(flat)) > rcond * float(np.linalg.norm(g))
+            d = np.zeros(w.size)
+            d[rest] = flat if ridge else step
+            d[i0] = -float(np.sum(d[rest]))
+            shrink = np.flatnonzero(d < 0.0)
+            limits = -w[shrink] / d[shrink]
+            if ridge or (shrink.size and limits.min() < 1.0):
+                # Stop at the first weight to reach zero and drop it.
+                k = int(np.argmin(limits))
+                w = np.maximum(w + limits[k] * d, 0.0)
+                w[shrink[k]] = 0.0
+                free[shrink[k]] = False
+                continue
+            w = np.maximum(w + d, 0.0)
+            grad = c - Q @ w
+        # Stationary on the face: price the objectives outside it.
+        out = np.flatnonzero(~free)
+        if not out.size or float(np.max(grad[out])) <= float(w @ grad):
             break
-        h_mid, rel = probe(mid)
-        if rel <= stop:
-            break
-        if h_mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return _finish(model, weights_of(best_s))
+        free[out[np.argmax(grad[out])]] = True
+    return w
 
 
-def _solve_many(model: _Model, cfg: SubproblemConfig, stop: float,
+def _solve_dual(model: _Model, cfg: SubproblemConfig, stop: float,
                 warm: Optional[Array]) -> SubproblemSolution:
-    """Momentum ascent stages alternating with face-Newton polish.
+    """Safeguarded Newton ascent on the concave, piecewise quadratic dual.
 
-    Projected gradient ascent (dual supergradient = the inner linear terms,
-    by the envelope theorem) with Nesterov momentum, backtracked step size,
-    and function-value restarts localizes the maximizer quickly but zigzags
-    once dual-value differences underflow, stalling around a sqrt(eps)
-    relative gap.  The polish stage then takes over: it guesses the active
-    face from the linear-term spread, builds the face-restricted dual
-    Hessian by finite differences of the linear terms, and applies Newton
-    steps projected back onto the simplex.  The dual Hessian has rank at
-    most ``n``, so with more active objectives than variables the face
-    system is singular; the Newton direction comes from a least-squares
-    solve with a singular-value cutoff, and every trial point must strictly
-    increase the dual value (with step halving) before it is accepted.
-    Directions the cutoff discards are ridges along which the dual is
-    linear; a doubling projected-supergradient search walks them until the
-    simplex boundary clips the descent coordinate exactly, after which the
-    shrunken face is curved again and Newton contracts quadratically to a
-    gap at the rounding floor.  Stages alternate until the budget runs out
-    or a full cycle brings no progress.
+    The dual supergradient at ``lam`` is the vector ``b`` of inner linear
+    terms (envelope theorem), and its Jacobian, the generalized dual
+    Hessian ``-G D G^T / L`` (``D`` the prox Jacobian), comes from forward
+    differences of ``b`` in each weight: exact for the zero and l1 terms
+    away from kinks, and available for any prox.  Each round maximizes the
+    resulting quadratic model over the simplex exactly and halves the step
+    until the dual rises or the certified gap falls.  A round without
+    either restarts from the best-certified weights, and ends the solve if
+    it started there; so does a non-finite gap or the evaluation budget.
+    The best-certified weights are returned; the caller judges the gap.
     """
     m = model.grads.shape[0]
-    lam = project_simplex(np.asarray(warm, dtype=float)) if warm is not None \
-        else np.full(m, 1.0 / m)
-    spectral = float(np.linalg.norm(model.grads, 2))
-    base_eta = model.L / max(spectral * spectral, 1e-12)
-
+    lam = project_simplex(warm) if warm is not None else np.full(m, 1.0 / m)
+    h = 1e-7  # difference step, hence also the accuracy of the curvature
     evals = 0
-    best_lam, best_rel = lam, math.inf
 
-    def measure(w: Array) -> tuple[float, float, Array, bool]:
-        """Evaluate simplex-feasible weights, tracking the best certified gap."""
-        nonlocal evals, best_lam, best_rel
+    def measure(w: Array) -> tuple[float, float, Array]:
+        nonlocal evals
         evals += 1
         dual, primal, gap, _, linear = model.evaluate(w)
-        rel = gap / (1.0 + abs(primal))
-        if rel < best_rel:
-            best_lam, best_rel = w, rel
-        return dual, gap, linear, rel <= stop
+        return dual, gap / (1.0 + abs(primal)), linear
 
-    def ascent(lam: Array, budget: int) -> tuple[Array, bool]:
-        nonlocal evals
-        q_lam, _, linear, done = measure(lam)
-        if done:
-            return lam, True
-        eta = base_eta
-        momentum, t_acc = lam, 1.0
-        q_point, linear_point = q_lam, linear
-        spent = 0
-        while spent < budget and evals < cfg.max_inner_iter:
-            grad = linear_point
-            lam_prev, q_prev = lam, q_lam
-            for _ in range(60):
-                candidate = project_simplex(momentum + eta * grad)
-                q_new, _, linear, done = measure(candidate)
-                spent += 1
-                if done:
-                    return candidate, True
-                diff = candidate - momentum
-                bound = q_point + float(grad @ diff) - float(diff @ diff) / (2.0 * eta)
-                if q_new >= bound - 1e-15 * (1.0 + abs(q_new)):
-                    break
-                eta *= 0.5
-            lam, q_lam = candidate, q_new
-            if q_lam < q_prev:
-                # momentum overshoot: restart from the last accepted weights
-                t_acc = 1.0
-                momentum = lam
-            else:
-                t_next = (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc)) / 2.0
-                momentum = lam + ((t_acc - 1.0) / t_next) * (lam - lam_prev)
-                t_acc = t_next
-            # momentum may leave the simplex; the dual formula extends there
-            q_point, _, _, _, linear_point = model.evaluate(momentum)
-            evals += 1
-            eta *= 1.3
-        return lam, False
-
-    def ray(lam: Array, q0: float, grad: Array) -> tuple[Array, bool, bool]:
-        """Monotone projected-supergradient search with doubling steps."""
-        alpha, cur_q, cur, improved = base_eta, q0, lam, False
-        for _ in range(40):
-            if evals >= cfg.max_inner_iter:
-                break
-            cand = project_simplex(lam + alpha * grad)
-            alpha *= 2.0
-            if np.array_equal(cand, cur):
-                continue
-            q_new, _, _, done = measure(cand)
-            if done:
-                return cand, True, True
-            if q_new > cur_q:
-                cur_q, cur, improved = q_new, cand, True
-            else:
-                break
-        return cur, improved, False
-
-    def polish(lam: Array) -> tuple[Array, bool]:
-        nonlocal evals
-        lam = project_simplex(lam)
-        for _ in range(12):
-            q0, gap0, linear0, done = measure(lam)
-            if done:
-                return lam, True
-            top = float(np.max(linear0))
-            span = max(10.0 * gap0, 1e-9 * (1.0 + abs(top)))
-            face = np.union1d(np.flatnonzero(linear0 >= top - span),
-                              np.flatnonzero(lam > 1e-10))
-            if face.size == 1:
-                vertex = np.zeros(m)
-                vertex[face[0]] = 1.0
-                if np.array_equal(vertex, lam):
-                    return lam, False
-                lam = vertex
-                continue
-            i0, rest = face[0], face[1:]
-            h = 1e-7
-            reduced_grad = linear0[rest] - linear0[i0]
-            hess = np.empty((rest.size, rest.size))
-            for k, j in enumerate(rest):
-                w = lam.copy()
-                w[j] += h
-                w[i0] -= h
-                _, _, _, _, l_h = model.evaluate(w)
-                evals += 1
-                col = (l_h - linear0) / h
-                hess[:, k] = col[rest] - col[i0]
-            curv = -0.5 * (hess + hess.T)
-            step = np.linalg.lstsq(curv, reduced_grad, rcond=1e-7)[0]
-            flat = reduced_grad - curv @ step
-
-            def embed(vec: Array) -> Array:
-                out = np.zeros(m)
-                out[rest] = vec
-                out[i0] = -float(np.sum(vec))
-                return out
-
-            base = lam.copy()
-            base[np.setdiff1d(np.arange(m), face)] = 0.0
-            newton_dir = embed(step)
-            accepted = False
-            scale = 1.0
-            for _ in range(14):
-                if evals >= cfg.max_inner_iter:
-                    break
-                trial = project_simplex(base + scale * newton_dir)
-                if np.array_equal(trial, lam):
-                    break
-                q_new, _, _, done = measure(trial)
-                if done:
-                    return trial, True
-                if q_new > q0:
-                    lam, accepted = trial, True
-                    break
-                scale *= 0.5
-            if accepted:
-                continue
-            # Newton covers the curved subspace only; the least-squares
-            # residual of the gradient spans the directions the cutoff
-            # discarded, where the dual is linear.  Ride it to the simplex
-            # boundary, then fall back to the raw supergradient.
-            moved = False
-            if float(np.linalg.norm(flat)) > \
-                    1e-15 * (1.0 + float(np.linalg.norm(reduced_grad))):
-                lam2, improved, done = ray(base, q0, embed(flat))
-                if done:
-                    return lam2, True
-                if improved:
-                    lam, moved = lam2, True
-            if not moved:
-                lam2, improved, done = ray(lam, q0, linear0)
-                if done:
-                    return lam2, True
-                if improved:
-                    lam, moved = lam2, True
-            if not moved:
-                return lam, False
-        return lam, False
-
-    stage = 60
-    stalls = 0
-    while evals < cfg.max_inner_iter:
-        rel_before = best_rel
-        lam, done = ascent(best_lam, stage)
-        if done:
-            return _finish(model, lam)
-        lam, done = polish(lam)
-        if done:
-            return _finish(model, lam)
-        # Deterministic restarts retread the same trajectory; once two full
-        # cycles fail to sharpen the certificate, more budget will not help.
-        stalls = stalls + 1 if best_rel >= 0.999 * rel_before else 0
-        if stalls >= 2:
+    q, rel, b = measure(lam)
+    best, top_q = (lam, rel, b), q
+    while stop < best[1] < math.inf and evals + m < cfg.max_inner_iter:
+        jac = np.empty((m, m))
+        for j in range(m):
+            w = lam.copy()
+            w[j] += h
+            jac[:, j] = (model.evaluate(w)[4] - b) / h
+        evals += m
+        if not np.all(np.isfinite(jac)):
             break
-    _, _, gap, z, _ = model.evaluate(best_lam)
-    raise SubproblemError(
-        f"inner ascent stalled at a certified gap of {gap:.3e} "
-        f"after {evals} dual evaluations",
-        z=z, gap=gap,
-    )
+        curv = -0.5 * (jac + jac.T)
+        target = _simplex_qp(b + curv @ lam, curv, lam, rcond=h)
+        alpha = 1.0
+        while evals < cfg.max_inner_iter and alpha > 1e-3:
+            trial = (1.0 - alpha) * lam + alpha * target
+            q_t, rel_t, b_t = measure(trial)
+            if q_t > top_q or rel_t < best[1]:
+                break
+            alpha *= 0.5
+        else:
+            if lam is best[0]:
+                break
+            lam, _, b = best
+            continue
+        lam, b, top_q = trial, b_t, max(top_q, q_t)
+        if rel_t < best[1]:
+            best = (trial, rel_t, b_t)
+    return _finish(model, best[0])
 
 
 def solve_subproblem(x: Array, y: Array, L: float, p: ProblemInstance,
@@ -457,20 +312,17 @@ def solve_subproblem(x: Array, y: Array, L: float, p: ProblemInstance,
                      warm_weights: Optional[Array] = None) -> SubproblemSolution:
     """Solve one worst-case prox-linear step to a certified dual gap.
 
-    ``warm_weights``, when given, seed the ascent for ``m >= 3``; the solver
-    itself keeps no state between calls.
+    ``warm_weights``, when given, seed the dual solve; the solver itself
+    keeps no state between calls.
     """
     return _solve_model(_model_at(x, y, L, p), cfg or SubproblemConfig(), warm_weights)
 
 
 def _solve_model(model: _Model, cfg: SubproblemConfig,
                  warm_weights: Optional[Array]) -> SubproblemSolution:
-    """Solve an already built model; dispatches on the objective count."""
+    """Solve an already built model; the single point of failure."""
     stop = cfg.tol * _GAP_MARGIN  # solve past the advertised relative gap
-    m = model.grads.shape[0]
-    if m == 1:
-        return _finish(model, np.array([1.0]))
-    sol = (_solve_two if m == 2 else _solve_many)(model, cfg, stop, warm_weights)
+    sol = _solve_dual(model, cfg, stop, warm_weights)
     if sol.dual_gap > cfg.tol * (1.0 + abs(sol.value)):
         raise SubproblemError(
             f"dual gap {sol.dual_gap:.3e} above tolerance", z=sol.z, gap=sol.dual_gap

@@ -38,8 +38,6 @@ def test_bench_config_rejects_bad_values():
         BenchConfig(fixed_L=-1.0)
     with pytest.raises(ConfigError):
         BenchConfig(fixed_L_scale=0.0)
-    with pytest.raises(ConfigError):
-        BenchConfig(jobs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -93,17 +91,15 @@ def test_csv_floats_roundtrip_exactly(tmp_path):
                 assert f"{float(cell):.17g}" == cell
 
 
-def test_parallel_runs_match_serial(tmp_path):
-    kwargs = dict(problems=("BK1",), runs=3, seed=2,
-                  solvers=("backtracking", "fixed"))
-    serial = run_benchmark(BenchConfig(out_dir=tmp_path / "s", **kwargs))
-    parallel = run_benchmark(BenchConfig(out_dir=tmp_path / "p", jobs=3, **kwargs))
-    for a, b in zip(serial.rows, parallel.rows):
-        assert (a.problem, a.solver, a.run_id, a.status) == \
-               (b.problem, b.solver, b.run_id, b.status)
-        assert a.iterations == b.iterations
-        assert np.array_equal(a.objectives, b.objectives)
-        assert np.array_equal(a.x, b.x)
+def test_diverging_fixed_step_gives_error_rows(tmp_path):
+    # A step constant far below the curvature drives VFM1's iterates to
+    # overflow; the runs must end as rows, not crash the benchmark.
+    bc = BenchConfig(problems=("VFM1",), runs=3, solvers=("fixed",), fixed_L=1e-3,
+                     out_dir=tmp_path)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = run_benchmark(bc)
+    assert report.failed == len(report.rows) == 3
+    assert "error" in {r.status for r in report.rows}
 
 
 def test_profiles_tau_only_when_nothing_converges(tmp_path):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mofista import (Backtracking, BacktrackingError, EvaluationError, FixedStep,
-                     PlainProxGrad, ProblemInstance, SolverConfig, Status,
+from mofista import (Backtracking, BacktrackingError, CustomNonsmooth,
+                     EvaluationError, FixedStep, PlainProxGrad,
+                     ProblemInstance, SolverConfig, Status,
                      accepted_L_bound_check, builtin_problem,
                      evaluate_objectives, fista_step, run_solver,
                      sample_initial_points, solve_subproblem,
@@ -272,6 +273,28 @@ def test_one_oracle_call_per_point(name, kind):
         assert trials > len(records)
 
 
+@pytest.mark.parametrize("name", ["SP1_l1", "VFM1"])
+def test_prox_calls_per_subproblem_solve(name):
+    # Each trial calls grad f(y) once and then solves its subproblem, so the
+    # prox calls after one Jacobian call and before the next are one solve's.
+    p, desc = builtin_problem(name)
+    per_solve = []
+
+    def smooth_jac(x):
+        per_solve.append(0)
+        return p.smooth_jac(x)
+
+    def prox(t, v):
+        per_solve[-1] += 1
+        return p.nonsmooth.prox(t, v)
+
+    counted = replace(p, smooth_jac=smooth_jac,
+                      nonsmooth=CustomNonsmooth(p.nonsmooth.value, prox))
+    for x0 in sample_initial_points(desc, 10, seed=1):
+        assert run_solver(counted, x0, SolverConfig(eps=1e-6)).status is Status.CONVERGED
+    assert max(per_solve) <= 20
+
+
 @pytest.mark.parametrize("variant", [FixedStep(1e-3), PlainProxGrad(1e-3)])
 def test_divergent_step_raises_at_overflowed_iterate(variant):
     # A step constant far below the curvature makes SP1 diverge until f
@@ -301,5 +324,12 @@ def test_divergent_step_raises_at_overflowed_iterate(variant):
         else:
             y = x
         # At the default eps the solver couples the inner tolerance to the
-        # default one, so a default-configured solve repeats its step.
-        np.testing.assert_array_equal(solve_subproblem(x, y, variant.L, p).z, bad)
+        # default one, so default-configured solves repeat its steps once
+        # they chain the warm weights over the records as the solver does.
+        x_prev, warm = x0, None
+        for rec in recs:
+            sol = solve_subproblem(x_prev, rec.y, variant.L, p, warm_weights=warm)
+            np.testing.assert_array_equal(sol.z, rec.x)
+            x_prev, warm = rec.x, sol.weights
+        np.testing.assert_array_equal(
+            solve_subproblem(x, y, variant.L, p, warm_weights=warm).z, bad)

@@ -248,13 +248,31 @@ def test_certified_gap_respects_tolerance():
 
 def test_warm_start_agrees_with_cold():
     rng = np.random.default_rng(31)
-    p, x, y, L = random_instance(rng)
-    while p.m < 3:
+    for m in (2, 3):
         p, x, y, L = random_instance(rng)
-    cold = solve_subproblem(x, y, L, p)
-    warm = solve_subproblem(x, y, L, p,
-                            warm_weights=project_simplex(cold.weights + 0.05))
-    np.testing.assert_allclose(cold.z, warm.z, atol=1e-8)
+        while p.m != m:
+            p, x, y, L = random_instance(rng)
+        cold = solve_subproblem(x, y, L, p)
+        warm = solve_subproblem(x, y, L, p,
+                                warm_weights=project_simplex(cold.weights + 0.05))
+        np.testing.assert_allclose(cold.z, warm.z, atol=1e-8)
+
+
+@pytest.mark.parametrize("l1", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("m", [4, 8, 12])
+def test_many_objectives_certify_tight_gap(m, n, l1):
+    # With m > n + 1 the dual Hessian is singular: the solve has to follow
+    # ridges of the dual to the face that holds its maximizer.
+    rng = np.random.default_rng(100 * m + 10 * n + l1)
+    cfg = SubproblemConfig(tol=1e-12)
+    for _ in range(5):
+        weight = float(rng.uniform(0.05, 0.6)) if l1 else 0.0
+        p = quad_instance(rng.uniform(-1, 1, (m, n)), rng.uniform(0.25, 1.5, m), weight)
+        x, y = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
+        L = float(rng.uniform(1.0, 4.0) * p.grad_lipschitz)
+        sol = solve_subproblem(x, y, L, p, cfg)
+        assert sol.dual_gap <= cfg.tol * (1.0 + abs(sol.value))
 
 
 def test_inner_budget_exhaustion_raises():
@@ -336,6 +354,12 @@ def test_project_simplex_examples():
     np.testing.assert_allclose(project_simplex(np.array([2.0, 0.0])), [1.0, 0.0])
     np.testing.assert_allclose(project_simplex(np.array([0.3, 0.3])), [0.5, 0.5])
     np.testing.assert_allclose(project_simplex(np.array([1.0])), [1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_project_simplex_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        project_simplex(np.array([0.2, bad, 0.5]))
 
 
 @given(st.lists(st.floats(-5, 5), min_size=1, max_size=6).map(np.array))
