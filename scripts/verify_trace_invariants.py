@@ -51,7 +51,7 @@ def main(argv=None) -> int:
                 ok &= all(lyapunov_monotone_check(res.trace, p, z) for z in zs)
                 ok &= accepted_L_bound_check(res.trace, desc.L_true, cfg)
                 if label == "backtracking" and name in ("BK1", "JOS1"):
-                    Z = ReferenceSet.from_points(pareto_segment(name, 20), x0)
+                    Z = ReferenceSet(pareto_segment(name, 20))
                     ok &= rate_bound_check(res.trace, p, cfg, Z)
                 flag = "ok" if ok else "FAIL"
                 failures += not ok

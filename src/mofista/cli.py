@@ -69,6 +69,16 @@ class BenchConfig:
             raise ConfigError("fixed_L must be positive")
         if self.fixed_L_scale <= 0.0:
             raise ConfigError("fixed_L_scale must be positive")
+        _base_solver_config(self)
+
+
+def _base_solver_config(bc: BenchConfig) -> SolverConfig:
+    """Solver settings shared by every run; invalid values raise ConfigError."""
+    try:
+        return SolverConfig(L_init=bc.L_init, beta=bc.beta, sigma=bc.sigma,
+                            eps=bc.eps, max_iter=bc.max_iter)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -147,8 +157,7 @@ def _resolve_problems(bc: BenchConfig) -> list[tuple[ProblemInstance, ProblemDes
 
 def run_benchmark(bc: BenchConfig) -> BenchReport:
     resolved = _resolve_problems(bc)
-    base = SolverConfig(L_init=bc.L_init, beta=bc.beta, sigma=bc.sigma,
-                        eps=bc.eps, max_iter=bc.max_iter)
+    base = _base_solver_config(bc)
 
     rows = []
     for p, desc in resolved:
@@ -348,10 +357,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             max_iter=ns.max_iter, out_dir=ns.out, fixed_L=ns.fixed_l,
             fixed_L_scale=ns.fixed_l_scale)
         report = run_benchmark(bc)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     for problem, solver, mean_iter, mean_ms, pur in report.aggregates:

@@ -56,32 +56,18 @@ _ENERGY_SLACK = 1e-6
 
 @dataclass(frozen=True)
 class ReferenceSet:
-    """Comparison points ``z`` with squared distances from a run's start.
-
-    ``sq_dist[j] = ||x0 - points[j]||^2`` for the ``x0`` the set was built
-    around; checks that need distances for a different start recompute them.
-    """
+    """Comparison points ``z``, one per row.  Checks that need distances
+    measure them from the replayed trace's own start."""
 
     points: Array       # (N, n)
-    sq_dist: Array      # (N,)
 
     def __post_init__(self) -> None:
         points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        sq_dist = np.asarray(self.sq_dist, dtype=float).ravel()
         if points.shape[0] == 0:
             raise ValueError("reference set must be nonempty")
-        if sq_dist.shape != (points.shape[0],):
-            raise ValueError("one squared distance per point required")
-        if not (np.all(np.isfinite(points)) and np.all(np.isfinite(sq_dist))):
+        if not np.all(np.isfinite(points)):
             raise ValueError("reference set entries must be finite")
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "sq_dist", sq_dist)
-
-    @classmethod
-    def from_points(cls, points: Array, x0: Array) -> "ReferenceSet":
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        diff = points - np.asarray(x0, dtype=float)[None, :]
-        return cls(points=points, sq_dist=np.sum(diff * diff, axis=1))
 
 
 @dataclass(frozen=True)
@@ -248,4 +234,4 @@ def level_set_reference(p: ProblemInstance, desc: ProblemDescriptor, x0: Array,
         blocks.append(np.vstack(kept))
     if extra is not None and len(extra) > 0:
         blocks.append(np.atleast_2d(np.asarray(extra, dtype=float)))
-    return ReferenceSet.from_points(np.vstack(blocks), x0)
+    return ReferenceSet(np.vstack(blocks))

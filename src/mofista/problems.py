@@ -28,9 +28,6 @@ __all__ = [
     "CustomNonsmooth",
     "ProblemInstance",
     "evaluate_objectives",
-    "prox_nonsmooth",
-    "pareto_leq",
-    "pareto_lt",
 ]
 
 
@@ -162,28 +159,3 @@ def _objectives_from(p: ProblemInstance, x: Array, fx: Array) -> Array:
         raise EvaluationError("objective evaluation produced a non-finite value", x)
     return total
 
-
-def prox_nonsmooth(part: NonsmoothPart, t: float, v: Array) -> Array:
-    """Step-scaled proximal point ``prox_{t g}(v)``; ``t`` must be positive."""
-    _check_step(t)
-    return part.prox(t, np.asarray(v, dtype=float))
-
-
-def _pair(u: Array, v: Array) -> tuple[Array, Array]:
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
-    return u, v
-
-
-def pareto_leq(u: Array, v: Array) -> bool:
-    """Componentwise partial order: ``u <= v`` in every coordinate."""
-    u, v = _pair(u, v)
-    return bool(np.all(u <= v))
-
-
-def pareto_lt(u: Array, v: Array) -> bool:
-    """Strict componentwise order: ``u < v`` in every coordinate."""
-    u, v = _pair(u, v)
-    return bool(np.all(u < v))

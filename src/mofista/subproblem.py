@@ -83,16 +83,17 @@ class SubproblemConfig:
 class SubproblemSolution:
     """Solution of one worst-case prox-linear step.
 
-    ``value`` is the optimal model value (negative away from weakly Pareto
-    points, zero exactly there), ``weights`` the optimal simplex multipliers,
-    ``active_set`` the objectives attaining the inner max at ``z``.
+    ``z`` is the inner minimizer ``z(weights)`` for the returned
+    ``weights``, the optimal simplex multipliers.  ``value`` is the model
+    value at ``z`` (negative away from weakly Pareto points, zero exactly
+    there), ``active_set`` the objectives attaining the inner max at ``z``,
+    and ``dual_gap`` the certified primal-dual gap at ``weights``.
     """
 
     z: Array
     value: float
     weights: Array
     active_set: tuple[int, ...]
-    kkt_residual: float
     dual_gap: float
 
 
@@ -125,6 +126,12 @@ class _Model:
         step = self.y - (self.grads.T @ weights) / self.L
         return self.g.prox(1.0 / self.L, step)
 
+    def terms(self, z: Array) -> tuple[Array, float]:
+        """Inner linear terms ``b_i(z) - g(z)`` and the shared rest
+        ``g(z) + L/2 ||z - y||^2`` of the model at ``z``."""
+        d = z - self.y
+        return self.grads @ d + self.offsets, self.g.value(z) + 0.5 * self.L * float(d @ d)
+
     def evaluate(self, weights: Array) -> tuple[float, float, float, Array, Array]:
         """Dual value, primal value and certified gap at ``weights``.
 
@@ -134,9 +141,7 @@ class _Model:
         quadratic cancel.
         """
         z = self.primal_point(weights)
-        d = z - self.y
-        linear = self.grads @ d + self.offsets
-        rest = self.g.value(z) + 0.5 * self.L * float(d @ d)
+        linear, rest = self.terms(z)
         top = float(np.max(linear))
         avg = float(weights @ linear)
         return avg + rest, top + rest, top - avg, z, linear
@@ -161,44 +166,19 @@ def _model_at(x: Array, y: Array, L: float, p: ProblemInstance) -> _Model:
 
 def subproblem_objective(z: Array, x: Array, y: Array, L: float, p: ProblemInstance) -> float:
     """Model value at an arbitrary candidate ``z``."""
-    model = _model_at(x, y, L, p)
-    z = np.asarray(z, dtype=float)
-    d = z - model.y
-    linear = model.grads @ d + model.offsets
-    return float(np.max(linear)) + model.g.value(z) + 0.5 * model.L * float(d @ d)
+    linear, rest = _model_at(x, y, L, p).terms(np.asarray(z, dtype=float))
+    return float(np.max(linear)) + rest
+
 
 def inner_primal_step(weights: Array, y: Array, L: float, p: ProblemInstance) -> Array:
     """Closed-form inner minimizer ``z(weights)`` for fixed simplex weights."""
-    if not L > 0.0:
-        raise ValueError("step constant L must be positive")
-    weights = np.asarray(weights, dtype=float)
-    grads = np.asarray(p.smooth_jac(np.asarray(y, dtype=float)), dtype=float)
-    step = np.asarray(y, dtype=float) - (grads.T @ weights) / L
-    return p.nonsmooth.prox(1.0 / L, step)
+    # z(weights) does not depend on F(x), so any objective values serve.
+    return _linearize(y, L, p, 0.0).primal_point(np.asarray(weights, dtype=float))
 
 
 def dual_value(weights: Array, x: Array, y: Array, L: float, p: ProblemInstance) -> float:
     """Dual function: the weighted Lagrangian evaluated at ``z(weights)``."""
-    model = _model_at(x, y, L, p)
-    dual, _, _, _, _ = model.evaluate(np.asarray(weights, dtype=float))
-    return dual
-
-
-def _finish(model: _Model, weights: Array) -> SubproblemSolution:
-    _, primal, gap, z, linear = model.evaluate(weights)
-    top = float(np.max(linear))
-    tol_active = 1e-7 * (1.0 + abs(top))
-    active = tuple(int(i) for i in np.flatnonzero(linear >= top - tol_active))
-    residual = _kkt_residual_model(model, weights, z)
-    return SubproblemSolution(z, primal, weights, active, residual, gap)
-
-
-def _kkt_residual_model(model: _Model, weights: Array, z: Array) -> float:
-    mix = model.grads.T @ weights
-    step = model.y - mix / model.L
-    zhat = model.g.prox(1.0 / model.L, step)
-    subgrad = model.L * (step - zhat)
-    return float(np.linalg.norm(mix + model.L * (z - model.y) + subgrad))
+    return _model_at(x, y, L, p).evaluate(np.asarray(weights, dtype=float))[0]
 
 
 def _simplex_qp(c: Array, Q: Array, w: Array, rcond: float) -> Array:
@@ -263,22 +243,25 @@ def _solve_dual(model: _Model, cfg: SubproblemConfig, stop: float,
     until the dual rises or the certified gap falls.  A round without
     either restarts from the best-certified weights, and ends the solve if
     it started there; so does a non-finite gap or the evaluation budget.
-    The best-certified weights are returned; the caller judges the gap.
+    The solution is built from the evaluation of the best-certified
+    weights; the caller judges the gap.
     """
     m = model.grads.shape[0]
     lam = project_simplex(warm) if warm is not None else np.full(m, 1.0 / m)
     h = 1e-7  # difference step, hence also the accuracy of the curvature
     evals = 0
 
-    def measure(w: Array) -> tuple[float, float, Array]:
+    def measure(w: Array) -> tuple[float, float, tuple]:
+        """Dual value, relative gap, and the point ``(w, b, z, primal, gap)``."""
         nonlocal evals
         evals += 1
-        dual, primal, gap, _, linear = model.evaluate(w)
-        return dual, gap / (1.0 + abs(primal)), linear
+        dual, primal, gap, z, linear = model.evaluate(w)
+        return dual, gap / (1.0 + abs(primal)), (w, linear, z, primal, gap)
 
-    q, rel, b = measure(lam)
-    best, top_q = (lam, rel, b), q
+    q, rel, here = measure(lam)
+    best, top_q = (here, rel), q
     while stop < best[1] < math.inf and evals + m < cfg.max_inner_iter:
+        lam, b = here[:2]
         jac = np.empty((m, m))
         for j in range(m):
             w = lam.copy()
@@ -292,19 +275,22 @@ def _solve_dual(model: _Model, cfg: SubproblemConfig, stop: float,
         alpha = 1.0
         while evals < cfg.max_inner_iter and alpha > 1e-3:
             trial = (1.0 - alpha) * lam + alpha * target
-            q_t, rel_t, b_t = measure(trial)
+            q_t, rel_t, point = measure(trial)
             if q_t > top_q or rel_t < best[1]:
                 break
             alpha *= 0.5
         else:
-            if lam is best[0]:
+            if here is best[0]:
                 break
-            lam, _, b = best
+            here = best[0]
             continue
-        lam, b, top_q = trial, b_t, max(top_q, q_t)
+        here, top_q = point, max(top_q, q_t)
         if rel_t < best[1]:
-            best = (trial, rel_t, b_t)
-    return _finish(model, best[0])
+            best = (point, rel_t)
+    weights, linear, z, primal, gap = best[0]
+    top = float(np.max(linear))
+    active = np.flatnonzero(linear >= top - 1e-7 * (1.0 + abs(top)))
+    return SubproblemSolution(z, primal, weights, tuple(int(i) for i in active), gap)
 
 
 def solve_subproblem(x: Array, y: Array, L: float, p: ProblemInstance,
@@ -332,15 +318,12 @@ def _solve_model(model: _Model, cfg: SubproblemConfig,
 
 def kkt_residual(sol: SubproblemSolution, x: Array, y: Array, L: float,
                  p: ProblemInstance) -> float:
-    """Stationarity residual of a reported solution.
-
-    The nonsmooth subgradient is recovered from the prox optimality relation
-    at the reported weights, so the residual is zero at exact solutions and
-    grows linearly when ``sol.z`` is perturbed.
-    """
-    model = _model_at(x, y, L, p)
-    return _kkt_residual_model(model, np.asarray(sol.weights, dtype=float),
-                               np.asarray(sol.z, dtype=float))
+    """Stationarity residual ``L ||sol.z - z(sol.weights)||`` of a reported
+    solution: the model gradient at ``sol.z`` with the subgradient of ``g``
+    that the prox recovers at the reported weights.  Zero at exact
+    solutions, it grows linearly when ``sol.z`` is perturbed."""
+    zhat = inner_primal_step(sol.weights, y, L, p)
+    return float(L * np.linalg.norm(np.asarray(sol.z, dtype=float) - zhat))
 
 
 def weak_pareto_residual(x: Array, y: Array, L: float, p: ProblemInstance,

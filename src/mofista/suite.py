@@ -277,6 +277,10 @@ def load_problem_file(path: Union[str, Path], register: bool = False,
     n, m = int(spec["n"]), int(spec["m"])
     if len(spec["objectives"]) != m:
         raise ValueError("objective count does not match m")
+    lower = tuple(float(v) for v in spec["lower"])
+    upper = tuple(float(v) for v in spec["upper"])
+    if len(lower) != n or len(upper) != n:
+        raise ValueError(f"box bounds need {n} entries each, got {len(lower)} and {len(upper)}")
     quads = np.array([o["quad"] for o in spec["objectives"]], dtype=float)
     lins = np.array([o.get("linear", np.zeros(n)) for o in spec["objectives"]], dtype=float)
     consts = np.array([o.get("constant", 0.0) for o in spec["objectives"]], dtype=float)
@@ -298,8 +302,7 @@ def load_problem_file(path: Union[str, Path], register: bool = False,
                            grad_lipschitz=float(np.max(np.abs(eigs))))
     desc = ProblemDescriptor(
         name=name, n=n, m=m,
-        lower=tuple(float(v) for v in spec["lower"]),
-        upper=tuple(float(v) for v in spec["upper"]),
+        lower=lower, upper=upper,
         l1_weight=l1_weight,
         convex=bool(np.min(eigs) >= -1e-12),
         L_true=float(np.max(np.abs(eigs))),

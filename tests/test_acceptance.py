@@ -25,9 +25,7 @@ from mofista import (
     Zero,
     accepted_L_bound_check,
     builtin_problem,
-    fista_step,
     gap_step_bounds_check,
-    kkt_residual,
     lyapunov_monotone_check,
     nondominated_filter,
     pareto_segment,
@@ -36,9 +34,9 @@ from mofista import (
     run_benchmark,
     run_solver,
     sample_initial_points,
-    solve_subproblem,
-    subproblem_objective,
 )
+from mofista.solver import fista_step
+from mofista.subproblem import kkt_residual, solve_subproblem, subproblem_objective
 
 CONVEX_BUILTINS = ("BK1", "BK1_l1", "JOS1", "JOS1_l1", "SP1", "SP1_l1",
                    "VFM1", "MHHM1", "MHHM2")
@@ -247,7 +245,7 @@ def test_06_rate_bound(segment_traces):
     tick = time.perf_counter()
     for name, p, cfg, trace, segment, x0 in traces:
         assert len(trace.records) <= 1000
-        ref = ReferenceSet.from_points(segment, x0)
+        ref = ReferenceSet(segment)
         assert rate_bound_check(trace, p, cfg, ref), name
     elapsed = build_seconds + (time.perf_counter() - tick)
     assert elapsed < 120.0, f"rate sweep took {elapsed:.1f}s"

@@ -9,11 +9,11 @@ from mofista import (
     BenchConfig,
     ConfigError,
     Front,
-    emit_svg_scatter,
     nondominated_filter,
     run_benchmark,
 )
 from mofista.cli import main
+from mofista.plots import emit_svg_scatter
 
 
 def _read_csv(path):
@@ -38,6 +38,10 @@ def test_bench_config_rejects_bad_values():
         BenchConfig(fixed_L=-1.0)
     with pytest.raises(ConfigError):
         BenchConfig(fixed_L_scale=0.0)
+    for bad in ({"beta": 0.5}, {"sigma": 1.0}, {"eps": 0.0}, {"max_iter": 0},
+                {"L_init": -1.0}):
+        with pytest.raises(ConfigError):
+            BenchConfig(**bad)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +168,13 @@ def test_main_success_exit_code(tmp_path, capsys):
 
 def test_main_unknown_problem(tmp_path, capsys):
     code = main(["--problems", "XYZ9", "--out", str(tmp_path)])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_main_bad_solver_parameter(tmp_path, capsys):
+    code = main(["--problems", "BK1", "--runs", "1", "--beta", "0.5",
+                 "--out", str(tmp_path)])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
 

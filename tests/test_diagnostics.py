@@ -18,13 +18,12 @@ from mofista import (
     lyapunov_monotone_check,
     lyapunov_samples,
     merit_lower_bound,
-    momentum_offset,
-    objective_gap_min,
     pareto_segment,
     rate_bound_check,
     run_solver,
     sample_initial_points,
 )
+from mofista.diagnostics import momentum_offset, objective_gap_min
 
 
 # ---------------------------------------------------------------------------
@@ -48,18 +47,9 @@ def test_momentum_offset_examples():
 
 def test_reference_set_validation():
     with pytest.raises(ValueError):
-        ReferenceSet(points=np.empty((0, 2)), sq_dist=np.empty(0))
+        ReferenceSet(points=np.empty((0, 2)))
     with pytest.raises(ValueError):
-        ReferenceSet(points=np.zeros((2, 2)), sq_dist=np.zeros(3))
-    with pytest.raises(ValueError):
-        ReferenceSet(points=np.array([[np.inf, 0.0]]), sq_dist=np.array([0.0]))
-
-
-def test_reference_set_from_points_distances():
-    pts = np.array([[0.0, 0.0], [3.0, 4.0]])
-    ref = ReferenceSet.from_points(pts, x0=np.array([0.0, 0.0]))
-    assert np.allclose(ref.sq_dist, [0.0, 25.0])
-    assert ref.points.shape == (2, 2)
+        ReferenceSet(points=np.array([[np.inf, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -154,15 +144,15 @@ def test_lyapunov_single_objective_run():
 def test_merit_lower_bound_zero_on_self():
     p, _ = builtin_problem("VFM1")
     x = np.array([0.3, -0.2])
-    assert merit_lower_bound(p, x, ReferenceSet.from_points(x[None, :], x)) == 0.0
+    assert merit_lower_bound(p, x, ReferenceSet(x[None, :])) == 0.0
 
 
 def test_merit_lower_bound_monotone_in_reference_set():
     p, desc = builtin_problem("BK1")
     x = np.array([1.0, -1.0])
     seg = pareto_segment("BK1", 30)
-    small = ReferenceSet.from_points(seg[:5], x)
-    big = ReferenceSet.from_points(seg, x)
+    small = ReferenceSet(seg[:5])
+    big = ReferenceSet(seg)
     assert merit_lower_bound(p, x, small) <= merit_lower_bound(p, x, big) + 1e-15
 
 
@@ -170,7 +160,7 @@ def test_merit_lower_bound_matches_grid_oracle():
     p, _ = builtin_problem("BK1")
     x = np.array([2.0, 2.0])
     seg = pareto_segment("BK1", 101)
-    got = merit_lower_bound(p, x, ReferenceSet.from_points(seg, x))
+    got = merit_lower_bound(p, x, ReferenceSet(seg))
     F_x = p.smooth(x)
     oracle = max(float(np.min(F_x - p.smooth(z))) for z in seg)
     assert got == oracle
@@ -187,7 +177,7 @@ def test_rate_bound_requires_lipschitz_constant():
                         smooth=lambda x: np.array([float(x @ x)]),
                         smooth_jac=lambda x: 2.0 * x[None, :])
     res = run_solver(p, np.array([1.0]), SolverConfig(eps=1e-6, max_iter=5))
-    ref = ReferenceSet.from_points(np.array([[0.0]]), np.array([1.0]))
+    ref = ReferenceSet(np.array([[0.0]]))
     with pytest.raises(ValueError, match="Lipschitz"):
         rate_bound_check(res.trace, p, SolverConfig(), ref)
 
@@ -198,7 +188,7 @@ def test_rate_bound_holds_on_accelerated_run():
     for seed in range(2):
         x0 = sample_initial_points(desc, 1, seed)[0]
         res = run_solver(p, x0, cfg)
-        ref = ReferenceSet.from_points(pareto_segment("BK1", 10), x0)
+        ref = ReferenceSet(pareto_segment("BK1", 10))
         assert rate_bound_check(res.trace, p, cfg, ref)
 
 
@@ -212,7 +202,6 @@ def test_level_set_reference_grid_path():
     extra = np.array([[1.0, 1.0]])
     refs = level_set_reference(p, desc, x0, extra=extra)
     assert np.allclose(refs.points[0], x0)
-    assert refs.sq_dist[0] == 0.0
     assert any(np.allclose(z, extra[0]) for z in refs.points)
     F_x0 = p.smooth(x0)
     # every kept candidate (all rows except x0 and extra) is in the level set

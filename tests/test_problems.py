@@ -4,8 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mofista import (CustomNonsmooth, EvaluationError, ProblemInstance,
-                     WeightedL1, Zero, builtin_problem, evaluate_objectives,
-                     pareto_leq, pareto_lt, prox_nonsmooth)
+                     WeightedL1, Zero, builtin_problem)
+from mofista.problems import evaluate_objectives
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
 vectors = st.lists(finite, min_size=1, max_size=5).map(np.array)
@@ -15,24 +15,24 @@ weights = st.floats(0.0, 10.0)
 
 def test_zero_prox_is_identity():
     v = np.array([3.0, -2.0])
-    assert np.array_equal(prox_nonsmooth(Zero(), 1.0, v), v)
+    assert np.array_equal(Zero().prox(1.0, v), v)
 
 
 def test_l1_prox_soft_threshold_example():
-    got = prox_nonsmooth(WeightedL1(1.0), 0.5, np.array([1.2, -0.3]))
+    got = WeightedL1(1.0).prox(0.5, np.array([1.2, -0.3]))
     np.testing.assert_allclose(got, [0.7, 0.0], atol=1e-15)
 
 
 @given(vectors, steps)
 def test_l1_weight_zero_reduces_to_identity(v, t):
-    assert np.array_equal(prox_nonsmooth(WeightedL1(0.0), t, v), v)
+    assert np.array_equal(WeightedL1(0.0).prox(t, v), v)
 
 
 @pytest.mark.parametrize("t", [0.0, -1.0])
 def test_prox_rejects_nonpositive_step(t):
     for part in (Zero(), WeightedL1(1.0)):
         with pytest.raises(ValueError):
-            prox_nonsmooth(part, t, np.zeros(2))
+            part.prox(t, np.zeros(2))
 
 
 def test_l1_negative_weight_rejected():
@@ -43,7 +43,7 @@ def test_l1_negative_weight_rejected():
 def test_l1_prox_beats_grid():
     # g(y) + (1/(2t))(v - y)^2 on a dense 1-D grid never beats the prox point.
     w, t, v = 0.7, 0.4, 1.1
-    p = prox_nonsmooth(WeightedL1(w), t, np.array([v]))[0]
+    p = WeightedL1(w).prox(t, np.array([v]))[0]
     grid = np.linspace(-2.0, 2.0, 40001)
     vals = w * np.abs(grid) + (grid - v) ** 2 / (2.0 * t)
     assert w * abs(p) + (p - v) ** 2 / (2.0 * t) <= vals.min() + 1e-12
@@ -51,7 +51,7 @@ def test_l1_prox_beats_grid():
 
 @given(vectors, steps, weights)
 def test_l1_prox_subgradient_optimality(v, t, w):
-    p = prox_nonsmooth(WeightedL1(w), t, v)
+    p = WeightedL1(w).prox(t, v)
     level = t * w
     on = p != 0.0
     np.testing.assert_allclose(v[on] - p[on], level * np.sign(p[on]),
@@ -115,24 +115,3 @@ def test_problem_dims_validated():
     with pytest.raises(ValueError):
         ProblemInstance(n=0, m=1, smooth=lambda x: x, smooth_jac=lambda x: x)
 
-
-def test_pareto_order_examples():
-    assert pareto_leq(np.array([1.0, 2.0]), np.array([1.0, 3.0]))
-    assert not pareto_lt(np.array([1.0, 2.0]), np.array([1.0, 3.0]))
-    u = np.array([2.0, 5.0])
-    assert pareto_leq(u, u) and not pareto_lt(u, u)
-    assert pareto_lt(np.zeros(2), np.ones(2))
-
-
-def test_pareto_order_shape_mismatch():
-    with pytest.raises(ValueError):
-        pareto_leq(np.zeros(2), np.zeros(3))
-
-
-@given(vectors, vectors)
-def test_strict_implies_weak_order(u, v):
-    k = min(len(u), len(v))
-    u, v = u[:k], v[:k]
-    if pareto_lt(u, v):
-        assert pareto_leq(u, v)
-    assert not pareto_lt(u, u)

@@ -1,9 +1,13 @@
-"""Smoke tests for the tooling under ``scripts/``."""
+"""Smoke tests for the tooling under ``scripts/`` and the documented API."""
 
 import importlib.util
+import re
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+import mofista
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def load_script(name):
@@ -15,3 +19,12 @@ def load_script(name):
 
 def test_verify_trace_invariants_passes():
     assert load_script("verify_trace_invariants").main(["--seeds", "1"]) == 0
+
+
+def test_readme_public_api_is_all():
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Public API", 1)[1].split("\n## ", 1)[0]
+    bullets = section.split("\n- ", 1)[1]
+    names = set(re.findall(r"`(\w+)`", bullets))
+    assert names == set(mofista.__all__)
+    assert len(mofista.__all__) == len(names)

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from mofista import (Backtracking, BacktrackingError, CustomNonsmooth,
                      EvaluationError, FixedStep, PlainProxGrad,
                      ProblemInstance, SolverConfig, Status,
-                     accepted_L_bound_check, builtin_problem,
-                     evaluate_objectives, fista_step, run_solver,
-                     sample_initial_points, solve_subproblem,
-                     sufficient_decrease_check)
+                     accepted_L_bound_check, builtin_problem, run_solver,
+                     sample_initial_points)
+from mofista.problems import evaluate_objectives
+from mofista.solver import fista_step, sufficient_decrease_check
+from mofista.subproblem import solve_subproblem
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 

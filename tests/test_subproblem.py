@@ -4,11 +4,12 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mofista import (ProblemInstance, SubproblemConfig, SubproblemError,
-                     WeightedL1, Zero, dual_value, evaluate_objectives,
-                     inner_primal_step, kkt_residual, project_simplex,
-                     solve_subproblem, subproblem_objective,
-                     weak_pareto_residual)
+from mofista import (CustomNonsmooth, ProblemInstance, SubproblemConfig,
+                     WeightedL1, Zero, builtin_problem, sample_initial_points)
+from mofista.problems import evaluate_objectives
+from mofista.subproblem import (SubproblemError, dual_value, inner_primal_step,
+                                kkt_residual, project_simplex, solve_subproblem,
+                                subproblem_objective, weak_pareto_residual)
 
 
 def quad_instance(centers, scales, weight=0.0):
@@ -315,6 +316,29 @@ def test_kkt_zero_at_reported_solution():
         p, x, y, L = random_instance(rng)
         sol = solve_subproblem(x, y, L, p)
         assert kkt_residual(sol, x, y, L, p) <= 1e-12 * (1.0 + L)
+
+
+def test_reported_solution_is_exact_inner_step():
+    # The solution comes from the solve's own evaluation of its weights: an
+    # m=1 solve evaluates once, and z equals z(weights) to the last bit.
+    calls = []
+
+    def prox(t, v):
+        calls.append(t)
+        return WeightedL1(0.3).prox(t, v)
+
+    part = CustomNonsmooth(value_fn=WeightedL1(0.3).value, prox_fn=prox)
+    p = replace(quad_instance([[0.4, -0.9]], [1.0]), nonsmooth=part)
+    solve_subproblem(np.zeros(2), np.array([1.0, 2.0]), 3.0, p)
+    assert len(calls) == 1
+    rng = np.random.default_rng(53)
+    for name in ("SP1_l1", "VFM1", "JOS1_l1"):
+        p, desc = builtin_problem(name)
+        for _ in range(50):
+            x, y = sample_initial_points(desc, 2, int(rng.integers(1 << 30)))
+            L = float(rng.uniform(0.5, 4.0) * desc.L_true)
+            sol = solve_subproblem(x, y, L, p)
+            assert kkt_residual(sol, x, y, L, p) == 0.0
 
 
 def test_kkt_grows_linearly_in_perturbation():

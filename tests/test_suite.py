@@ -13,10 +13,10 @@ from mofista import (
     builtin_problem,
     load_problem_file,
     pareto_segment,
-    register_problem,
     sample_initial_points,
-    weak_pareto_residual,
 )
+from mofista.subproblem import weak_pareto_residual
+from mofista.suite import register_problem
 
 EXPECTED_NAMES = [
     "BK1", "BK1_l1", "DD1", "FF1", "JOS1", "JOS1_l1",
@@ -301,6 +301,18 @@ def test_load_problem_file_rejects_malformed(tmp_path):
     path = _write_problem_file(tmp_path, wrong_shape)
     with pytest.raises(ValueError):
         load_problem_file(path)
+
+
+def test_load_problem_file_rejects_box_length(tmp_path):
+    quad = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    base = {"name": "box", "n": 3, "m": 1, "objectives": [{"quad": quad}]}
+    for lower, upper in (([0.0, 0.0], [1.0, 1.0]), ([0.0], [1.0]),
+                         ([0.0] * 3, [1.0] * 2)):
+        path = _write_problem_file(tmp_path, dict(base, lower=lower, upper=upper))
+        with pytest.raises(ValueError, match="box"):
+            load_problem_file(path)
+    path = _write_problem_file(tmp_path, dict(base, lower=[0.0] * 3, upper=[1.0] * 3))
+    assert load_problem_file(path)[1].lower == (0.0, 0.0, 0.0)
 
 
 def test_load_problem_file_flags_nonconvex(tmp_path):
