@@ -269,8 +269,15 @@ def load_problem_file(path: Union[str, Path], register: bool = False,
     The file is JSON with fields ``name``, ``n``, ``m``, ``lower``, ``upper``,
     optional ``l1_weight``, and a list ``objectives`` of
     ``{"quad": n x n matrix, "linear": n vector, "constant": scalar}``
-    entries meaning ``f_i(x) = x'Qx / 2 + b'x + c``.  The gradient Lipschitz
-    constant and convexity flag are derived from the spectra.
+    entries meaning ``f_i(x) = x'Q_i x / 2 + b_i'x + c_i``; ``linear`` and
+    ``constant`` default to zero.  ``quad`` is symmetrized.  Raises
+    ``ValueError`` unless there are ``m`` objectives, the bounds have ``n``
+    entries each, and every coefficient has its shape and is finite.
+
+    The gradient Lipschitz constant is the largest ``|eigenvalue|`` over all
+    ``Q_i``.  The convexity flag holds when every ``Q_i`` is positive
+    semidefinite up to eigenvalue rounding, ``n * eps * max|eig(Q_i)|``.
+    ``f`` and ``grad f`` each cost one ``(m, n, n)`` matrix-vector product.
     """
     spec = json.loads(Path(path).read_text())
     name = str(spec["name"])
@@ -284,14 +291,19 @@ def load_problem_file(path: Union[str, Path], register: bool = False,
     quads = np.array([o["quad"] for o in spec["objectives"]], dtype=float)
     lins = np.array([o.get("linear", np.zeros(n)) for o in spec["objectives"]], dtype=float)
     consts = np.array([o.get("constant", 0.0) for o in spec["objectives"]], dtype=float)
-    if quads.shape != (m, n, n) or lins.shape != (m, n):
+    if quads.shape != (m, n, n) or lins.shape != (m, n) or consts.shape != (m,):
         raise ValueError("malformed quadratic coefficients")
+    if not all(np.isfinite(a).all() for a in (quads, lins, consts)):
+        raise ValueError("quadratic coefficients must be finite")
     quads = 0.5 * (quads + np.transpose(quads, (0, 2, 1)))
     eigs = np.linalg.eigvalsh(quads)
+    radius = np.max(np.abs(eigs), axis=1)  # spectral radius of each Q_i
+    convex = bool(np.all(np.min(eigs, axis=1) >= -n * np.finfo(float).eps * radius))
+    L = float(np.max(radius))
     l1_weight = float(spec.get("l1_weight", 0.0))
 
     def smooth(x: Array) -> Array:
-        return 0.5 * np.einsum("i,mij,j->m", x, quads, x) + lins @ x + consts
+        return 0.5 * ((quads @ x) @ x) + lins @ x + consts
 
     def smooth_jac(x: Array) -> Array:
         return quads @ x + lins
@@ -299,13 +311,13 @@ def load_problem_file(path: Union[str, Path], register: bool = False,
     part: NonsmoothPart = WeightedL1(l1_weight) if l1_weight > 0.0 else Zero()
     inst = ProblemInstance(n=n, m=m, smooth=smooth, smooth_jac=smooth_jac,
                            nonsmooth=part,
-                           grad_lipschitz=float(np.max(np.abs(eigs))))
+                           grad_lipschitz=L)
     desc = ProblemDescriptor(
         name=name, n=n, m=m,
         lower=lower, upper=upper,
         l1_weight=l1_weight,
-        convex=bool(np.min(eigs) >= -1e-12),
-        L_true=float(np.max(np.abs(eigs))),
+        convex=convex,
+        L_true=L,
     )
     if register:
         register_problem(name, lambda: (inst, desc))

@@ -1,8 +1,11 @@
 """Smoke tests for the tooling under ``scripts/`` and the documented API."""
 
 import importlib.util
+import json
 import re
 from pathlib import Path
+
+import numpy as np
 
 import mofista
 
@@ -28,3 +31,20 @@ def test_readme_public_api_is_all():
     names = set(re.findall(r"`(\w+)`", bullets))
     assert names == set(mofista.__all__)
     assert len(mofista.__all__) == len(names)
+
+
+def test_readme_problem_file_example_loads(tmp_path):
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Problem files", 1)[1].split("\n## ", 1)[0]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    spec = json.loads(example)
+    path = tmp_path / "example.json"
+    path.write_text(example)
+    p, desc = mofista.load_problem_file(path)
+    assert (desc.name, desc.n, desc.m) == (spec["name"], spec["n"], spec["m"])
+    assert desc.l1_weight == spec["l1_weight"]
+    # f_i(x) = x'Q_i x/2 + b_i'x + c_i, with b_i and c_i defaulting to zero.
+    x = np.asarray(spec["upper"])
+    want = [0.5 * x @ np.asarray(o["quad"]) @ x + np.asarray(o.get("linear", [0.0] * desc.n)) @ x
+            + o.get("constant", 0.0) for o in spec["objectives"]]
+    assert np.allclose(p.smooth(x), want, rtol=1e-15, atol=0.0)

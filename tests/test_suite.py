@@ -302,6 +302,22 @@ def test_load_problem_file_rejects_malformed(tmp_path):
     with pytest.raises(ValueError):
         load_problem_file(path)
 
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    vector_constant = dict(base, objectives=[
+        {"quad": eye, "constant": [1.0, 2.0]},
+        {"quad": eye, "constant": [3.0, 4.0]},
+    ])
+    path = _write_problem_file(tmp_path, vector_constant)
+    with pytest.raises(ValueError, match="malformed"):
+        load_problem_file(path)
+
+    for bad in ({"quad": [[float("nan"), 0.0], [0.0, 1.0]]},
+                {"quad": eye, "linear": [0.0, float("inf")]},
+                {"quad": eye, "constant": float("-inf")}):
+        path = _write_problem_file(tmp_path, dict(base, objectives=[{"quad": eye}, bad]))
+        with pytest.raises(ValueError, match="finite"):
+            load_problem_file(path)
+
 
 def test_load_problem_file_rejects_box_length(tmp_path):
     quad = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
@@ -327,3 +343,62 @@ def test_load_problem_file_flags_nonconvex(tmp_path):
     p, desc = load_problem_file(_write_problem_file(tmp_path, body))
     assert desc.convex is False
     assert desc.L_true == pytest.approx(1.0)
+
+
+def test_load_problem_file_convexity_is_scale_aware(tmp_path):
+    # Scaled singular PSD matrices s * A A' carry eigenvalue rounding of size
+    # n * eps * s ||A||^2; an absolute cutoff calls many of them nonconvex.
+    rng = np.random.default_rng(5)
+    for n in (3, 8, 50):
+        for s in (1e3, 1e6, 1e9):
+            for _ in range(5):
+                a = rng.standard_normal((n, n - 1))
+                body = {"name": "psd", "n": n, "m": 1, "lower": [0.0] * n,
+                        "upper": [1.0] * n, "objectives": [{"quad": (s * a @ a.T).tolist()}]}
+                _, desc = load_problem_file(_write_problem_file(tmp_path, body))
+                assert desc.convex is True, (n, s)
+    body = {"name": "tilt", "n": 2, "m": 1, "lower": [0.0, 0.0], "upper": [1.0, 1.0],
+            "objectives": [{"quad": [[1.0, 0.0], [0.0, -1e-9]]}]}
+    assert load_problem_file(_write_problem_file(tmp_path, body))[1].convex is False
+
+
+def _grid_vector(rng, n, exponent):
+    """Entries on the grid 2**(exponent - 20), so sums of two are exact."""
+    return np.ldexp(np.round(rng.standard_normal(n) * 2.0**20), exponent - 20)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 300])
+@pytest.mark.parametrize("m", [1, 3])
+def test_loaded_oracles_match_reference(tmp_path, m, n):
+    rng = np.random.default_rng(17 * n + m)
+    eps = np.finfo(float).eps
+    a = rng.standard_normal((m, n, n)) * 10.0 ** rng.uniform(-3, 3, (m, 1, 1))
+    quads = a + np.transpose(a, (0, 2, 1))
+    lins = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-3, 3, (m, 1))
+    consts = rng.standard_normal(m) * 10.0 ** rng.uniform(-3, 3, m)
+    body = {"name": "rand", "n": n, "m": m, "lower": [-1.0] * n, "upper": [1.0] * n,
+            "objectives": [{"quad": q.tolist(), "linear": b.tolist(), "constant": float(c)}
+                           for q, b, c in zip(quads, lins, consts)]}
+    p, _ = load_problem_file(_write_problem_file(tmp_path, body))
+
+    def reference(x):
+        return np.array([0.5 * (x @ q @ x) + b @ x + c for q, b, c in zip(quads, lins, consts)])
+
+    def scale(x):
+        ax = np.abs(x)
+        return 0.5 * (np.abs(quads) @ ax) @ ax + np.abs(lins) @ ax + np.abs(consts)
+
+    tol = 2.0 * (n + 2) * eps
+    for exponent in (-8, 0, 8):
+        x = _grid_vector(rng, n, exponent)
+        h = _grid_vector(rng, n, exponent - 3)
+        assert np.all(np.abs(p.smooth(x) - reference(x)) <= tol * scale(x))
+
+        # f(x + h) - f(x) - grad f(x) h = h'Qh / 2 exactly; x + h is exact.
+        jac = p.smooth_jac(x)
+        gap = p.smooth(x + h) - p.smooth(x) - jac @ h
+        curvature = np.array([0.5 * (h @ q @ h) for q in quads])
+        ah = np.abs(h)
+        size = (scale(x + h) + scale(x) + (np.abs(quads) @ np.abs(x) + np.abs(lins)) @ ah
+                + 0.5 * (np.abs(quads) @ ah) @ ah)
+        assert np.all(np.abs(gap - curvature) <= tol * size)
