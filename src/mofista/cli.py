@@ -62,6 +62,9 @@ class BenchConfig:
             raise ConfigError("at least one problem required")
         if not self.solvers:
             raise ConfigError("at least one solver required")
+        for names in (self.problems, self.solvers):
+            if len(set(names)) < len(names):
+                raise ConfigError(f"repeated name in {list(names)}")
         unknown = [s for s in self.solvers if s not in SOLVER_NAMES]
         if unknown:
             raise ConfigError(f"unknown solver(s) {unknown}; choose from {SOLVER_NAMES}")

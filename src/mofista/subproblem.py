@@ -14,9 +14,9 @@ for weights ``lam`` the inner minimizer has the closed form
 and the dual supergradient at ``lam`` is the vector ``b`` of inner linear
 terms at ``z(lam)``.  One routine serves every ``m``: safeguarded Newton
 rounds on the dual, each maximizing a quadratic model over the simplex
-exactly by an active-set method, with the model's curvature taken from
-differences of ``b``.  It stops on a certified primal-dual gap, which for
-any trial weights equals ``max_i b_i(z) - lam . b(z)``, hence is available
+exactly by an active-set method, with curvature ``G D G^T / L`` from the
+prox Jacobian ``D`` (``NonsmoothPart.prox_jvp``).  It stops on a certified
+primal-dual gap, for any weights ``max_i b_i(z) - lam . b(z)``, available
 at every evaluation for free and without cancellation.
 
 Everything here is stateless; warm starts are passed in by the caller.
@@ -49,6 +49,11 @@ __all__ = [
 # advertised tolerance so trace replays of the proved inequalities keep
 # their absolute slack budgets.
 _GAP_MARGIN = 1e-2
+
+# Relative least-squares cutoff of ``_simplex_qp``: the accuracy of difference
+# curvature (the default ``NonsmoothPart.prox_jvp``).  Exact curvature took the
+# same steps on every built-in with 1e-12, so one cutoff serves both.
+_QP_CUTOFF = 1e-7
 
 
 class SubproblemError(RuntimeError):
@@ -122,9 +127,11 @@ class _Model:
     L: float
     g: NonsmoothPart
 
+    def prox_arg(self, weights: Array) -> Array:
+        return self.y - (self.grads.T @ weights) / self.L
+
     def primal_point(self, weights: Array) -> Array:
-        step = self.y - (self.grads.T @ weights) / self.L
-        return self.g.prox(1.0 / self.L, step)
+        return self.g.prox(1.0 / self.L, self.prox_arg(weights))
 
     def terms(self, z: Array) -> tuple[Array, float]:
         """Inner linear terms ``b_i(z) - g(z)`` and the shared rest
@@ -181,7 +188,7 @@ def dual_value(weights: Array, x: Array, y: Array, L: float, p: ProblemInstance)
     return _model_at(x, y, L, p).evaluate(np.asarray(weights, dtype=float))[0]
 
 
-def _simplex_qp(c: Array, Q: Array, w: Array, rcond: float) -> Array:
+def _simplex_qp(c: Array, Q: Array, w: Array) -> Array:
     """Maximize ``c . w - w . Q w / 2`` (``Q`` symmetric positive
     semidefinite) over the simplex by a primal active-set method from the
     feasible ``w``.
@@ -189,8 +196,8 @@ def _simplex_qp(c: Array, Q: Array, w: Array, rcond: float) -> Array:
     Steps live in face coordinates: the largest free weight ``i0`` absorbs
     the changes of the other free weights, so the Newton system has no
     multiplier unknown and keeps the relative accuracy of the gradient.
-    The least-squares cutoff ``rcond`` drops curvature below the accuracy
-    of ``Q``; a gradient left in the dropped directions marks a ridge,
+    The least-squares cutoff ``_QP_CUTOFF`` drops curvature below the
+    accuracy of ``Q``; a gradient left in the dropped directions marks a ridge,
     along which the objective only rises, so it is followed to the boundary.
     """
     w = w.copy()
@@ -205,9 +212,9 @@ def _simplex_qp(c: Array, Q: Array, w: Array, rcond: float) -> Array:
             g = grad[rest] - grad[i0]
             q = (Q[np.ix_(rest, rest)] - Q[rest, i0][:, None] - Q[i0, rest][None, :]
                  + Q[i0, i0])
-            step = np.linalg.lstsq(q, g, rcond=rcond)[0]
+            step = np.linalg.lstsq(q, g, rcond=_QP_CUTOFF)[0]
             flat = g - q @ step
-            ridge = float(np.linalg.norm(flat)) > rcond * float(np.linalg.norm(g))
+            ridge = float(np.linalg.norm(flat)) > _QP_CUTOFF * float(np.linalg.norm(g))
             d = np.zeros(w.size)
             d[rest] = flat if ridge else step
             d[i0] = -float(np.sum(d[rest]))
@@ -235,20 +242,19 @@ def _solve_dual(model: _Model, cfg: SubproblemConfig, stop: float,
     """Safeguarded Newton ascent on the concave, piecewise quadratic dual.
 
     The dual supergradient at ``lam`` is the vector ``b`` of inner linear
-    terms (envelope theorem), and its Jacobian, the generalized dual
-    Hessian ``-G D G^T / L`` (``D`` the prox Jacobian), comes from forward
-    differences of ``b`` in each weight: exact for the zero and l1 terms
-    away from kinks, and available for any prox.  Each round maximizes the
-    resulting quadratic model over the simplex exactly and halves the step
-    until the dual rises or the certified gap falls.  A round without
-    either restarts from the best-certified weights, and ends the solve if
-    it started there; so does a non-finite gap or the evaluation budget.
-    The solution is built from the evaluation of the best-certified
-    weights; the caller judges the gap.
+    terms (envelope theorem), and its Jacobian ``G dz/dlam`` is the
+    generalized dual Hessian ``-G D G^T / L``, with ``D`` the prox's own
+    derivative: exact for the zero and l1 terms, where one or a few rounds
+    end the solve, and forward differences for other parts.  Each round
+    maximizes the resulting quadratic model over the simplex exactly and
+    halves the step until the dual rises or the certified gap falls.  A
+    round without either restarts from the best-certified weights, and
+    ends the solve if it started there; so does a non-finite gap or the
+    evaluation budget.  The solution is built from the evaluation of the
+    best-certified weights; the caller judges the gap.
     """
     m = model.grads.shape[0]
     lam = project_simplex(warm) if warm is not None else np.full(m, 1.0 / m)
-    h = 1e-7  # difference step, hence also the accuracy of the curvature
     evals = 0
 
     def measure(w: Array) -> tuple[float, float, tuple]:
@@ -260,18 +266,14 @@ def _solve_dual(model: _Model, cfg: SubproblemConfig, stop: float,
 
     q, rel, here = measure(lam)
     best, top_q = (here, rel), q
-    while stop < best[1] < math.inf and evals + m < cfg.max_inner_iter:
-        lam, b = here[:2]
-        jac = np.empty((m, m))
-        for j in range(m):
-            w = lam.copy()
-            w[j] += h
-            jac[:, j] = (model.evaluate(w)[4] - b) / h
-        evals += m
+    while stop < best[1] < math.inf and evals < cfg.max_inner_iter:
+        lam, b, z = here[:3]
+        jac = model.grads @ model.g.prox_jvp(1.0 / model.L, model.prox_arg(lam), z,
+                                             -model.grads.T / model.L)
         if not np.all(np.isfinite(jac)):
             break
         curv = -0.5 * (jac + jac.T)
-        target = _simplex_qp(b + curv @ lam, curv, lam, rcond=h)
+        target = _simplex_qp(b + curv @ lam, curv, lam)
         alpha = 1.0
         while evals < cfg.max_inner_iter and alpha > 1e-3:
             trial = (1.0 - alpha) * lam + alpha * target

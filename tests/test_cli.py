@@ -38,6 +38,10 @@ def test_bench_config_rejects_bad_values():
         BenchConfig(fixed_L=-1.0)
     with pytest.raises(ConfigError):
         BenchConfig(fixed_L_scale=0.0)
+    for repeated in ({"problems": ("SP1", "SP1")},
+                     {"solvers": ("backtracking", "backtracking")}):
+        with pytest.raises(ConfigError):
+            BenchConfig(**repeated)
     for bad in ({"beta": 0.5}, {"sigma": 1.0}, {"eps": 0.0}, {"max_iter": 0},
                 {"L_init": -1.0}):
         with pytest.raises(ConfigError):

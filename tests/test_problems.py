@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mofista import (CustomNonsmooth, EvaluationError, ProblemInstance,
-                     WeightedL1, Zero, builtin_problem)
+from mofista import (CustomNonsmooth, EvaluationError, NonsmoothPart,
+                     ProblemInstance, WeightedL1, Zero, builtin_problem)
 from mofista.problems import evaluate_objectives
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
@@ -66,6 +66,39 @@ def test_prox_firmly_nonexpansive(u, v, t, w):
     part = WeightedL1(w)
     lhs = np.linalg.norm(part.prox(t, u) - part.prox(t, v))
     assert lhs <= np.linalg.norm(u - v) + 1e-9
+
+
+@pytest.mark.parametrize("part", [Zero(), WeightedL1(0.7)])
+def test_prox_jvp_matches_differences(part):
+    # Away from the kinks |v_i| = t * weight the prox is affine, so central
+    # differences are exact up to rounding; the base-class default takes
+    # forward differences of step 1e-7, accurate to about 1e-8 here.
+    rng = np.random.default_rng(3)
+    h = 1e-6
+    checked = 0
+    for _ in range(40):
+        t = rng.uniform(0.1, 2.0)
+        v = 2.0 * rng.standard_normal(5)
+        level = t * getattr(part, "weight", 0.0)
+        if np.min(np.abs(np.abs(v) - level)) < 0.05:
+            continue
+        dirs = rng.standard_normal((5, 3))
+        z = part.prox(t, v)
+        exact = part.prox_jvp(t, v, z, dirs)
+        central = np.column_stack([(part.prox(t, v + h * d) - part.prox(t, v - h * d)) / (2 * h)
+                                   for d in dirs.T])
+        np.testing.assert_allclose(exact, central, rtol=0.0, atol=1e-8)
+        default = NonsmoothPart.prox_jvp(part, t, v, z, dirs)
+        np.testing.assert_allclose(default, exact, rtol=0.0, atol=1e-7)
+        checked += 1
+    assert checked >= 20
+
+
+def test_l1_weight_zero_jvp_is_identity():
+    dirs = np.random.default_rng(4).standard_normal((4, 3))
+    part = WeightedL1(0.0)
+    for v in (np.zeros(4), np.array([0.0, 1.5, -2.0, 0.0])):
+        np.testing.assert_array_equal(part.prox_jvp(0.5, v, part.prox(0.5, v), dirs), dirs)
 
 
 def test_custom_nonsmooth_delegates():

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -294,6 +294,58 @@ def test_prox_calls_per_subproblem_solve(name):
     for x0 in sample_initial_points(desc, 10, seed=1):
         assert run_solver(counted, x0, SolverConfig(eps=1e-6)).status is Status.CONVERGED
     assert max(per_solve) <= 20
+
+
+def prox_calls_per_solve(name):
+    # As above, but the prox is counted through a subclass of the problem's
+    # own part class, so the solve takes the part's exact curvature path.
+    p, desc = builtin_problem(name)
+    per_solve = []
+    base = type(p.nonsmooth)
+
+    def smooth_jac(x):
+        per_solve.append(0)
+        return p.smooth_jac(x)
+
+    def prox(self, t, v):
+        per_solve[-1] += 1
+        return base.prox(self, t, v)
+
+    part = type("Counted" + base.__name__, (base,), {"prox": prox})(
+        **{f.name: getattr(p.nonsmooth, f.name) for f in fields(p.nonsmooth)})
+    counted = replace(p, smooth_jac=smooth_jac, nonsmooth=part)
+    for x0 in sample_initial_points(desc, 10, seed=1):
+        run_solver(counted, x0, SolverConfig(eps=1e-6))
+    return per_solve
+
+
+@pytest.mark.parametrize("name", ["SP1", "FF1", "VFM1", "MHHM2"])
+def test_exact_curvature_solves_smooth_subproblem_in_one_round(name):
+    # With g = 0 the dual is one concave quadratic: the start and the Newton
+    # point are the only evaluations.
+    assert max(prox_calls_per_solve(name)) <= 2
+
+
+@pytest.mark.parametrize("name", ["SP1_l1", "JOS1_l1", "BK1_l1"])
+def test_exact_curvature_solves_l1_subproblem_in_few_rounds(name):
+    per_solve = prox_calls_per_solve(name)
+    assert np.median(per_solve) <= 2
+    assert max(per_solve) <= 6
+
+
+@pytest.mark.parametrize("name", ["SP1_l1", "JOS1_l1"])
+def test_exact_and_difference_curvature_agree(name):
+    # CustomNonsmooth keeps the default prox_jvp, so its curvature comes from
+    # forward differences of the same prox; both paths must take the same steps.
+    p, desc = builtin_problem(name)
+    part = p.nonsmooth
+    by_differences = replace(p, nonsmooth=CustomNonsmooth(part.value, part.prox))
+    for x0 in sample_initial_points(desc, 10, seed=1):
+        exact = run_solver(p, x0, SolverConfig(eps=1e-6))
+        approx = run_solver(by_differences, x0, SolverConfig(eps=1e-6))
+        assert exact.status is approx.status
+        assert len(exact.trace.records) == len(approx.trace.records)
+        np.testing.assert_allclose(exact.x, approx.x, rtol=0.0, atol=1e-9)
 
 
 @pytest.mark.parametrize("variant", [FixedStep(1e-3), PlainProxGrad(1e-3)])
