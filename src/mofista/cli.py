@@ -332,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help=f"comma-separated subset of {','.join(SOLVER_NAMES)}")
     ap.add_argument("--l0", type=float, default=1.0, help="initial curvature estimate")
     ap.add_argument("--beta", type=float, default=2.0, help="backtracking inflation factor")
-    ap.add_argument("--sigma", type=float, default=2.0, help="per-iteration deflation factor")
+    ap.add_argument("--sigma", type=float, default=2.0, help="largest per-iteration deflation factor")
     ap.add_argument("--eps", type=float, default=1e-3, help="stopping residual")
     ap.add_argument("--max-iter", type=int, default=1000, help="iteration cap per run")
     ap.add_argument("--out", type=str, default="bench_out", help="output directory")

@@ -8,11 +8,12 @@ step-constant ratio ``omega = L_new / L_old``:
           \\theta_{+} = \\frac{t - 1}{t_{+}}, \\qquad
           y_{+} = x + \\theta_{+} (x - x_{-}) .
 
-The line search first deflates ``L`` by ``1/sigma``, then inflates by
-``beta`` until the smooth parts satisfy the quadratic upper bound at the
-trial step; every inflation rescales ``omega`` and rebuilds ``(t, y)``, so
-accepted iterations satisfy the exact identity
-``t (t - 1) / L = t_prev^2 / L_prev``.
+The line search first deflates ``L`` by at most ``1/sigma``, and not below
+the curvature ``L_seen`` the last accepted step saw (see :func:`_trial`),
+then inflates by ``beta`` until the smooth parts satisfy the quadratic upper
+bound at the trial step; every inflation rescales ``omega`` and rebuilds
+``(t, y)``, so accepted iterations satisfy the exact identity
+``t (t - 1) / L = t_prev^2 / L_prev`` whatever the first trial.
 
 Seeding ``t_prev = 0`` makes the first iteration use ``t = 1`` and
 ``y = x0`` regardless of retries, so backtracking at the start only adjusts
@@ -66,7 +67,8 @@ class BacktrackingError(RuntimeError):
 
 @dataclass(frozen=True)
 class Backtracking:
-    """Adaptive step constants: deflate by ``1/sigma``, inflate by ``beta``."""
+    """Adaptive step constants: deflate by at most ``1/sigma`` toward the
+    curvature the last step saw, inflate by ``beta``."""
 
 
 @dataclass(frozen=True)
@@ -88,6 +90,9 @@ Variant = Union[Backtracking, FixedStep, PlainProxGrad]
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """``L_init`` is the first trial constant of :class:`Backtracking`,
+    ``beta`` its inflation factor and ``sigma`` its largest deflation."""
+
     L_init: float = 1.0
     beta: float = 2.0
     sigma: float = 2.0
@@ -167,7 +172,8 @@ def fista_step(x_prev: Array, x_prev2: Array, t_prev: float, omega: float):
 
 def _upper_bound_holds(fy: Array, grads: Array, d: Array, fz: Array, L: float) -> bool:
     """``f(y + d) <= f(y) + grads @ d + (L/2) ||d||^2`` componentwise, up to a
-    relative slack of a few ulp, from already computed oracle values."""
+    slack of ``1e-12 (1 + |f(y)|)``, from already computed oracle values.
+    The slack is thousands of ulp, not rounding-scaled (ROADMAP item 1)."""
     bound = fy + grads @ d + 0.5 * L * float(d @ d)
     return bool(np.all(fz <= bound + 1e-12 * (1.0 + np.abs(fy))))
 
@@ -177,10 +183,11 @@ def sufficient_decrease_check(p: ProblemInstance, y: Array, z: Array, L: float) 
 
     True iff ``f_i(z) <= f_i(y) + <grad f_i(y), z - y> + (L/2) ||z - y||^2``
     for every objective; the shared nonsmooth term cancels from both sides.
-    The comparison carries a relative slack of a few ulp: once steps shrink
-    toward convergence both sides agree to cancellation noise, and a bound
-    that holds in exact arithmetic must not be rejected on that noise (a
-    spurious rejection would inflate ``L`` past its provable cap).
+    The comparison carries a slack of ``1e-12 (1 + |f_i(y)|)``: once steps
+    shrink toward convergence both sides agree to cancellation noise, and a
+    bound that holds in exact arithmetic must not be rejected on that noise
+    (a spurious rejection would inflate ``L`` past its provable cap).  It is
+    thousands of ulp, not a rounding bound (ROADMAP item 1).
     """
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -191,13 +198,18 @@ def sufficient_decrease_check(p: ProblemInstance, y: Array, z: Array, L: float) 
 
 
 def _trial(p: ProblemInstance, y: Array, L: float, Fx: Array, sub_cfg: SubproblemConfig,
-           warm: Optional[Array]) -> tuple[SubproblemSolution, Array, bool]:
+           warm: Optional[Array]) -> tuple[SubproblemSolution, Array, bool, float]:
     """Solve at ``(y, L)`` against the carried ``Fx = F(x)``; returns the
-    solution, ``f(z)`` and the upper-bound test on exactly those values."""
+    solution, ``f(z)``, the upper-bound test on exactly those values, and the
+    curvature the step saw, ``L_seen = max_i 2 (f_i(z) - f_i(y)
+    - <grad f_i(y), d>) / ||d||^2`` (0 when ``d = 0``)."""
     model = _linearize(y, L, p, Fx)
     sol = _solve_model(model, sub_cfg, warm)
     fz = np.asarray(p.smooth(sol.z), dtype=float)
-    return sol, fz, _upper_bound_holds(model.fy, model.grads, sol.z - model.y, fz, L)
+    d = sol.z - model.y
+    dd = float(d @ d)
+    seen = 2.0 * float(np.max(fz - model.fy - model.grads @ d)) / dd if dd > 0.0 else 0.0
+    return sol, fz, _upper_bound_holds(model.fy, model.grads, d, fz, L), seen
 
 
 def run_solver(p: ProblemInstance, x0: Array, cfg: Optional[SolverConfig] = None) -> SolveResult:
@@ -230,16 +242,18 @@ def run_solver(p: ProblemInstance, x0: Array, cfg: Optional[SolverConfig] = None
     records: list[IterationRecord] = []
     status = Status.MAX_ITER
     warm: Optional[Array] = None
+    seen = 0.0
 
     for k in range(1, cfg.max_iter + 1):
         tick = time.perf_counter()
-        omega = 1.0 / cfg.sigma if adaptive else 1.0
+        # A trial under the curvature the last step saw would likely fail.
+        omega = max(1.0 / cfg.sigma, min(1.0, seen / L_prev)) if adaptive else 1.0
         backtracks = 0
         try:
             while True:
                 L = omega * L_prev
                 t, _, y = fista_step(x, x_prev, t_prev, omega) if momentum else (1.0, None, x)
-                sol, fz, ok = _trial(p, y, L, Fx, sub_cfg, warm)
+                sol, fz, ok, seen = _trial(p, y, L, Fx, sub_cfg, warm)
                 if ok or not adaptive:
                     break
                 backtracks += 1

@@ -246,8 +246,10 @@ def _solve_dual(model: _Model, cfg: SubproblemConfig, stop: float,
     generalized dual Hessian ``-G D G^T / L``, with ``D`` the prox's own
     derivative: exact for the zero and l1 terms, where one or a few rounds
     end the solve, and forward differences for other parts.  Each round
-    maximizes the resulting quadratic model over the simplex exactly and
-    halves the step until the dual rises or the certified gap falls.  A
+    maximizes the resulting quadratic model over the simplex exactly.  If
+    that full step is rejected, the round takes one Newton step from the
+    rejected point with the curvature there, then halves the original step
+    until the dual rises or the certified gap falls.  A
     round without either restarts from the best-certified weights, and
     ends the solve if it started there; so does a non-finite gap or the
     evaluation budget.  The solution is built from the evaluation of the
@@ -264,23 +266,34 @@ def _solve_dual(model: _Model, cfg: SubproblemConfig, stop: float,
         dual, primal, gap, z, linear = model.evaluate(w)
         return dual, gap / (1.0 + abs(primal)), (w, linear, z, primal, gap)
 
+    def newton(point: tuple) -> Optional[Array]:
+        """Maximizer over the simplex of the quadratic model at ``point``."""
+        w, b, z = point[:3]
+        jac = model.grads @ model.g.prox_jvp(1.0 / model.L, model.prox_arg(w), z,
+                                             -model.grads.T / model.L)
+        if not np.all(np.isfinite(jac)):
+            return None
+        curv = -0.5 * (jac + jac.T)
+        return _simplex_qp(b + curv @ w, curv, w)
+
     q, rel, here = measure(lam)
     best, top_q = (here, rel), q
     while stop < best[1] < math.inf and evals < cfg.max_inner_iter:
-        lam, b, z = here[:3]
-        jac = model.grads @ model.g.prox_jvp(1.0 / model.L, model.prox_arg(lam), z,
-                                             -model.grads.T / model.L)
-        if not np.all(np.isfinite(jac)):
+        lam, target = here[0], newton(here)
+        if target is None:
             break
-        curv = -0.5 * (jac + jac.T)
-        target = _simplex_qp(b + curv @ lam, curv, lam)
-        alpha = 1.0
+        trial, alpha, pivot = target, 1.0, True
         while evals < cfg.max_inner_iter and alpha > 1e-3:
-            trial = (1.0 - alpha) * lam + alpha * target
             q_t, rel_t, point = measure(trial)
             if q_t > top_q or rel_t < best[1]:
                 break
-            alpha *= 0.5
+            # A rejected full step left the piece its curvature came from:
+            # step once from where it landed, with the curvature there.
+            trial = newton(point) if pivot else None
+            pivot = False
+            if trial is None:
+                alpha *= 0.5
+                trial = (1.0 - alpha) * lam + alpha * target
         else:
             if here is best[0]:
                 break

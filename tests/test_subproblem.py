@@ -284,6 +284,28 @@ def test_inner_budget_exhaustion_raises():
     assert err.value.gap is not None and err.value.z is not None
 
 
+def test_rejected_newton_point_steps_on_with_its_own_curvature():
+    # A trial subproblem that SP1_l1 meets from start 9 of
+    # sample_initial_points(desc, 10, seed=1): the first Newton point lands
+    # on another piece of the l1 dual.  Stepping on from it with the
+    # curvature there ends the solve; halving toward it took 5 prox calls.
+    p, _ = builtin_problem("SP1_l1")
+    calls = []
+
+    class CountedL1(WeightedL1):
+        def prox(self, t, v):
+            calls.append(t)
+            return super().prox(t, v)
+
+    counted = replace(p, nonsmooth=CountedL1(p.nonsmooth.weight))
+    x = np.array([0.34383075719831835, 0.09888865209706166])
+    y = np.array([0.21789602439484868, 0.08265434116046126])
+    cfg = SubproblemConfig(tol=1e-12)
+    sol = solve_subproblem(x, y, 2.0, counted, cfg, warm_weights=np.array([1.0, 0.0]))
+    assert sol.dual_gap <= cfg.tol * (1.0 + abs(sol.value))
+    assert len(calls) <= 4
+
+
 # -------------------------------------------------------- value-bound checks
 
 
