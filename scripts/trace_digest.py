@@ -1,0 +1,69 @@
+#!/usr/bin/env python3
+"""Print one digest line per solver run on the built-in problems.
+
+For every built-in problem, every variant (backtracking, fixed, pgm) and 12
+starts from ``sample_initial_points(desc, 12, 0)``, runs the solver with
+``eps=1e-6`` and ``max_iter=500``.  Each line holds the status, the iteration
+count and the sha256 of every record's ``L``, ``backtracks``, ``residual``,
+``t``, ``y``, ``x``, ``objectives`` and ``dual_gap`` (``wall_ms`` is left
+out).  The fixed-step variants use the problem's ``L_true`` and are skipped
+when it has none.  Two commits produce byte-identical traces exactly when
+their outputs are identical:
+
+    PYTHONPATH=src python3 scripts/trace_digest.py > before.txt  # one commit
+    PYTHONPATH=src python3 scripts/trace_digest.py > after.txt   # the other
+    diff before.txt after.txt
+"""
+
+import argparse
+import hashlib
+import sys
+
+import numpy as np
+
+from mofista import (Backtracking, BacktrackingError, EvaluationError, FixedStep,
+                     PlainProxGrad, SolverConfig, available_problems,
+                     builtin_problem, run_solver, sample_initial_points)
+
+STARTS = 12
+
+
+def digest(records) -> str:
+    h = hashlib.sha256()
+    for r in records:
+        for value in (r.L, r.backtracks, r.residual, r.t, r.y, r.x, r.objectives,
+                      r.dual_gap):
+            h.update(np.asarray(value, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--problems", nargs="+", default=None,
+                    help="built-in problems to run (default: all)")
+    args = ap.parse_args(argv)
+
+    for name in args.problems or available_problems():
+        p, desc = builtin_problem(name)
+        variants = [("backtracking", Backtracking())]
+        if desc.L_true is not None:
+            variants += [("fixed", FixedStep(desc.L_true)),
+                         ("pgm", PlainProxGrad(desc.L_true))]
+        starts = sample_initial_points(desc, STARTS, 0)
+        for label, variant in variants:
+            cfg = SolverConfig(eps=1e-6, max_iter=500, variant=variant)
+            for i, x0 in enumerate(starts):
+                try:
+                    res = run_solver(p, x0, cfg)
+                except (BacktrackingError, EvaluationError) as exc:
+                    line = f"error {type(exc).__name__}"
+                else:
+                    recs = res.trace.records
+                    line = f"{res.status.value} {len(recs)} {digest(recs)}"
+                print(f"{name} {label} {i} {line}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -94,6 +94,7 @@ class RunRow:
     backtracks_total: int
     wall_ms: float
     final_residual: float
+    reason: str  # the error's message on rows with status "error", else empty
     objectives: Array
     x: Array
 
@@ -128,11 +129,11 @@ def _single_run(p: ProblemInstance, cfg: SolverConfig, x0: Array,
     tick = time.perf_counter()
     try:
         res = run_solver(p, x0, cfg)
-    except (BacktrackingError, EvaluationError):
+    except (BacktrackingError, EvaluationError) as exc:
         wall = (time.perf_counter() - tick) * 1e3
         return RunRow(problem=problem, solver=solver, run_id=run_id,
                       status="error", iterations=0, backtracks_total=0,
-                      wall_ms=wall, final_residual=float("nan"),
+                      wall_ms=wall, final_residual=float("nan"), reason=str(exc),
                       objectives=np.full(p.m, np.nan), x=np.asarray(x0, float))
     wall = (time.perf_counter() - tick) * 1e3
     recs = res.trace.records
@@ -142,6 +143,7 @@ def _single_run(p: ProblemInstance, cfg: SolverConfig, x0: Array,
         backtracks_total=sum(r.backtracks for r in recs),
         wall_ms=wall,
         final_residual=recs[-1].residual if recs else float("nan"),
+        reason="",
         objectives=recs[-1].objectives if recs else res.trace.objectives0,
         x=res.x,
     )
@@ -216,7 +218,7 @@ def _write_results(path: Path, rows: Sequence[RunRow],
     max_m = max(desc.m for _, desc in resolved)
     max_n = max(desc.n for _, desc in resolved)
     header = (["problem", "solver", "run_id", "status", "iterations",
-               "backtracks_total", "wall_ms", "final_residual"]
+               "backtracks_total", "wall_ms", "final_residual", "reason"]
               + [f"F_{i + 1}" for i in range(max_m)]
               + [f"x_{i + 1}" for i in range(max_n)])
     with path.open("w", newline="") as fh:
@@ -226,7 +228,8 @@ def _write_results(path: Path, rows: Sequence[RunRow],
             pad_f = [""] * (max_m - len(r.objectives))
             pad_x = [""] * (max_n - len(r.x))
             w.writerow([r.problem, r.solver, r.run_id, r.status, r.iterations,
-                        r.backtracks_total, _fmt(r.wall_ms), _fmt(r.final_residual)]
+                        r.backtracks_total, _fmt(r.wall_ms), _fmt(r.final_residual),
+                        r.reason]
                        + [_fmt(v) for v in r.objectives] + pad_f
                        + [_fmt(v) for v in r.x] + pad_x)
 

@@ -175,7 +175,7 @@ def _upper_bound_holds(fy: Array, grads: Array, d: Array, fz: Array, L: float) -
     slack of ``1e-12 (1 + |f(y)|)``, from already computed oracle values.
     The slack is thousands of ulp, not rounding-scaled (ROADMAP item 1)."""
     bound = fy + grads @ d + 0.5 * L * float(d @ d)
-    return bool(np.all(fz <= bound + 1e-12 * (1.0 + np.abs(fy))))
+    return bool((fz <= bound + 1e-12 * (1.0 + np.abs(fy))).all())
 
 
 def sufficient_decrease_check(p: ProblemInstance, y: Array, z: Array, L: float) -> bool:
@@ -208,7 +208,7 @@ def _trial(p: ProblemInstance, y: Array, L: float, Fx: Array, sub_cfg: Subproble
     fz = np.asarray(p.smooth(sol.z), dtype=float)
     d = sol.z - model.y
     dd = float(d @ d)
-    seen = 2.0 * float(np.max(fz - model.fy - model.grads @ d)) / dd if dd > 0.0 else 0.0
+    seen = 2.0 * float((fz - model.fy - model.grads @ d).max()) / dd if dd > 0.0 else 0.0
     return sol, fz, _upper_bound_holds(model.fy, model.grads, d, fz, L), seen
 
 

@@ -103,12 +103,22 @@ class SubproblemSolution:
 
 
 def project_simplex(v: Array) -> Array:
-    """Euclidean projection onto the probability simplex."""
+    """Euclidean projection onto the probability simplex.
+
+    Weights already on it, nonnegative and summing to exactly 1 in
+    descending order, are returned as a copy without the rest of the
+    projection: its shift would be exactly 0, so the result has the same
+    bits (``-0.0`` becomes ``+0.0`` either way).  The index-order sum would
+    not do: it can be 1 where the descending one is not.
+    """
     v = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("cannot project non-finite weights onto the simplex")
     u = np.sort(v)[::-1]
     cumulative = np.cumsum(u) - 1.0
+    # Non-finite input never exits here: its sum is not 1.
+    if u[-1] >= 0.0 and cumulative[-1] == 0.0:
+        return v + 0.0
+    if not np.isfinite(v).all():
+        raise ValueError("cannot project non-finite weights onto the simplex")
     ranks = np.arange(1, v.size + 1)
     feasible = u - cumulative / ranks > 0.0
     rho = ranks[feasible][-1]
@@ -149,7 +159,7 @@ class _Model:
         """
         z = self.primal_point(weights)
         linear, rest = self.terms(z)
-        top = float(np.max(linear))
+        top = float(linear.max())
         avg = float(weights @ linear)
         return avg + rest, top + rest, top - avg, z, linear
 
@@ -199,26 +209,39 @@ def _simplex_qp(c: Array, Q: Array, w: Array) -> Array:
     The least-squares cutoff ``_QP_CUTOFF`` drops curvature below the
     accuracy of ``Q``; a gradient left in the dropped directions marks a ridge,
     along which the objective only rises, so it is followed to the boundary.
+    A face with one weight besides ``i0`` is solved in closed form, bit for
+    bit what LAPACK's least squares returns for a 1x1 system of normal
+    magnitude: the gradient times the reciprocal curvature, or 0 when the
+    curvature is 0.
     """
     w = w.copy()
     free = w > 0.0
     # Each pass adds or drops one objective; the cap stops cycling on ties.
     for _ in range(4 * w.size):
-        face = np.flatnonzero(free)
+        face = free.nonzero()[0]
         i0 = face[np.argmax(w[face])]
         rest = face[face != i0]
         grad = c - Q @ w
         if rest.size:
-            g = grad[rest] - grad[i0]
-            q = (Q[np.ix_(rest, rest)] - Q[rest, i0][:, None] - Q[i0, rest][None, :]
-                 + Q[i0, i0])
-            step = np.linalg.lstsq(q, g, rcond=_QP_CUTOFF)[0]
-            flat = g - q @ step
-            ridge = float(np.linalg.norm(flat)) > _QP_CUTOFF * float(np.linalg.norm(g))
+            if rest.size == 1:
+                r = rest[0]
+                g = grad[r] - grad[i0]
+                q = Q[r, r] - Q[r, i0] - Q[i0, r] + Q[i0, i0]
+                step = g * (1.0 / q) if q != 0.0 else 0.0
+                flat = g - q * step
+                ridge = abs(flat) > _QP_CUTOFF * abs(g)
+            else:
+                g = grad[rest] - grad[i0]
+                # Kept in C order: ``q @ step`` rounds differently on a transposed q.
+                q = (Q[rest[:, None], rest] - Q[rest, i0][:, None] - Q[i0, rest][None, :]
+                     + Q[i0, i0])
+                step = np.linalg.lstsq(q, g, rcond=_QP_CUTOFF)[0]
+                flat = g - q @ step
+                ridge = float(np.linalg.norm(flat)) > _QP_CUTOFF * float(np.linalg.norm(g))
             d = np.zeros(w.size)
             d[rest] = flat if ridge else step
             d[i0] = -float(np.sum(d[rest]))
-            shrink = np.flatnonzero(d < 0.0)
+            shrink = (d < 0.0).nonzero()[0]
             limits = -w[shrink] / d[shrink]
             if ridge or (shrink.size and limits.min() < 1.0):
                 # Stop at the first weight to reach zero and drop it.
@@ -230,8 +253,8 @@ def _simplex_qp(c: Array, Q: Array, w: Array) -> Array:
             w = np.maximum(w + d, 0.0)
             grad = c - Q @ w
         # Stationary on the face: price the objectives outside it.
-        out = np.flatnonzero(~free)
-        if not out.size or float(np.max(grad[out])) <= float(w @ grad):
+        out = (~free).nonzero()[0]
+        if not out.size or float(grad[out].max()) <= float(w @ grad):
             break
         free[out[np.argmax(grad[out])]] = True
     return w
@@ -271,7 +294,7 @@ def _solve_dual(model: _Model, cfg: SubproblemConfig, stop: float,
         w, b, z = point[:3]
         jac = model.grads @ model.g.prox_jvp(1.0 / model.L, model.prox_arg(w), z,
                                              -model.grads.T / model.L)
-        if not np.all(np.isfinite(jac)):
+        if not np.isfinite(jac).all():
             return None
         curv = -0.5 * (jac + jac.T)
         return _simplex_qp(b + curv @ w, curv, w)
@@ -303,9 +326,9 @@ def _solve_dual(model: _Model, cfg: SubproblemConfig, stop: float,
         if rel_t < best[1]:
             best = (point, rel_t)
     weights, linear, z, primal, gap = best[0]
-    top = float(np.max(linear))
-    active = np.flatnonzero(linear >= top - 1e-7 * (1.0 + abs(top)))
-    return SubproblemSolution(z, primal, weights, tuple(int(i) for i in active), gap)
+    top = float(linear.max())
+    active = (linear >= top - 1e-7 * (1.0 + abs(top))).nonzero()[0]
+    return SubproblemSolution(z, primal, weights, tuple(active.tolist()), gap)
 
 
 def solve_subproblem(x: Array, y: Array, L: float, p: ProblemInstance,

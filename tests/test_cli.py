@@ -62,10 +62,11 @@ def test_row_and_aggregate_accounting(tmp_path):
 
     results = _read_csv(tmp_path / "results.csv")
     assert len(results) == 11
-    assert results[0][:8] == ["problem", "solver", "run_id", "status",
+    assert results[0][:9] == ["problem", "solver", "run_id", "status",
                               "iterations", "backtracks_total", "wall_ms",
-                              "final_residual"]
-    assert results[0][8:] == ["F_1", "F_2", "x_1", "x_2"]
+                              "final_residual", "reason"]
+    assert results[0][9:] == ["F_1", "F_2", "x_1", "x_2"]
+    assert all(row[8] == "" for row in results[1:])
 
     aggregates = _read_csv(tmp_path / "aggregates.csv")
     assert aggregates[0] == ["problem", "solver", "mean_iter", "mean_ms", "purity"]
@@ -108,6 +109,10 @@ def test_diverging_fixed_step_gives_error_rows(tmp_path):
         report = run_benchmark(bc)
     assert report.failed == len(report.rows) == 3
     assert "error" in {r.status for r in report.rows}
+    # Error rows say why, in the report and in results.csv; others say nothing.
+    for r, row in zip(report.rows, _read_csv(tmp_path / "results.csv")[1:]):
+        assert ("non-finite" in r.reason) == (r.status == "error")
+        assert row[8] == r.reason
 
 
 def test_profiles_tau_only_when_nothing_converges(tmp_path):

@@ -24,6 +24,23 @@ def test_verify_trace_invariants_passes():
     assert load_script("verify_trace_invariants").main(["--seeds", "1"]) == 0
 
 
+def test_trace_digest_repeats_with_one_line_per_run(capsys):
+    digest = load_script("trace_digest")
+    outputs = []
+    for _ in range(2):
+        assert digest.main(["--problems", "BK1", "DD1"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    # BK1 runs all three variants; DD1 has no L_true, so backtracking only.
+    runs = [f"{name} {variant} {i}" for name, variants in
+            (("BK1", ("backtracking", "fixed", "pgm")), ("DD1", ("backtracking",)))
+            for variant in variants for i in range(digest.STARTS)]
+    lines = outputs[0].splitlines()
+    assert [" ".join(line.split()[:3]) for line in lines] == runs
+    assert all(re.fullmatch(r"\w+ \d+ [0-9a-f]{64}", line.split(" ", 3)[3])
+               for line in lines)
+
+
 def test_readme_public_api_is_all():
     text = (ROOT / "README.md").read_text()
     section = text.split("## Public API", 1)[1].split("\n## ", 1)[0]

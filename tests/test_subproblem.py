@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from mofista import (CustomNonsmooth, ProblemInstance, SubproblemConfig,
                      WeightedL1, Zero, builtin_problem, sample_initial_points)
 from mofista.problems import evaluate_objectives
-from mofista.subproblem import (SubproblemError, dual_value, inner_primal_step,
-                                kkt_residual, project_simplex, solve_subproblem,
-                                subproblem_objective, weak_pareto_residual)
+from mofista.subproblem import (_QP_CUTOFF, SubproblemError, _simplex_qp, dual_value,
+                                inner_primal_step, kkt_residual, project_simplex,
+                                solve_subproblem, subproblem_objective,
+                                weak_pareto_residual)
 
 
 def quad_instance(centers, scales, weight=0.0):
@@ -306,6 +307,72 @@ def test_rejected_newton_point_steps_on_with_its_own_curvature():
     assert len(calls) <= 4
 
 
+def simplex_qp_lstsq(c, Q, w):
+    """Reference for ``_simplex_qp``: the same active-set method with the
+    least-squares cutoff solve on every face, one-dimensional ones too."""
+    w = w.copy()
+    free = w > 0.0
+    for _ in range(4 * w.size):
+        face = np.flatnonzero(free)
+        i0 = face[np.argmax(w[face])]
+        rest = face[face != i0]
+        grad = c - Q @ w
+        if rest.size:
+            g = grad[rest] - grad[i0]
+            q = (Q[np.ix_(rest, rest)] - Q[rest, i0][:, None] - Q[i0, rest][None, :]
+                 + Q[i0, i0])
+            step = np.linalg.lstsq(q, g, rcond=_QP_CUTOFF)[0]
+            flat = g - q @ step
+            ridge = float(np.linalg.norm(flat)) > _QP_CUTOFF * float(np.linalg.norm(g))
+            d = np.zeros(w.size)
+            d[rest] = flat if ridge else step
+            d[i0] = -float(np.sum(d[rest]))
+            shrink = np.flatnonzero(d < 0.0)
+            limits = -w[shrink] / d[shrink]
+            if ridge or (shrink.size and limits.min() < 1.0):
+                k = int(np.argmin(limits))
+                w = np.maximum(w + limits[k] * d, 0.0)
+                w[shrink[k]] = 0.0
+                free[shrink[k]] = False
+                continue
+            w = np.maximum(w + d, 0.0)
+            grad = c - Q @ w
+        out = np.flatnonzero(~free)
+        if not out.size or float(np.max(grad[out])) <= float(w @ grad):
+            break
+        free[out[np.argmax(grad[out])]] = True
+    return w
+
+
+def qp_cases(rng):
+    """Random ``(c, Q, w)`` for m = 2 and 3 over magnitudes 1e-8 to 1e8,
+    with flat (``q == 0``) and nearly flat one-dimensional faces."""
+    for m in (2, 3):
+        for scale in 10.0 ** np.arange(-8, 9, 2):
+            for _ in range(30):
+                A = rng.standard_normal((m, int(rng.integers(1, m + 1))))
+                w = rng.dirichlet(np.ones(m))
+                w[rng.random(m) < 0.2] = 0.0
+                w = w / w.sum() if w.sum() > 0.0 else np.eye(m)[0]
+                c = scale * rng.standard_normal(m)
+                yield c, scale * (A @ A.T), w
+                # Equal rows: every face is flat.
+                yield c, scale * np.full((m, m), rng.uniform(0.5, 2.0)), w
+                # Rows equal up to rounding: curvature a few ulp from 0.
+                B = rng.standard_normal((m, m))
+                yield c, scale * (np.full((m, m), 1.0) + 1e-15 * (B @ B.T)), w
+            yield scale * rng.standard_normal(m), np.zeros((m, m)), np.full(m, 1.0 / m)
+
+
+def test_simplex_qp_matches_lstsq_bit_for_bit():
+    faces = 0
+    for c, Q, w in qp_cases(np.random.default_rng(41)):
+        got, want = _simplex_qp(c, Q, w), simplex_qp_lstsq(c, Q, w)
+        assert got.tobytes() == want.tobytes(), (c, Q, w)
+        faces += int(np.count_nonzero(w) == 2)
+    assert faces > 500
+
+
 # -------------------------------------------------------- value-bound checks
 
 
@@ -402,10 +469,48 @@ def test_project_simplex_examples():
     np.testing.assert_allclose(project_simplex(np.array([1.0])), [1.0])
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def project_simplex_full(v):
+    """Reference for ``project_simplex``: the projection without the exit
+    for weights already on the simplex."""
+    u = np.sort(v)[::-1]
+    cumulative = np.cumsum(u) - 1.0
+    ranks = np.arange(1, v.size + 1)
+    rho = ranks[u - cumulative / ranks > 0.0][-1]
+    return np.maximum(v - cumulative[rho - 1] / rho, 0.0)
+
+
+def test_project_simplex_exit_keeps_the_bits():
+    rng = np.random.default_rng(43)
+    a = rng.uniform(0.0, 1.0, 200)
+    cases = [np.array([x, 1.0 - x]) for x in a] + [np.array([1.0 - x, x]) for x in a]
+    cases += [project_simplex_full(rng.uniform(-1.0, 1.0, m)) for m in (2, 3, 5)
+              for _ in range(100)]
+    # Sums to exactly 1 in index order, not in descending order: the
+    # projection changes it.
+    trap = np.array([0.37416094895688495, 0.1925800303480084, 0.4332590206951066])
+    cases += [trap, np.array([-0.0, 1.0]), np.array([1.0, 0.0, -0.0]),
+              np.array([1.5, -0.5]), np.array([0.75, -0.5, 0.75])]
+    on_simplex = 0
+    for v in cases:
+        assert project_simplex(v).tobytes() == project_simplex_full(v).tobytes(), v
+        on_simplex += float(np.cumsum(np.sort(v)[::-1])[-1]) == 1.0 and v.min() >= 0.0
+    assert on_simplex > 100
+    assert float(trap[0] + trap[1] + trap[2]) == 1.0
+    assert project_simplex(trap).tobytes() != trap.tobytes()
+    assert not np.signbit(project_simplex(np.array([-0.0, 1.0]))).any()
+
+
+@pytest.mark.parametrize("bad", [
+    pytest.param([0.2, np.nan, 0.5], id="nan"),
+    pytest.param([0.2, np.inf, 0.5], id="inf"),
+    pytest.param([0.2, -np.inf, 0.5], id="-inf"),
+    # The rest sums to 1, which must not pass for weights on the simplex.
+    pytest.param([np.nan, 0.5, 0.5], id="nan-beside-sum-one"),
+    pytest.param([0.0, np.inf, 1.0], id="inf-beside-one"),
+])
 def test_project_simplex_rejects_non_finite(bad):
     with pytest.raises(ValueError):
-        project_simplex(np.array([0.2, bad, 0.5]))
+        project_simplex(np.array(bad))
 
 
 @given(st.lists(st.floats(-5, 5), min_size=1, max_size=6).map(np.array))
