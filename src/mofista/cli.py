@@ -68,10 +68,10 @@ class BenchConfig:
         unknown = [s for s in self.solvers if s not in SOLVER_NAMES]
         if unknown:
             raise ConfigError(f"unknown solver(s) {unknown}; choose from {SOLVER_NAMES}")
-        if self.fixed_L is not None and self.fixed_L <= 0.0:
-            raise ConfigError("fixed_L must be positive")
-        if self.fixed_L_scale <= 0.0:
-            raise ConfigError("fixed_L_scale must be positive")
+        if self.fixed_L is not None and not 0.0 < self.fixed_L < np.inf:
+            raise ConfigError("fixed_L must be positive and finite")
+        if not 0.0 < self.fixed_L_scale < np.inf:
+            raise ConfigError("fixed_L_scale must be positive and finite")
         _base_solver_config(self)
 
 
@@ -154,9 +154,13 @@ def _resolve_problems(bc: BenchConfig) -> list[tuple[ProblemInstance, ProblemDes
     out = []
     for name in names:
         try:
-            out.append(builtin_problem(name))
+            p, desc = builtin_problem(name)
         except KeyError as exc:
             raise ConfigError(str(exc)) from None
+        if desc.m < 2:
+            raise ConfigError(f"problem {name!r} has {desc.m} objective; "
+                              "the benchmark's fronts need at least 2")
+        out.append((p, desc))
     return out
 
 

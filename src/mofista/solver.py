@@ -38,7 +38,7 @@ import numpy as np
 
 from .problems import Array, ProblemInstance, _objectives_from, evaluate_objectives
 from .subproblem import (SubproblemConfig, SubproblemError, SubproblemSolution,
-                         _linearize, _solve_model)
+                         _linearize, _solve_dual)
 
 __all__ = [
     "Backtracking",
@@ -102,12 +102,12 @@ class SolverConfig:
     subproblem: SubproblemConfig = field(default_factory=SubproblemConfig)
 
     def __post_init__(self) -> None:
-        if not self.L_init > 0.0:
-            raise ValueError("L_init must be positive")
-        if not self.beta > 1.0:
-            raise ValueError("beta must exceed 1")
-        if not self.sigma > 1.0:
-            raise ValueError("sigma must exceed 1")
+        if not 0.0 < self.L_init < np.inf:
+            raise ValueError("L_init must be positive and finite")
+        if not 1.0 < self.beta < np.inf:
+            raise ValueError("beta must be finite and exceed 1")
+        if not 1.0 < self.sigma < np.inf:
+            raise ValueError("sigma must be finite and exceed 1")
         if not self.eps > 0.0:
             raise ValueError("eps must be positive")
         if self.max_iter < 1:
@@ -204,7 +204,7 @@ def _trial(p: ProblemInstance, y: Array, L: float, Fx: Array, sub_cfg: Subproble
     curvature the step saw, ``L_seen = max_i 2 (f_i(z) - f_i(y)
     - <grad f_i(y), d>) / ||d||^2`` (0 when ``d = 0``)."""
     model = _linearize(y, L, p, Fx)
-    sol = _solve_model(model, sub_cfg, warm)
+    sol = _solve_dual(model, sub_cfg, warm)
     fz = np.asarray(p.smooth(sol.z), dtype=float)
     d = sol.z - model.y
     dd = float(d @ d)

@@ -12,12 +12,12 @@ for weights ``lam`` the inner minimizer has the closed form
           y - \\tfrac{1}{L}\\textstyle\\sum_i \\lambda_i \\nabla f_i(y)\\Big),
 
 and the dual supergradient at ``lam`` is the vector ``b`` of inner linear
-terms at ``z(lam)``.  One routine serves every ``m``: safeguarded Newton
-rounds on the dual, each maximizing a quadratic model over the simplex
-exactly by an active-set method, with curvature ``G D G^T / L`` from the
-prox Jacobian ``D`` (``NonsmoothPart.prox_jvp``).  It stops on a certified
-primal-dual gap, for any weights ``max_i b_i(z) - lam . b(z)``, available
-at every evaluation for free and without cancellation.
+terms at ``z(lam)``.  One routine serves every ``m``: Newton rounds on the
+dual, each maximizing over the simplex, exactly by an active-set method, the
+quadratic model at the last point evaluated, with curvature ``G D G^T / L``
+from the prox Jacobian ``D`` (``NonsmoothPart.prox_jvp``).  It stops on a
+certified primal-dual gap, for any weights ``max_i b_i(z) - lam . b(z)``,
+available at every evaluation for free and without cancellation.
 
 Everything here is stateless; warm starts are passed in by the caller.
 """
@@ -260,26 +260,29 @@ def _simplex_qp(c: Array, Q: Array, w: Array) -> Array:
     return w
 
 
-def _solve_dual(model: _Model, cfg: SubproblemConfig, stop: float,
+def _solve_dual(model: _Model, cfg: SubproblemConfig,
                 warm: Optional[Array]) -> SubproblemSolution:
-    """Safeguarded Newton ascent on the concave, piecewise quadratic dual.
+    """Newton ascent on the concave, piecewise quadratic dual, to a
+    certified gap or a :class:`SubproblemError`.
 
     The dual supergradient at ``lam`` is the vector ``b`` of inner linear
     terms (envelope theorem), and its Jacobian ``G dz/dlam`` is the
     generalized dual Hessian ``-G D G^T / L``, with ``D`` the prox's own
     derivative: exact for the zero and l1 terms, where one or a few rounds
     end the solve, and forward differences for other parts.  Each round
-    maximizes the resulting quadratic model over the simplex exactly.  If
-    that full step is rejected, the round takes one Newton step from the
-    rejected point with the curvature there, then halves the original step
-    until the dual rises or the certified gap falls.  A
-    round without either restarts from the best-certified weights, and
-    ends the solve if it started there; so does a non-finite gap or the
-    evaluation budget.  The solution is built from the evaluation of the
-    best-certified weights; the caller judges the gap.
+    maximizes the resulting quadratic model over the simplex exactly, at the
+    last point evaluated whether or not it improved anything.  Two rounds in
+    a row that neither raise the dual nor lower the best certified gap end
+    the solve once that gap is within ``cfg.tol``; short of it, where ``L``
+    far below the curvature makes the model jump between the dual's pieces,
+    they halve the step of the last improving round, down to a thousandth.
+    A non-finite gap or curvature, the evaluation budget and a relative gap
+    of ``cfg.tol * _GAP_MARGIN`` also stop the solve.  The solution is built
+    from the best-certified weights; a relative gap there above ``cfg.tol``
+    raises.
     """
     m = model.grads.shape[0]
-    lam = project_simplex(warm) if warm is not None else np.full(m, 1.0 / m)
+    stop = cfg.tol * _GAP_MARGIN  # solve past the advertised relative gap
     evals = 0
 
     def measure(w: Array) -> tuple[float, float, tuple]:
@@ -299,33 +302,30 @@ def _solve_dual(model: _Model, cfg: SubproblemConfig, stop: float,
         curv = -0.5 * (jac + jac.T)
         return _simplex_qp(b + curv @ w, curv, w)
 
-    q, rel, here = measure(lam)
-    best, top_q = (here, rel), q
+    top_q, rel, point = measure(project_simplex(warm) if warm is not None
+                                else np.full(m, 1.0 / m))
+    best, stale, alpha = (point, rel), 0, 1.0
     while stop < best[1] < math.inf and evals < cfg.max_inner_iter:
-        lam, target = here[0], newton(here)
+        if stale < 2:
+            target = newton(point)
+            if not stale:
+                lam, aim = point[0], target
+        elif best[1] > cfg.tol and alpha > 1e-3:
+            # Idle rounds short of the tolerance: halve the last improving step.
+            alpha *= 0.5
+            target = (1.0 - alpha) * lam + alpha * aim
+        else:
+            break
         if target is None:
             break
-        trial, alpha, pivot = target, 1.0, True
-        while evals < cfg.max_inner_iter and alpha > 1e-3:
-            q_t, rel_t, point = measure(trial)
-            if q_t > top_q or rel_t < best[1]:
-                break
-            # A rejected full step left the piece its curvature came from:
-            # step once from where it landed, with the curvature there.
-            trial = newton(point) if pivot else None
-            pivot = False
-            if trial is None:
-                alpha *= 0.5
-                trial = (1.0 - alpha) * lam + alpha * target
-        else:
-            if here is best[0]:
-                break
-            here = best[0]
-            continue
-        here, top_q = point, max(top_q, q_t)
-        if rel_t < best[1]:
-            best = (point, rel_t)
+        q, rel, point = measure(target)
+        stale, alpha = (0, 1.0) if q > top_q or rel < best[1] else (stale + 1, alpha)
+        top_q = max(top_q, q)
+        if rel < best[1]:
+            best = (point, rel)
     weights, linear, z, primal, gap = best[0]
+    if gap > cfg.tol * (1.0 + abs(primal)):
+        raise SubproblemError(f"dual gap {gap:.3e} above tolerance", z=z, gap=gap)
     top = float(linear.max())
     active = (linear >= top - 1e-7 * (1.0 + abs(top))).nonzero()[0]
     return SubproblemSolution(z, primal, weights, tuple(active.tolist()), gap)
@@ -339,19 +339,7 @@ def solve_subproblem(x: Array, y: Array, L: float, p: ProblemInstance,
     ``warm_weights``, when given, seed the dual solve; the solver itself
     keeps no state between calls.
     """
-    return _solve_model(_model_at(x, y, L, p), cfg or SubproblemConfig(), warm_weights)
-
-
-def _solve_model(model: _Model, cfg: SubproblemConfig,
-                 warm_weights: Optional[Array]) -> SubproblemSolution:
-    """Solve an already built model; the single point of failure."""
-    stop = cfg.tol * _GAP_MARGIN  # solve past the advertised relative gap
-    sol = _solve_dual(model, cfg, stop, warm_weights)
-    if sol.dual_gap > cfg.tol * (1.0 + abs(sol.value)):
-        raise SubproblemError(
-            f"dual gap {sol.dual_gap:.3e} above tolerance", z=sol.z, gap=sol.dual_gap
-        )
-    return sol
+    return _solve_dual(_model_at(x, y, L, p), cfg or SubproblemConfig(), warm_weights)
 
 
 def kkt_residual(sol: SubproblemSolution, x: Array, y: Array, L: float,

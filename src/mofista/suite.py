@@ -272,7 +272,8 @@ def load_problem_file(path: Union[str, Path], register: bool = False,
     entries meaning ``f_i(x) = x'Q_i x / 2 + b_i'x + c_i``; ``linear`` and
     ``constant`` default to zero.  ``quad`` is symmetrized.  Raises
     ``ValueError`` unless there are ``m`` objectives, the bounds have ``n``
-    entries each, and every coefficient has its shape and is finite.
+    entries each and are finite, every coefficient has its shape and is
+    finite, and ``l1_weight`` is finite and nonnegative.
 
     The gradient Lipschitz constant is the largest ``|eigenvalue|`` over all
     ``Q_i``.  The convexity flag holds when every ``Q_i`` is positive
@@ -288,6 +289,11 @@ def load_problem_file(path: Union[str, Path], register: bool = False,
     upper = tuple(float(v) for v in spec["upper"])
     if len(lower) != n or len(upper) != n:
         raise ValueError(f"box bounds need {n} entries each, got {len(lower)} and {len(upper)}")
+    if not np.isfinite([*lower, *upper]).all():
+        raise ValueError("box bounds must be finite")
+    l1_weight = float(spec.get("l1_weight", 0.0))
+    if not 0.0 <= l1_weight < np.inf:
+        raise ValueError("l1_weight must be finite and nonnegative")
     quads = np.array([o["quad"] for o in spec["objectives"]], dtype=float)
     lins = np.array([o.get("linear", np.zeros(n)) for o in spec["objectives"]], dtype=float)
     consts = np.array([o.get("constant", 0.0) for o in spec["objectives"]], dtype=float)
@@ -300,7 +306,6 @@ def load_problem_file(path: Union[str, Path], register: bool = False,
     radius = np.max(np.abs(eigs), axis=1)  # spectral radius of each Q_i
     convex = bool(np.all(np.min(eigs, axis=1) >= -n * np.finfo(float).eps * radius))
     L = float(np.max(radius))
-    l1_weight = float(spec.get("l1_weight", 0.0))
 
     def smooth(x: Array) -> Array:
         return 0.5 * ((quads @ x) @ x) + lins @ x + consts

@@ -1,6 +1,7 @@
 """Benchmark harness: config handling, CSV layout, SVG output, exit codes."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from mofista import (
     nondominated_filter,
     run_benchmark,
 )
+from mofista import suite
 from mofista.cli import main
 from mofista.plots import emit_svg_scatter
+from mofista.suite import load_problem_file
 
 
 def _read_csv(path):
@@ -38,12 +41,18 @@ def test_bench_config_rejects_bad_values():
         BenchConfig(fixed_L=-1.0)
     with pytest.raises(ConfigError):
         BenchConfig(fixed_L_scale=0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            BenchConfig(fixed_L=bad)
+        with pytest.raises(ConfigError):
+            BenchConfig(fixed_L_scale=bad)
     for repeated in ({"problems": ("SP1", "SP1")},
                      {"solvers": ("backtracking", "backtracking")}):
         with pytest.raises(ConfigError):
             BenchConfig(**repeated)
     for bad in ({"beta": 0.5}, {"sigma": 1.0}, {"eps": 0.0}, {"max_iter": 0},
-                {"L_init": -1.0}):
+                {"L_init": -1.0}, {"L_init": np.inf}, {"beta": np.inf},
+                {"sigma": np.inf}, {"sigma": np.nan}):
         with pytest.raises(ConfigError):
             BenchConfig(**bad)
 
@@ -182,10 +191,30 @@ def test_main_unknown_problem(tmp_path, capsys):
 
 
 def test_main_bad_solver_parameter(tmp_path, capsys):
-    code = main(["--problems", "BK1", "--runs", "1", "--beta", "0.5",
-                 "--out", str(tmp_path)])
-    assert code == 2
-    assert "configuration error" in capsys.readouterr().err
+    for flag, value in (("--beta", "0.5"), ("--sigma", "inf")):
+        code = main(["--problems", "BK1", "--runs", "1", flag, value,
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+
+
+def test_single_objective_problem_rejected_before_solving(tmp_path, capsys):
+    # The report's fronts and SVG need two objectives; a registered m = 1
+    # problem must be refused before any solve or output file.
+    path = tmp_path / "single.json"
+    path.write_text(json.dumps({"name": "_tmp_single", "n": 1, "m": 1,
+                                "lower": [0.0], "upper": [1.0],
+                                "objectives": [{"quad": [[1.0]]}]}))
+    load_problem_file(path, register=True)
+    try:
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="objective"):
+            run_benchmark(BenchConfig(problems=("_tmp_single",), runs=1, out_dir=out))
+        assert main(["--problems", "_tmp_single", "--runs", "1", "--out", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+    finally:
+        suite._REGISTRY.pop("_tmp_single", None)
 
 
 def test_main_fixed_needs_constant(tmp_path, capsys):

@@ -241,7 +241,9 @@ def test_subproblem_failure_status():
 
 def test_config_validation():
     for bad in (dict(L_init=0.0), dict(beta=1.0), dict(sigma=0.5),
-                dict(eps=0.0), dict(max_iter=0)):
+                dict(eps=0.0), dict(max_iter=0), dict(L_init=np.inf),
+                dict(L_init=np.nan), dict(beta=np.inf), dict(sigma=np.inf),
+                dict(sigma=np.nan)):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
 
@@ -343,11 +345,15 @@ def prox_calls_per_solve(name):
     return per_solve
 
 
-@pytest.mark.parametrize("name", ["SP1", "FF1", "VFM1", "MHHM2"])
-def test_exact_curvature_solves_smooth_subproblem_in_one_round(name):
+@pytest.mark.parametrize("name, most", [("SP1", 2), ("FF1", 2), ("VFM1", 2),
+                                        ("MHHM2", 2), ("DD1", 8)],
+                         ids=["SP1", "FF1", "VFM1", "MHHM2", "DD1"])
+def test_exact_curvature_solves_smooth_subproblem_in_one_round(name, most):
     # With g = 0 the dual is one concave quadratic: the start and the Newton
-    # point are the only evaluations.
-    assert max(prox_calls_per_solve(name)) <= 2
+    # point are the only evaluations.  DD1's objectives reach about 900, so
+    # its certified gap often stalls at its rounding floor above the solve's
+    # target; there two rounds that improve nothing end the solve.
+    assert max(prox_calls_per_solve(name)) <= most
 
 
 @pytest.mark.parametrize("name", ["SP1_l1", "JOS1_l1", "BK1_l1"])

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from mofista import (CustomNonsmooth, ProblemInstance, SubproblemConfig,
                      WeightedL1, Zero, builtin_problem, sample_initial_points)
 from mofista.problems import evaluate_objectives
-from mofista.subproblem import (_QP_CUTOFF, SubproblemError, _simplex_qp, dual_value,
-                                inner_primal_step, kkt_residual, project_simplex,
-                                solve_subproblem, subproblem_objective,
-                                weak_pareto_residual)
+from mofista.subproblem import (_QP_CUTOFF, SubproblemError, _Model, _simplex_qp,
+                                dual_value, inner_primal_step, kkt_residual,
+                                project_simplex, solve_subproblem,
+                                subproblem_objective, weak_pareto_residual)
 
 
 def quad_instance(centers, scales, weight=0.0):
@@ -305,6 +305,81 @@ def test_rejected_newton_point_steps_on_with_its_own_curvature():
     sol = solve_subproblem(x, y, 2.0, counted, cfg, warm_weights=np.array([1.0, 0.0]))
     assert sol.dual_gap <= cfg.tol * (1.0 + abs(sol.value))
     assert len(calls) <= 4
+
+
+def test_two_idle_rounds_end_the_solve(monkeypatch):
+    # A trial subproblem that DD1 meets from start 0 of
+    # sample_initial_points(desc, 10, seed=1), at iteration 100.  One Newton
+    # round takes the relative gap from 7.7e-6 to 2.7e-14: within the
+    # tolerance, but above the solve's target tol * 1e-2, and that is the
+    # rounding floor.  Two rounds that improve nothing end the solve; halving
+    # the step toward the Newton point took 13 evaluations, the last 12 with
+    # the same dual and gap.
+    p, _ = builtin_problem("DD1")
+    seen = []
+    evaluate = _Model.evaluate
+
+    def logged(self, weights):
+        out = evaluate(self, weights)
+        seen.append(out[:3])
+        return out
+
+    monkeypatch.setattr(_Model, "evaluate", logged)
+    x = np.array([-16.386950480765964, -10.91719046747421, 1.8148099772734438,
+                  0.0021300854668714966, 0.0022505834078974706])
+    y = np.array([-16.386036923229383, -10.918344167612306, 1.8161204969044689,
+                  0.0015126235857114822, 0.0018305899198982679])
+    cfg = SubproblemConfig(tol=1e-12)
+    sol = solve_subproblem(x, y, 1.9999997488325207, p, cfg,
+                           warm_weights=np.array([0.08387811315368088, 0.9161218868463191]))
+    assert sol.dual_gap <= cfg.tol * (1.0 + abs(sol.value))
+    duals = [dual for dual, _, _ in seen]
+    rels = [gap / (1.0 + abs(primal)) for _, primal, gap in seen]
+    improving = [k for k in range(1, len(seen))
+                 if duals[k] > max(duals[:k]) or rels[k] < min(rels[:k])]
+    assert improving and min(rels) > cfg.tol * 1e-2
+    assert len(seen) == improving[-1] + 3
+
+
+def test_idle_rounds_short_of_tolerance_halve_the_step(monkeypatch):
+    # A random convex l1 subproblem with L about 0.007 times the largest
+    # curvature.  The Newton rounds from the second evaluation land on other
+    # pieces of the dual: the third and fourth evaluations improve nothing
+    # while the relative gap is still about 0.9.  Stopping there would raise;
+    # the half step of the last improving round raises the dual, and the
+    # solve certifies in 20 evaluations.
+    quad = np.array([
+        [[2.623806413733313, -0.9801444422663029], [-0.9801444422663029, 0.4187039506943042]],
+        [[0.7442182623824191, -0.1569241004050676], [-0.1569241004050676, 0.12287956224200122]],
+        [[0.08843940778682824, -0.14582405524845687],
+         [-0.14582405524845687, 0.25896169075250974]],
+        [[0.6156074820299112, 0.38511848415206695], [0.38511848415206695, 1.0370996239092876]]])
+    lin = np.array([[3.781223083436907, -6.318669928607232],
+                    [-5.344960663367744, 3.5610815509728213],
+                    [2.5996309447758055, -2.0030174863846644],
+                    [4.723104012890872, -6.881973977408883]])
+    p = ProblemInstance(n=2, m=4,
+                        smooth=lambda x: 0.5 * np.einsum("i,kij,j->k", x, quad, x) + lin @ x,
+                        smooth_jac=lambda x: quad @ x + lin,
+                        nonsmooth=WeightedL1(0.1532645911943332))
+    seen = []
+    evaluate = _Model.evaluate
+
+    def logged(self, weights):
+        out = evaluate(self, weights)
+        seen.append(out[:3])
+        return out
+
+    monkeypatch.setattr(_Model, "evaluate", logged)
+    cfg = SubproblemConfig(tol=1e-12)
+    sol = solve_subproblem(np.array([1.6613223861920106, 0.9147088101614703]),
+                           np.array([1.7583524207705628, 0.32386589841381885]),
+                           0.020646397744232457, p, cfg)
+    assert sol.dual_gap <= cfg.tol * (1.0 + abs(sol.value))
+    duals = [dual for dual, _, _ in seen]
+    rels = [gap / (1.0 + abs(primal)) for _, primal, gap in seen]
+    assert max(duals[2:4]) <= duals[1] and min(rels[2:4]) >= rels[1] > 0.5
+    assert duals[4] > duals[1]
 
 
 def simplex_qp_lstsq(c, Q, w):

@@ -318,6 +318,14 @@ def test_load_problem_file_rejects_malformed(tmp_path):
         with pytest.raises(ValueError, match="finite"):
             load_problem_file(path)
 
+    two_bowls = dict(base, objectives=[{"quad": eye}, {"quad": eye}])
+    for bad in ({"l1_weight": -1.0}, {"l1_weight": float("nan")},
+                {"l1_weight": float("inf")}, {"lower": [0.0, float("-inf")]},
+                {"upper": [float("inf"), 1.0]}, {"lower": [float("nan"), 0.0]}):
+        path = _write_problem_file(tmp_path, dict(two_bowls, **bad))
+        with pytest.raises(ValueError, match="finite"):
+            load_problem_file(path)
+
 
 def test_load_problem_file_rejects_box_length(tmp_path):
     quad = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
