@@ -1,0 +1,96 @@
+#!/usr/bin/env python3
+"""Repeat the repository benchmark and summarise every metric.
+
+    python3 scripts/bench.py --label change --runs 5 --seed 1 --out BENCH.json
+
+Runs from the root of a checkout, like ``perfbench/run.py``, which it calls
+once per workload, trace mode (``--trace 0`` and ``--trace 1``) and repeat,
+with the workloads and run length that ``BENCHMARK.json`` declares.
+The repeats are interleaved: every round runs each workload in each mode
+once, so a slow phase of the host spreads over all of them.  For each
+workload, mode and metric the output holds the median, the quartiles and
+the number of runs; ``correct`` is true only if every run was.  The summary
+goes under ``--label`` in the ``--out`` JSON file, which keeps the other
+labels it already holds, so two checkouts can fill one file:
+
+    (cd ../parent && python3 ../repo/scripts/bench.py --label parent --out ../repo/BENCH.json)
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+RUNNER = Path("perfbench") / "run.py"
+DECLARATION = Path("BENCHMARK.json")
+
+
+def parse_result(stdout: str) -> dict:
+    """The JSON object on the last nonblank line of a run's output."""
+    return json.loads(stdout.strip().splitlines()[-1])
+
+
+def quartiles(values: list) -> tuple:
+    """``(q1, median, q3)``, with the quartiles of the inclusive method."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def summarise(results: list) -> dict:
+    """Median, quartiles and count of every metric over ``results``, the
+    parsed outputs of repeated runs of one workload in one mode."""
+    metrics = {}
+    for name, entry in results[0]["metrics"].items():
+        values = [r["metrics"][name]["value"] for r in results]
+        q1, median, q3 = quartiles(values)
+        metrics[name] = {"median": median, "q1": q1, "q3": q3, "n": len(values),
+                         "unit": entry["unit"]}
+    return {"correct": all(r["correct"] for r in results),
+            "failed": max(r["failed"] for r in results), "metrics": metrics}
+
+
+def run_once(workload: str, seed: int, seconds: float, trace: int) -> dict:
+    cmd = [sys.executable, str(RUNNER), "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    done = subprocess.run(cmd, capture_output=True, text=True, check=True)
+    return parse_result(done.stdout)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--label", required=True, help="key of this summary in the output")
+    ap.add_argument("--out", required=True, type=Path)
+    ap.add_argument("--runs", type=int, default=5)
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args(argv)
+    if args.runs < 1:
+        ap.error("--runs must be at least 1")
+    if not (RUNNER.is_file() and DECLARATION.is_file()):
+        print(f"bench: no {RUNNER} or {DECLARATION} here; run from the root of a checkout",
+              file=sys.stderr)
+        return 2
+    declared = json.loads(DECLARATION.read_text())
+    workloads = [w["name"] for w in declared["workloads"]]
+    seconds = declared["run_seconds"]
+
+    raw: dict = {(w, t): [] for w in workloads for t in (0, 1)}
+    for k in range(args.runs):
+        for (workload, trace), results in raw.items():
+            results.append(run_once(workload, args.seed, seconds, trace))
+            print(f"round {k + 1}/{args.runs}: {workload} trace {trace}", flush=True)
+
+    summary = {"seed": args.seed, "seconds": seconds, "runs": args.runs,
+               "workloads": {w: {f"trace{t}": summarise(raw[w, t]) for t in (0, 1)}
+                             for w in workloads}}
+    doc = json.loads(args.out.read_text()) if args.out.is_file() else {}
+    doc[args.label] = summary
+    args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

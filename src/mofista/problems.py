@@ -94,7 +94,7 @@ class WeightedL1(NonsmoothPart):
             raise ValueError("l1 weight must be nonnegative")
 
     def value(self, x: Array) -> float:
-        return self.weight * float(np.sum(np.abs(x)))
+        return self.weight * float(np.abs(x).sum())
 
     def prox(self, t: float, v: Array) -> Array:
         _check_step(t)
@@ -171,7 +171,7 @@ def _objectives_from(p: ProblemInstance, x: Array, fx: Array) -> Array:
     if fx.shape != (p.m,):
         raise ValueError(f"smooth eval returned shape {fx.shape}, expected ({p.m},)")
     total = fx + p.nonsmooth.value(x)
-    if not np.all(np.isfinite(total)):
+    if not np.isfinite(total).all():
         raise EvaluationError("objective evaluation produced a non-finite value", x)
     return total
 

@@ -52,7 +52,6 @@ __all__ = [
     "SolveResult",
     "BacktrackingError",
     "fista_step",
-    "sufficient_decrease_check",
     "run_solver",
     "accepted_L_bound_check",
 ]
@@ -170,31 +169,21 @@ def fista_step(x_prev: Array, x_prev2: Array, t_prev: float, omega: float):
     return t, theta, y
 
 
-def _upper_bound_holds(fy: Array, grads: Array, d: Array, fz: Array, L: float) -> bool:
-    """``f(y + d) <= f(y) + grads @ d + (L/2) ||d||^2`` componentwise, up to a
-    slack of ``1e-12 (1 + |f(y)|)``, from already computed oracle values.
-    The slack is thousands of ulp, not rounding-scaled (ROADMAP item 1)."""
-    bound = fy + grads @ d + 0.5 * L * float(d @ d)
-    return bool((fz <= bound + 1e-12 * (1.0 + np.abs(fy))).all())
-
-
-def sufficient_decrease_check(p: ProblemInstance, y: Array, z: Array, L: float) -> bool:
-    """Quadratic upper bound on the smooth parts at the trial step.
-
-    True iff ``f_i(z) <= f_i(y) + <grad f_i(y), z - y> + (L/2) ||z - y||^2``
-    for every objective; the shared nonsmooth term cancels from both sides.
-    The comparison carries a slack of ``1e-12 (1 + |f_i(y)|)``: once steps
+def _upper_bound_holds(fy: Array, gd: Array, dd: float, fz: Array, L: float) -> bool:
+    """Quadratic upper bound on the smooth parts at the trial step ``d``:
+    ``f(y + d) <= f(y) + gd + (L/2) dd`` componentwise, from the oracle
+    values ``fy = f(y)`` and ``fz = f(y + d)``, ``gd = grad f(y) @ d`` and
+    ``dd = ||d||^2``; the shared nonsmooth term cancels from both sides.
+    The comparison carries a slack of ``1e-12 (1 + |f(y)|)``: once steps
     shrink toward convergence both sides agree to cancellation noise, and a
     bound that holds in exact arithmetic must not be rejected on that noise
     (a spurious rejection would inflate ``L`` past its provable cap).  It is
-    thousands of ulp, not a rounding bound (ROADMAP item 1).
-    """
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    fy = np.asarray(p.smooth(y), dtype=float)
-    fz = np.asarray(p.smooth(z), dtype=float)
-    grads = np.asarray(p.smooth_jac(y), dtype=float)
-    return _upper_bound_holds(fy, grads, z - y, fz, L)
+    thousands of ulp, not a rounding bound (ROADMAP item 2).  The ``m``
+    components are compared as Python floats: the same IEEE operations as
+    numpy's, without a numpy call per operation."""
+    c = 0.5 * L * dd
+    return all(a <= b + g + c + 1e-12 * (1.0 + abs(b))
+               for a, b, g in zip(fz.tolist(), fy.tolist(), gd.tolist()))
 
 
 def _trial(p: ProblemInstance, y: Array, L: float, Fx: Array, sub_cfg: SubproblemConfig,
@@ -207,9 +196,10 @@ def _trial(p: ProblemInstance, y: Array, L: float, Fx: Array, sub_cfg: Subproble
     sol = _solve_dual(model, sub_cfg, warm)
     fz = np.asarray(p.smooth(sol.z), dtype=float)
     d = sol.z - model.y
+    gd = model.grads @ d
     dd = float(d @ d)
-    seen = 2.0 * float((fz - model.fy - model.grads @ d).max()) / dd if dd > 0.0 else 0.0
-    return sol, fz, _upper_bound_holds(model.fy, model.grads, d, fz, L), seen
+    seen = 2.0 * float((fz - model.fy - gd).max()) / dd if dd > 0.0 else 0.0
+    return sol, fz, _upper_bound_holds(model.fy, gd, dd, fz, L), seen
 
 
 def run_solver(p: ProblemInstance, x0: Array, cfg: Optional[SolverConfig] = None) -> SolveResult:
@@ -266,7 +256,7 @@ def run_solver(p: ProblemInstance, x0: Array, cfg: Optional[SolverConfig] = None
             status = Status.SUBPROBLEM_FAILURE
             break
 
-        residual = float(np.max(np.abs(sol.z - y)))
+        residual = float(abs(sol.z - y).max())
         Fx = _objectives_from(p, sol.z, fz)
         records.append(IterationRecord(
             k=k, L=L, backtracks=backtracks, residual=residual, t=t,

@@ -37,11 +37,7 @@ __all__ = [
     "SubproblemSolution",
     "SubproblemError",
     "project_simplex",
-    "subproblem_objective",
-    "inner_primal_step",
-    "dual_value",
     "solve_subproblem",
-    "kkt_residual",
     "weak_pareto_residual",
 ]
 
@@ -137,31 +133,23 @@ class _Model:
     L: float
     g: NonsmoothPart
 
-    def prox_arg(self, weights: Array) -> Array:
-        return self.y - (self.grads.T @ weights) / self.L
-
-    def primal_point(self, weights: Array) -> Array:
-        return self.g.prox(1.0 / self.L, self.prox_arg(weights))
-
-    def terms(self, z: Array) -> tuple[Array, float]:
-        """Inner linear terms ``b_i(z) - g(z)`` and the shared rest
-        ``g(z) + L/2 ||z - y||^2`` of the model at ``z``."""
-        d = z - self.y
-        return self.grads @ d + self.offsets, self.g.value(z) + 0.5 * self.L * float(d @ d)
-
-    def evaluate(self, weights: Array) -> tuple[float, float, float, Array, Array]:
+    def evaluate(self, weights: Array) -> tuple[float, float, float, Array, Array, Array]:
         """Dual value, primal value and certified gap at ``weights``.
 
-        Returns ``(dual, primal, gap, z, linear)`` where ``linear`` holds the
-        inner terms ``b_i(z) - g(z)``; the gap ``max(b) - weights . b`` equals
-        the primal-dual difference exactly because the shared ``g`` and the
-        quadratic cancel.
+        Returns ``(dual, primal, gap, z, linear, v)``: ``z = prox(v)`` is the
+        inner minimizer at the prox argument ``v``, and ``linear`` holds the
+        inner terms ``b_i(z) - g(z)``; the gap ``max(b) - weights . b``
+        equals the primal-dual difference exactly because the shared ``g``
+        and the quadratic cancel.
         """
-        z = self.primal_point(weights)
-        linear, rest = self.terms(z)
+        v = self.y - (self.grads.T @ weights) / self.L
+        z = self.g.prox(1.0 / self.L, v)
+        d = z - self.y
+        linear = self.grads @ d + self.offsets
+        rest = self.g.value(z) + 0.5 * self.L * float(d @ d)
         top = float(linear.max())
         avg = float(weights @ linear)
-        return avg + rest, top + rest, top - avg, z, linear
+        return avg + rest, top + rest, top - avg, z, linear, v
 
 
 def _linearize(y: Array, L: float, p: ProblemInstance, Fx: Array) -> _Model:
@@ -181,23 +169,6 @@ def _model_at(x: Array, y: Array, L: float, p: ProblemInstance) -> _Model:
     return _linearize(y, L, p, evaluate_objectives(p, x))
 
 
-def subproblem_objective(z: Array, x: Array, y: Array, L: float, p: ProblemInstance) -> float:
-    """Model value at an arbitrary candidate ``z``."""
-    linear, rest = _model_at(x, y, L, p).terms(np.asarray(z, dtype=float))
-    return float(np.max(linear)) + rest
-
-
-def inner_primal_step(weights: Array, y: Array, L: float, p: ProblemInstance) -> Array:
-    """Closed-form inner minimizer ``z(weights)`` for fixed simplex weights."""
-    # z(weights) does not depend on F(x), so any objective values serve.
-    return _linearize(y, L, p, 0.0).primal_point(np.asarray(weights, dtype=float))
-
-
-def dual_value(weights: Array, x: Array, y: Array, L: float, p: ProblemInstance) -> float:
-    """Dual function: the weighted Lagrangian evaluated at ``z(weights)``."""
-    return _model_at(x, y, L, p).evaluate(np.asarray(weights, dtype=float))[0]
-
-
 def _simplex_qp(c: Array, Q: Array, w: Array) -> Array:
     """Maximize ``c . w - w . Q w / 2`` (``Q`` symmetric positive
     semidefinite) over the simplex by a primal active-set method from the
@@ -209,54 +180,72 @@ def _simplex_qp(c: Array, Q: Array, w: Array) -> Array:
     The least-squares cutoff ``_QP_CUTOFF`` drops curvature below the
     accuracy of ``Q``; a gradient left in the dropped directions marks a ridge,
     along which the objective only rises, so it is followed to the boundary.
-    A face with one weight besides ``i0`` is solved in closed form, bit for
-    bit what LAPACK's least squares returns for a 1x1 system of normal
-    magnitude: the gradient times the reciprocal curvature, or 0 when the
-    curvature is 0.
+    A face of two weights, ``i0`` and ``r``, is solved in closed form on
+    Python floats, bit for bit what LAPACK's least squares returns for a 1x1
+    system of normal magnitude: the gradient times the reciprocal curvature,
+    or 0 when the curvature is 0.  Its step ``s`` moves ``s`` onto ``r`` and
+    off ``i0``, and is applied to the two weights in place; every other
+    weight is 0 and stays so.  Once every weight is free, a step that drops
+    none ends the solve without pricing.
     """
     w = w.copy()
     free = w > 0.0
     # Each pass adds or drops one objective; the cap stops cycling on ties.
     for _ in range(4 * w.size):
         face = free.nonzero()[0]
-        i0 = face[np.argmax(w[face])]
-        rest = face[face != i0]
         grad = c - Q @ w
-        if rest.size:
-            if rest.size == 1:
-                r = rest[0]
-                g = grad[r] - grad[i0]
-                q = Q[r, r] - Q[r, i0] - Q[i0, r] + Q[i0, i0]
-                step = g * (1.0 / q) if q != 0.0 else 0.0
-                flat = g - q * step
-                ridge = abs(flat) > _QP_CUTOFF * abs(g)
-            else:
-                g = grad[rest] - grad[i0]
-                # Kept in C order: ``q @ step`` rounds differently on a transposed q.
-                q = (Q[rest[:, None], rest] - Q[rest, i0][:, None] - Q[i0, rest][None, :]
-                     + Q[i0, i0])
-                step = np.linalg.lstsq(q, g, rcond=_QP_CUTOFF)[0]
-                flat = g - q @ step
-                ridge = float(np.linalg.norm(flat)) > _QP_CUTOFF * float(np.linalg.norm(g))
+        if face.size == 2:
+            # i0 is the larger weight, the first of a tie, as argmax picks it.
+            a, b = face.tolist()
+            i0, r = (a, b) if w.item(a) >= w.item(b) else (b, a)
+            g = grad.item(r) - grad.item(i0)
+            q = Q.item(r, r) - Q.item(r, i0) - Q.item(i0, r) + Q.item(i0, i0)
+            step = g * (1.0 / q) if q != 0.0 else 0.0
+            flat = g - q * step
+            ridge = abs(flat) > _QP_CUTOFF * abs(g)
+            s = flat if ridge else step
+            # The step is s on r and -s on i0: j shrinks, o grows.
+            j, o = (i0, r) if s > 0.0 else (r, i0)
+            limit = w.item(j) / abs(s) if s != 0.0 else math.inf
+            if ridge or limit < 1.0:
+                w[o] = max(w.item(o) + limit * abs(s), 0.0)
+                w[j] = 0.0
+                free[j] = False
+                continue
+            w[r], w[i0] = max(w.item(r) + s, 0.0), max(w.item(i0) - s, 0.0)
+        elif face.size > 2:
+            i0 = face[w[face].argmax()]
+            rest = face[face != i0]
+            g = grad[rest] - grad[i0]
+            # Kept in C order: ``q @ step`` rounds differently on a transposed q.
+            q = (Q[rest[:, None], rest] - Q[rest, i0][:, None] - Q[i0, rest][None, :]
+                 + Q[i0, i0])
+            step = np.linalg.lstsq(q, g, rcond=_QP_CUTOFF)[0]
+            flat = g - q @ step
+            ridge = float(np.linalg.norm(flat)) > _QP_CUTOFF * float(np.linalg.norm(g))
             d = np.zeros(w.size)
             d[rest] = flat if ridge else step
-            d[i0] = -float(np.sum(d[rest]))
+            d[i0] = -d[rest].sum()
             shrink = (d < 0.0).nonzero()[0]
             limits = -w[shrink] / d[shrink]
             if ridge or (shrink.size and limits.min() < 1.0):
                 # Stop at the first weight to reach zero and drop it.
-                k = int(np.argmin(limits))
+                k = limits.argmin()
                 w = np.maximum(w + limits[k] * d, 0.0)
                 w[shrink[k]] = 0.0
                 free[shrink[k]] = False
                 continue
             w = np.maximum(w + d, 0.0)
+        if free.all():
+            break
+        if face.size > 1:
             grad = c - Q @ w
         # Stationary on the face: price the objectives outside it.
         out = (~free).nonzero()[0]
-        if not out.size or float(grad[out].max()) <= float(w @ grad):
+        priced = grad[out]
+        if priced.max() <= w @ grad:
             break
-        free[out[np.argmax(grad[out])]] = True
+        free[out[priced.argmax()]] = True
     return w
 
 
@@ -286,17 +275,16 @@ def _solve_dual(model: _Model, cfg: SubproblemConfig,
     evals = 0
 
     def measure(w: Array) -> tuple[float, float, tuple]:
-        """Dual value, relative gap, and the point ``(w, b, z, primal, gap)``."""
+        """Dual value, relative gap, and the point ``(w, b, z, primal, gap, v)``."""
         nonlocal evals
         evals += 1
-        dual, primal, gap, z, linear = model.evaluate(w)
-        return dual, gap / (1.0 + abs(primal)), (w, linear, z, primal, gap)
+        dual, primal, gap, z, linear, v = model.evaluate(w)
+        return dual, gap / (1.0 + abs(primal)), (w, linear, z, primal, gap, v)
 
     def newton(point: tuple) -> Optional[Array]:
         """Maximizer over the simplex of the quadratic model at ``point``."""
-        w, b, z = point[:3]
-        jac = model.grads @ model.g.prox_jvp(1.0 / model.L, model.prox_arg(w), z,
-                                             -model.grads.T / model.L)
+        w, b, z, _, _, v = point
+        jac = model.grads @ model.g.prox_jvp(1.0 / model.L, v, z, model.grads.T / -model.L)
         if not np.isfinite(jac).all():
             return None
         curv = -0.5 * (jac + jac.T)
@@ -323,7 +311,7 @@ def _solve_dual(model: _Model, cfg: SubproblemConfig,
         top_q = max(top_q, q)
         if rel < best[1]:
             best = (point, rel)
-    weights, linear, z, primal, gap = best[0]
+    weights, linear, z, primal, gap, _ = best[0]
     if gap > cfg.tol * (1.0 + abs(primal)):
         raise SubproblemError(f"dual gap {gap:.3e} above tolerance", z=z, gap=gap)
     top = float(linear.max())
@@ -340,16 +328,6 @@ def solve_subproblem(x: Array, y: Array, L: float, p: ProblemInstance,
     keeps no state between calls.
     """
     return _solve_dual(_model_at(x, y, L, p), cfg or SubproblemConfig(), warm_weights)
-
-
-def kkt_residual(sol: SubproblemSolution, x: Array, y: Array, L: float,
-                 p: ProblemInstance) -> float:
-    """Stationarity residual ``L ||sol.z - z(sol.weights)||`` of a reported
-    solution: the model gradient at ``sol.z`` with the subgradient of ``g``
-    that the prox recovers at the reported weights.  Zero at exact
-    solutions, it grows linearly when ``sol.z`` is perturbed."""
-    zhat = inner_primal_step(sol.weights, y, L, p)
-    return float(L * np.linalg.norm(np.asarray(sol.z, dtype=float) - zhat))
 
 
 def weak_pareto_residual(x: Array, y: Array, L: float, p: ProblemInstance,

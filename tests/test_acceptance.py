@@ -36,7 +36,8 @@ from mofista import (
     sample_initial_points,
 )
 from mofista.solver import fista_step
-from mofista.subproblem import kkt_residual, solve_subproblem, subproblem_objective
+from mofista.subproblem import solve_subproblem
+from reference import kkt_residual, subproblem_objective
 
 CONVEX_BUILTINS = ("BK1", "BK1_l1", "JOS1", "JOS1_l1", "SP1", "SP1_l1",
                    "VFM1", "MHHM1", "MHHM2")

@@ -65,3 +65,55 @@ def test_readme_problem_file_example_loads(tmp_path):
     want = [0.5 * x @ np.asarray(o["quad"]) @ x + np.asarray(o.get("linear", [0.0] * desc.n)) @ x
             + o.get("constant", 0.0) for o in spec["objectives"]]
     assert np.allclose(p.smooth(x), want, rtol=1e-15, atol=0.0)
+
+
+def canned_run(p50, correct=True, failed=0):
+    """Output of one ``perfbench/run.py`` run: log lines, then the result."""
+    result = {"correct": correct, "attempted": 10, "failed": failed,
+              "metrics": {"solve_ms_p50": {"value": p50, "unit": "ms"},
+                          "iterations_total": {"value": 2868.0, "unit": "count"}}}
+    return "workload builtin_m2, seed 1, 3 s, trace 0\n2 untraced passes\n" \
+        + json.dumps(result) + "\n"
+
+
+def test_bench_summarises_canned_runs():
+    bench = load_script("bench")
+    runs = [bench.parse_result(canned_run(v)) for v in (2.0, 1.0, 5.0, 3.0, 4.0)]
+    summary = bench.summarise(runs)
+    assert summary["correct"] and summary["failed"] == 0
+    assert summary["metrics"]["solve_ms_p50"] == {
+        "median": 3.0, "q1": 2.0, "q3": 4.0, "n": 5, "unit": "ms"}
+    assert summary["metrics"]["iterations_total"]["q1"] == 2868.0
+    one = bench.summarise([bench.parse_result(canned_run(1.5, correct=False, failed=2))])
+    assert not one["correct"] and one["failed"] == 2
+    assert one["metrics"]["solve_ms_p50"] == {
+        "median": 1.5, "q1": 1.5, "q3": 1.5, "n": 1, "unit": "ms"}
+
+
+def test_bench_interleaves_modes_and_keeps_other_labels(tmp_path, monkeypatch):
+    bench = load_script("bench")
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "BENCH.json"
+    assert bench.main(["--label", "change", "--out", str(out)]) == 2
+    assert not out.exists()
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text("")
+    assert bench.main(["--label", "change", "--out", str(out)]) == 2
+    declared = {"run_seconds": 3, "workloads": [{"name": "builtin_m2"}, {"name": "cli_suite"}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(declared))
+    out.write_text(json.dumps({"parent": {"runs": 3}}))
+    calls = []
+
+    def fake(workload, seed, seconds, trace):
+        calls.append((workload, trace))
+        assert seconds == 3
+        return bench.parse_result(canned_run(float(len(calls))))
+
+    monkeypatch.setattr(bench, "run_once", fake)
+    assert bench.main(["--label", "change", "--out", str(out), "--runs", "2"]) == 0
+    rounds = [("builtin_m2", 0), ("builtin_m2", 1), ("cli_suite", 0), ("cli_suite", 1)]
+    assert calls == rounds * 2
+    doc = json.loads(out.read_text())
+    assert doc["parent"] == {"runs": 3}
+    p50 = doc["change"]["workloads"]["cli_suite"]["trace1"]["metrics"]["solve_ms_p50"]
+    assert (p50["median"], p50["n"]) == (6.0, 2)

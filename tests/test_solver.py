@@ -11,8 +11,9 @@ from mofista import (Backtracking, BacktrackingError, CustomNonsmooth,
                      accepted_L_bound_check, builtin_problem, run_solver,
                      sample_initial_points)
 from mofista.problems import evaluate_objectives
-from mofista.solver import fista_step, sufficient_decrease_check
+from mofista.solver import _upper_bound_holds, fista_step
 from mofista.subproblem import solve_subproblem
+from reference import sufficient_decrease_check
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -79,6 +80,38 @@ def test_descent_check_trivial_at_same_point():
     p, _ = builtin_problem("SP1")
     y = np.array([2.5, 0.0])
     assert sufficient_decrease_check(p, y, y, 1e-9)
+
+
+def test_line_search_bound_test_matches_reference():
+    # The line search's test, on Python floats from the trial's own ∇f·d and
+    # ||d||², decides as the numpy reference does: L well off the curvature
+    # of f, and within a few ulp of the L at which the slackened bound is met.
+    rng = np.random.default_rng(61)
+    verdicts = set()
+    for _ in range(200):
+        m, n = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        centers = rng.uniform(-1.0, 1.0, (m, n))
+        curv = float(rng.uniform(0.5, 4.0))
+        shift = float(rng.choice([0.0, 1e4]))
+        p = ProblemInstance(
+            n=n, m=m,
+            smooth=lambda x, c=centers, a=curv, b=shift: 0.5 * a * ((x - c) ** 2).sum(axis=1) + b,
+            smooth_jac=lambda x, c=centers, a=curv: a * (x - c))
+        y = rng.uniform(-1.0, 1.0, n)
+        z = y + rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-8, 1)
+        d = z - y
+        fy, fz = p.smooth(y), p.smooth(z)
+        gd = p.smooth_jac(y) @ d
+        dd = float(d @ d)
+        edge = float((2.0 * (fz - fy - gd - 1e-12 * (1.0 + np.abs(fy))) / dd).max())
+        ulps = 1.0 + np.arange(-4, 5) * 2.0 ** -52
+        for L in np.concatenate([curv * np.array([0.5, 1.0, 2.0]), edge * ulps]):
+            if not L > 0.0:
+                continue
+            want = sufficient_decrease_check(p, y, z, L)
+            assert _upper_bound_holds(fy, gd, dd, fz, L) == want
+            verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 # ------------------------------------------------------------------ the loop

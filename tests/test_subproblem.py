@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from mofista import (CustomNonsmooth, ProblemInstance, SubproblemConfig,
                      WeightedL1, Zero, builtin_problem, sample_initial_points)
 from mofista.problems import evaluate_objectives
-from mofista.subproblem import (_QP_CUTOFF, SubproblemError, _Model, _simplex_qp,
-                                dual_value, inner_primal_step, kkt_residual,
-                                project_simplex, solve_subproblem,
-                                subproblem_objective, weak_pareto_residual)
+from mofista.subproblem import (_QP_CUTOFF, SubproblemError, _Model, _model_at,
+                                _simplex_qp, project_simplex, solve_subproblem,
+                                weak_pareto_residual)
+from reference import (dual_value, inner_primal_step, kkt_residual, model_evaluation,
+                       subproblem_objective)
 
 
 def quad_instance(centers, scales, weight=0.0):
@@ -144,6 +145,28 @@ def test_dual_single_objective_equals_phi_at_step():
     z = inner_primal_step(np.array([1.0]), y, 3.0, p)
     assert dual_value(np.array([1.0]), x, y, 3.0, p) == pytest.approx(
         subproblem_objective(z, x, y, 3.0, p), abs=1e-12)
+
+
+@pytest.mark.parametrize("l1", [False, True])
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_model_evaluation_matches_reference_bit_for_bit(m, l1):
+    # The solver's one evaluation hook against the model built from its
+    # definition: same operations in the same order, so the same bits, at
+    # vertices and inside the simplex, with l1 thresholds active or not.
+    rng = np.random.default_rng(59 + 10 * m + l1)
+    for _ in range(10):
+        n = int(rng.integers(1, 6))
+        weight = float(rng.uniform(0.05, 2.0)) if l1 else 0.0
+        p = quad_instance(rng.uniform(-1, 1, (m, n)), rng.uniform(0.25, 1.5, m), weight)
+        x, y = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
+        L = float(rng.uniform(0.2, 4.0) * p.grad_lipschitz)
+        model = _model_at(x, y, L, p)
+        cases = list(np.eye(m)) + [rng.dirichlet(np.ones(m)) for _ in range(5)]
+        for w in cases:
+            got = model.evaluate(w)[:5]
+            want = model_evaluation(w, x, y, L, p)
+            for a, b in zip(got, want):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (w, x, y, L)
 
 
 # ----------------------------------------------------------------- the solver
@@ -420,9 +443,10 @@ def simplex_qp_lstsq(c, Q, w):
 
 
 def qp_cases(rng):
-    """Random ``(c, Q, w)`` for m = 2 and 3 over magnitudes 1e-8 to 1e8,
-    with flat (``q == 0``) and nearly flat one-dimensional faces."""
-    for m in (2, 3):
+    """Random ``(c, Q, w)`` for m = 2, 3 and 5 over magnitudes 1e-8 to 1e8,
+    with flat (``q == 0``) and nearly flat one-dimensional faces; larger
+    faces reach the two-weight ones after drops."""
+    for m in (2, 3, 5):
         for scale in 10.0 ** np.arange(-8, 9, 2):
             for _ in range(30):
                 A = rng.standard_normal((m, int(rng.integers(1, m + 1))))
