@@ -31,14 +31,14 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
 
 from .problems import Array, ProblemInstance, _objectives_from, evaluate_objectives
 from .subproblem import (SubproblemConfig, SubproblemError, SubproblemSolution,
-                         _linearize, _solve_dual)
+                         _linearize, _solve_dual, project_simplex)
 
 __all__ = [
     "Backtracking",
@@ -188,10 +188,10 @@ def _upper_bound_holds(fy: Array, gd: Array, dd: float, fz: Array, L: float) -> 
 
 def _trial(p: ProblemInstance, y: Array, L: float, Fx: Array, sub_cfg: SubproblemConfig,
            warm: Optional[Array]) -> tuple[SubproblemSolution, Array, bool, float]:
-    """Solve at ``(y, L)`` against the carried ``Fx = F(x)``; returns the
-    solution, ``f(z)``, the upper-bound test on exactly those values, and the
-    curvature the step saw, ``L_seen = max_i 2 (f_i(z) - f_i(y)
-    - <grad f_i(y), d>) / ||d||^2`` (0 when ``d = 0``)."""
+    """Solve at ``(y, L)`` against the carried ``Fx = F(x)`` from the simplex
+    weights ``warm``; returns the solution, ``f(z)``, the upper-bound test on
+    exactly those values, and the curvature the step saw, ``L_seen = max_i 2
+    (f_i(z) - f_i(y) - <grad f_i(y), d>) / ||d||^2`` (0 when ``d = 0``)."""
     model = _linearize(y, L, p, Fx)
     sol = _solve_dual(model, sub_cfg, warm)
     fz = np.asarray(p.smooth(sol.z), dtype=float)
@@ -217,13 +217,6 @@ def run_solver(p: ProblemInstance, x0: Array, cfg: Optional[SolverConfig] = None
         raise ValueError(f"x0 has shape {x0.shape}, expected {(p.n,)}")
     objectives0 = evaluate_objectives(p, x0)
 
-    # Couple the inner tolerance to the outer one so certified gaps never
-    # swamp the stopping test: a relative gap of tau displaces the inner
-    # minimizer by about sqrt(tau), which must stay well under eps.  The
-    # floor keeps the target reachable in float64.
-    tol_eff = min(cfg.subproblem.tol, max((cfg.eps / 100.0) ** 2, 1e-12))
-    sub_cfg = replace(cfg.subproblem, tol=tol_eff)
-
     # The variants differ only in these two flags.
     adaptive = isinstance(cfg.variant, Backtracking)
     momentum = not isinstance(cfg.variant, PlainProxGrad)
@@ -243,7 +236,7 @@ def run_solver(p: ProblemInstance, x0: Array, cfg: Optional[SolverConfig] = None
             while True:
                 L = omega * L_prev
                 t, _, y = fista_step(x, x_prev, t_prev, omega) if momentum else (1.0, None, x)
-                sol, fz, ok, seen = _trial(p, y, L, Fx, sub_cfg, warm)
+                sol, fz, ok, seen = _trial(p, y, L, Fx, cfg.subproblem, warm)
                 if ok or not adaptive:
                     break
                 backtracks += 1
@@ -263,7 +256,7 @@ def run_solver(p: ProblemInstance, x0: Array, cfg: Optional[SolverConfig] = None
             y=np.asarray(y, dtype=float), x=sol.z, objectives=Fx,
             dual_gap=sol.dual_gap, wall_ms=(time.perf_counter() - tick) * 1e3,
         ))
-        warm = sol.weights
+        warm = project_simplex(sol.weights)  # once for every trial of the next iteration
         x_prev, x, t_prev, L_prev = x, sol.z, t, L
         if residual < cfg.eps:
             status = Status.CONVERGED

@@ -17,7 +17,8 @@ dual, each maximizing over the simplex, exactly by an active-set method, the
 quadratic model at the last point evaluated, with curvature ``G D G^T / L``
 from the prox Jacobian ``D`` (``NonsmoothPart.prox_jvp``).  It stops on a
 certified primal-dual gap, for any weights ``max_i b_i(z) - lam . b(z)``,
-available at every evaluation for free and without cancellation.
+available at every evaluation for free and without cancellation, once that
+gap is within its rounding floor.
 
 Everything here is stateless; warm starts are passed in by the caller.
 """
@@ -41,10 +42,10 @@ __all__ = [
     "weak_pareto_residual",
 ]
 
-# Certified-gap safety factor: solve two orders of magnitude past the
-# advertised tolerance so trace replays of the proved inequalities keep
-# their absolute slack budgets.
-_GAP_MARGIN = 1e-2
+# Rounding unit of the certified gap's floor, four machine epsilons: the
+# floor is this times the magnitudes of the terms summed into the gap
+# (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).
+_ROUNDING = 4.0 * np.finfo(float).eps
 
 # Relative least-squares cutoff of ``_simplex_qp``: the accuracy of difference
 # curvature (the default ``NonsmoothPart.prox_jvp``).  Exact curvature took the
@@ -65,12 +66,12 @@ class SubproblemError(RuntimeError):
 class SubproblemConfig:
     """Inner-solver knobs.
 
-    ``tol`` is a relative dual-gap tolerance: a solution is accepted once
-    ``primal - dual <= tol * (1 + |primal|)``.  ``max_inner_iter`` caps
-    the dual evaluations of one solve.
+    ``tol`` is a relative dual-gap tolerance for a solve that ends above the
+    gap's rounding floor: it is accepted when ``primal - dual <= tol * (1 +
+    |primal|)``.  ``max_inner_iter`` caps the dual evaluations of one solve.
     """
 
-    tol: float = 1e-10
+    tol: float = 1e-12
     max_inner_iter: int = 10_000
 
     def __post_init__(self) -> None:
@@ -251,8 +252,9 @@ def _simplex_qp(c: Array, Q: Array, w: Array) -> Array:
 
 def _solve_dual(model: _Model, cfg: SubproblemConfig,
                 warm: Optional[Array]) -> SubproblemSolution:
-    """Newton ascent on the concave, piecewise quadratic dual, to a
-    certified gap or a :class:`SubproblemError`.
+    """Newton ascent on the concave, piecewise quadratic dual from the simplex
+    weights ``warm`` (uniform when ``None``), to a certified gap or a
+    :class:`SubproblemError`.
 
     The dual supergradient at ``lam`` is the vector ``b`` of inner linear
     terms (envelope theorem), and its Jacobian ``G dz/dlam`` is the
@@ -260,26 +262,29 @@ def _solve_dual(model: _Model, cfg: SubproblemConfig,
     derivative: exact for the zero and l1 terms, where one or a few rounds
     end the solve, and forward differences for other parts.  Each round
     maximizes the resulting quadratic model over the simplex exactly, at the
-    last point evaluated whether or not it improved anything.  Two rounds in
-    a row that neither raise the dual nor lower the best certified gap end
-    the solve once that gap is within ``cfg.tol``; short of it, where ``L``
-    far below the curvature makes the model jump between the dual's pieces,
-    they halve the step of the last improving round, down to a thousandth.
-    A non-finite gap or curvature, the evaluation budget and a relative gap
-    of ``cfg.tol * _GAP_MARGIN`` also stop the solve.  The solution is built
-    from the best-certified weights; a relative gap there above ``cfg.tol``
-    raises.
+    last point evaluated whether or not it improved anything.  The solve
+    ends once the best gap is within its rounding floor, ``_ROUNDING`` times
+    the size ``3 ||G|| (||y|| + ||G|| / L) + max |f(y) - F(x)|`` of the terms
+    of ``b`` (``||G||^2 / L`` bounds the cancellation in ``G^T lam``).  Two
+    rounds in a row that neither raise the dual nor lower the best gap halve
+    the step of the last improving round, down to a thousandth; a non-finite
+    gap or curvature and the evaluation budget also end the solve.  The
+    solution is built from the best-certified weights; a gap there above
+    both the floor and ``cfg.tol * (1 + |primal|)`` raises.
     """
     m = model.grads.shape[0]
-    stop = cfg.tol * _GAP_MARGIN  # solve past the advertised relative gap
+    # np.vdot: np.linalg.norm is several times slower at small n, math.hypot at large n.
+    gg = math.sqrt(np.vdot(model.grads, model.grads))
+    floor = _ROUNDING * (3.0 * gg * (math.sqrt(np.vdot(model.y, model.y)) + gg / model.L)
+                         + max(map(abs, model.offsets.tolist())))
     evals = 0
 
     def measure(w: Array) -> tuple[float, float, tuple]:
-        """Dual value, relative gap, and the point ``(w, b, z, primal, gap, v)``."""
+        """Dual value, certified gap, and the point ``(w, b, z, primal, gap, v)``."""
         nonlocal evals
         evals += 1
         dual, primal, gap, z, linear, v = model.evaluate(w)
-        return dual, gap / (1.0 + abs(primal)), (w, linear, z, primal, gap, v)
+        return dual, gap, (w, linear, z, primal, gap, v)
 
     def newton(point: tuple) -> Optional[Array]:
         """Maximizer over the simplex of the quadratic model at ``point``."""
@@ -290,32 +295,31 @@ def _solve_dual(model: _Model, cfg: SubproblemConfig,
         curv = -0.5 * (jac + jac.T)
         return _simplex_qp(b + curv @ w, curv, w)
 
-    top_q, rel, point = measure(project_simplex(warm) if warm is not None
-                                else np.full(m, 1.0 / m))
-    best, stale, alpha = (point, rel), 0, 1.0
-    while stop < best[1] < math.inf and evals < cfg.max_inner_iter:
+    top_q, gap, point = measure(warm if warm is not None else np.full(m, 1.0 / m))
+    best, stale, alpha = (point, gap), 0, 1.0
+    while floor < best[1] < math.inf and evals < cfg.max_inner_iter:
         if stale < 2:
             target = newton(point)
             if not stale:
                 lam, aim = point[0], target
-        elif best[1] > cfg.tol and alpha > 1e-3:
-            # Idle rounds short of the tolerance: halve the last improving step.
+        elif alpha > 1e-3:
+            # Idle rounds: halve the last improving step.
             alpha *= 0.5
             target = (1.0 - alpha) * lam + alpha * aim
         else:
             break
         if target is None:
             break
-        q, rel, point = measure(target)
-        stale, alpha = (0, 1.0) if q > top_q or rel < best[1] else (stale + 1, alpha)
+        q, gap, point = measure(target)
+        stale, alpha = (0, 1.0) if q > top_q or gap < best[1] else (stale + 1, alpha)
         top_q = max(top_q, q)
-        if rel < best[1]:
-            best = (point, rel)
+        if gap < best[1]:
+            best = (point, gap)
     weights, linear, z, primal, gap, _ = best[0]
-    if gap > cfg.tol * (1.0 + abs(primal)):
+    if gap > max(floor, cfg.tol * (1.0 + abs(primal))):
         raise SubproblemError(f"dual gap {gap:.3e} above tolerance", z=z, gap=gap)
     top = float(linear.max())
-    active = (linear >= top - 1e-7 * (1.0 + abs(top))).nonzero()[0]
+    active = (linear >= top - floor).nonzero()[0]
     return SubproblemSolution(z, primal, weights, tuple(active.tolist()), gap)
 
 
@@ -324,10 +328,11 @@ def solve_subproblem(x: Array, y: Array, L: float, p: ProblemInstance,
                      warm_weights: Optional[Array] = None) -> SubproblemSolution:
     """Solve one worst-case prox-linear step to a certified dual gap.
 
-    ``warm_weights``, when given, seed the dual solve; the solver itself
-    keeps no state between calls.
+    ``warm_weights``, when given, are projected onto the simplex and seed
+    the dual solve; the solver itself keeps no state between calls.
     """
-    return _solve_dual(_model_at(x, y, L, p), cfg or SubproblemConfig(), warm_weights)
+    warm = project_simplex(warm_weights) if warm_weights is not None else None
+    return _solve_dual(_model_at(x, y, L, p), cfg or SubproblemConfig(), warm)
 
 
 def weak_pareto_residual(x: Array, y: Array, L: float, p: ProblemInstance,
