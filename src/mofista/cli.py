@@ -14,7 +14,7 @@ import csv
 import sys
 import time
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -43,11 +43,11 @@ class BenchConfig:
     runs: int = 200
     seed: int = 0
     solvers: tuple[str, ...] = ("backtracking",)
-    L_init: float = 1.0
-    beta: float = 2.0
-    sigma: float = 2.0
-    eps: float = 1e-3
-    max_iter: int = 1000
+    L_init: float = SolverConfig.L_init
+    beta: float = SolverConfig.beta
+    sigma: float = SolverConfig.sigma
+    eps: float = SolverConfig.eps
+    max_iter: int = SolverConfig.max_iter
     out_dir: Union[str, Path] = Path("bench_out")
     fixed_L: Optional[float] = None
     fixed_L_scale: float = 1.0
@@ -58,6 +58,8 @@ class BenchConfig:
         object.__setattr__(self, "out_dir", Path(self.out_dir))
         if self.runs < 1:
             raise ConfigError("runs must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if not self.problems:
             raise ConfigError("at least one problem required")
         if not self.solvers:
@@ -128,7 +130,10 @@ def _single_run(p: ProblemInstance, cfg: SolverConfig, x0: Array,
                 problem: str, solver: str, run_id: int) -> RunRow:
     tick = time.perf_counter()
     try:
-        res = run_solver(p, x0, cfg)
+        # A diverging run ends as an error row that records why; numpy's
+        # overflow warnings on the way there would only repeat it on stderr.
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = run_solver(p, x0, cfg)
     except (BacktrackingError, EvaluationError) as exc:
         wall = (time.perf_counter() - tick) * 1e3
         return RunRow(problem=problem, solver=solver, run_id=run_id,
@@ -149,7 +154,13 @@ def _single_run(p: ProblemInstance, cfg: SolverConfig, x0: Array,
     )
 
 
-def _resolve_problems(bc: BenchConfig) -> list[tuple[ProblemInstance, ProblemDescriptor]]:
+_Resolved = list[tuple[ProblemInstance, ProblemDescriptor, dict[str, SolverConfig]]]
+
+
+def _resolve_problems(bc: BenchConfig) -> _Resolved:
+    """Each problem with the solver settings of every solver on it; raises
+    ConfigError for any setting that cannot run, before anything is solved."""
+    base = _base_solver_config(bc)
     names = available_problems() if "all" in bc.problems else list(bc.problems)
     out = []
     for name in names:
@@ -160,156 +171,136 @@ def _resolve_problems(bc: BenchConfig) -> list[tuple[ProblemInstance, ProblemDes
         if desc.m < 2:
             raise ConfigError(f"problem {name!r} has {desc.m} objective; "
                               "the benchmark's fronts need at least 2")
-        out.append((p, desc))
+        out.append((p, desc, {solver: replace(base, variant=_variant_for(solver, desc, bc))
+                              for solver in bc.solvers}))
     return out
 
 
 def run_benchmark(bc: BenchConfig) -> BenchReport:
     resolved = _resolve_problems(bc)
-    base = _base_solver_config(bc)
-
-    rows = []
-    for p, desc in resolved:
-        starts = sample_initial_points(desc, bc.runs,
-                                       (bc.seed, zlib.crc32(desc.name.encode())))
-        for solver in bc.solvers:
-            cfg = replace(base, variant=_variant_for(solver, desc, bc))
-            for run_id in range(bc.runs):
-                rows.append(_single_run(p, cfg, starts[run_id], desc.name, solver, run_id))
-
     out_dir = Path(bc.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+
+    groups: dict[tuple[str, str], list[RunRow]] = {}
+    for p, desc, cfgs in resolved:
+        starts = sample_initial_points(desc, bc.runs,
+                                       (bc.seed, zlib.crc32(desc.name.encode())))
+        for solver, cfg in cfgs.items():
+            groups[desc.name, solver] = [
+                _single_run(p, cfg, starts[run_id], desc.name, solver, run_id)
+                for run_id in range(bc.runs)]
+    rows = [r for group in groups.values() for r in group]
     _write_results(out_dir / "results.csv", rows, resolved)
 
     aggregates = []
-    for _, desc in resolved:
+    for _, desc, _ in resolved:
         fronts = {}
         for solver in bc.solvers:
-            sub = [r for r in rows if r.problem == desc.name and r.solver == solver
-                   and np.all(np.isfinite(r.objectives))]
-            if sub:
-                fronts[solver] = nondominated_filter(
-                    np.vstack([r.objectives for r in sub]),
-                    np.vstack([r.x for r in sub]))
-            else:
-                fronts[solver] = Front(objectives=np.empty((0, desc.m)))
+            sub = [r for r in groups[desc.name, solver] if np.all(np.isfinite(r.objectives))]
+            fronts[solver] = nondominated_filter(
+                np.vstack([r.objectives for r in sub]), np.vstack([r.x for r in sub])
+            ) if sub else Front(objectives=np.empty((0, desc.m)))
         front_list = list(fronts.values())
         for solver in bc.solvers:
-            sub = [r for r in rows if r.problem == desc.name and r.solver == solver]
+            group = groups[desc.name, solver]
             aggregates.append((
                 desc.name, solver,
-                float(np.mean([r.iterations for r in sub])),
-                float(np.mean([r.wall_ms for r in sub])),
+                float(np.mean([r.iterations for r in group])),
+                float(np.mean([r.wall_ms for r in group])),
                 purity(fronts[solver], front_list),
             ))
         _write_fronts(out_dir / f"fronts_{desc.name}.csv", fronts, desc)
-        merged_obj = [f.objectives for f in front_list if len(f) > 0]
-        merged = nondominated_filter(np.vstack(merged_obj)) if merged_obj \
-            else Front(objectives=np.empty((0, desc.m)))
+        merged = nondominated_filter(np.vstack([f.objectives for f in front_list]))
         axes = (0, 1) if desc.m == 2 else (0, 1, 2)
         emit_svg_scatter(merged, axes, out_dir / f"front_{desc.name}.svg")
 
     _write_aggregates(out_dir / "aggregates.csv", aggregates)
-    _write_profiles(out_dir / "profiles.csv", rows, bc, resolved)
+    _write_profiles(out_dir / "profiles.csv", groups, bc, resolved)
 
     failed = sum(1 for r in rows if r.status != Status.CONVERGED.value)
     return BenchReport(rows=tuple(rows), aggregates=tuple(aggregates),
                        out_dir=out_dir, failed=failed)
 
 
-def _write_results(path: Path, rows: Sequence[RunRow],
-                   resolved: Sequence[tuple[ProblemInstance, ProblemDescriptor]]) -> None:
-    max_m = max(desc.m for _, desc in resolved)
-    max_n = max(desc.n for _, desc in resolved)
+def _write_csv(path: Path, header: Sequence[str], rows) -> None:
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _fmts(values, width: int = 0) -> list[str]:
+    """Formatted values, padded with empty cells to ``width``."""
+    return [_fmt(v) for v in values] + [""] * (width - len(values))
+
+
+def _write_results(path: Path, rows: Sequence[RunRow], resolved: _Resolved) -> None:
+    max_m = max(desc.m for _, desc, _ in resolved)
+    max_n = max(desc.n for _, desc, _ in resolved)
     header = (["problem", "solver", "run_id", "status", "iterations",
                "backtracks_total", "wall_ms", "final_residual", "reason"]
               + [f"F_{i + 1}" for i in range(max_m)]
               + [f"x_{i + 1}" for i in range(max_n)])
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for r in rows:
-            pad_f = [""] * (max_m - len(r.objectives))
-            pad_x = [""] * (max_n - len(r.x))
-            w.writerow([r.problem, r.solver, r.run_id, r.status, r.iterations,
-                        r.backtracks_total, _fmt(r.wall_ms), _fmt(r.final_residual),
-                        r.reason]
-                       + [_fmt(v) for v in r.objectives] + pad_f
-                       + [_fmt(v) for v in r.x] + pad_x)
+    _write_csv(path, header, (
+        [r.problem, r.solver, r.run_id, r.status, r.iterations, r.backtracks_total,
+         _fmt(r.wall_ms), _fmt(r.final_residual), r.reason]
+        + _fmts(r.objectives, max_m) + _fmts(r.x, max_n) for r in rows))
 
 
 def _write_fronts(path: Path, fronts: dict[str, Front], desc: ProblemDescriptor) -> None:
     header = (["solver"] + [f"F_{i + 1}" for i in range(desc.m)]
               + [f"x_{i + 1}" for i in range(desc.n)])
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for solver, front in fronts.items():
-            dec = front.decisions if front.decisions is not None \
-                else np.full((len(front), desc.n), np.nan)
-            for obj_row, x_row in zip(front.objectives, dec):
-                w.writerow([solver] + [_fmt(v) for v in obj_row]
-                           + [_fmt(v) for v in x_row])
+    _write_csv(path, header, (
+        [solver] + _fmts(front.objectives[i]) + _fmts(front.decisions[i])
+        for solver, front in fronts.items() for i in range(len(front))))
 
 
 def _write_aggregates(path: Path, aggregates) -> None:
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["problem", "solver", "mean_iter", "mean_ms", "purity"])
-        for problem, solver, mean_iter, mean_ms, pur in aggregates:
-            w.writerow([problem, solver, _fmt(mean_iter), _fmt(mean_ms), _fmt(pur)])
+    _write_csv(path, ["problem", "solver", "mean_iter", "mean_ms", "purity"],
+               ([problem, solver] + _fmts(values) for problem, solver, *values in aggregates))
 
 
-def _write_profiles(path: Path, rows: Sequence[RunRow], bc: BenchConfig,
-                    resolved: Sequence[tuple[ProblemInstance, ProblemDescriptor]]) -> None:
+def _write_profiles(path: Path, groups: dict[tuple[str, str], list[RunRow]],
+                    bc: BenchConfig, resolved: _Resolved) -> None:
     """Iteration-count profiles; each (problem, run) pair is one column."""
     solvers = list(bc.solvers)
-    by_key = {(r.problem, r.solver, r.run_id): r for r in rows}
-    costs = np.full((len(solvers), len(resolved) * bc.runs), np.nan)
-    for s, solver in enumerate(solvers):
-        col = 0
-        for _, desc in resolved:
-            for run_id in range(bc.runs):
-                r = by_key[(desc.name, solver, run_id)]
-                if r.status == Status.CONVERGED.value:
-                    costs[s, col] = float(r.iterations)
-                col += 1
+    costs = np.array([[r.iterations if r.status == Status.CONVERGED.value else np.nan
+                       for _, desc, _ in resolved for r in groups[desc.name, solver]]
+                      for solver in solvers], dtype=float)
     if not np.any(np.isfinite(costs)):
-        path.write_text("tau\n")
+        _write_csv(path, ["tau"], [])
         return
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         prof = performance_profile(costs, solvers)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["tau"] + solvers)
-        for t, tau in enumerate(prof.taus):
-            w.writerow([_fmt(tau)] + [_fmt(prof.fractions[s, t])
-                                      for s in range(len(solvers))])
+    _write_csv(path, ["tau"] + solvers,
+               ([_fmt(tau)] + _fmts(prof.fractions[:, t]) for t, tau in enumerate(prof.taus)))
 
 
 _CSV_LIST = lambda s: tuple(part.strip() for part in s.split(",") if part.strip())
 
-_FLAG_TYPES = {
-    "problems": _CSV_LIST,
-    "solvers": _CSV_LIST,
-    "runs": int,
-    "seed": int,
-    "max_iter": int,
-    "l0": float,
-    "beta": float,
-    "sigma": float,
-    "eps": float,
-    "fixed_l": float,
-    "fixed_l_scale": float,
-    "out": str,
+# The one declaration of every setting: flag (also its config-file key) ->
+# (BenchConfig field, type, help).  Defaults live on BenchConfig alone.
+_SETTINGS = {
+    "problems": ("problems", _CSV_LIST, "comma-separated problem names, or 'all'"),
+    "runs": ("runs", int, "runs per problem"),
+    "seed": ("seed", int, "base RNG seed"),
+    "solvers": ("solvers", _CSV_LIST, f"comma-separated subset of {','.join(SOLVER_NAMES)}"),
+    "l0": ("L_init", float, "initial curvature estimate"),
+    "beta": ("beta", float, "backtracking inflation factor"),
+    "sigma": ("sigma", float, "largest per-iteration deflation factor"),
+    "eps": ("eps", float, "stopping residual"),
+    "max_iter": ("max_iter", int, "iteration cap per run"),
+    "out": ("out_dir", str, "output directory"),
+    "fixed_l": ("fixed_L", float, "step constant for fixed/pgm; overrides --fixed-l-scale"),
+    "fixed_l_scale": ("fixed_L_scale", float, "multiple of the known constant used by fixed/pgm"),
 }
 
 
 def _parse_config_file(path: str) -> dict:
     """key=value lines; '#' comments; keys match the CLI flags."""
-    defaults = {}
+    values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -318,55 +309,35 @@ def _parse_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.lower().replace("-", "_")
-        if key not in _FLAG_TYPES:
+        if key not in _SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown option {key!r}")
         try:
-            defaults[key] = _FLAG_TYPES[key](value)
+            values[key] = _SETTINGS[key][1](value)
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from None
-    return defaults
+    return values
 
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
-        prog="mofista-bench",
+        prog="mofista-bench", argument_default=argparse.SUPPRESS,
         description="Benchmark the accelerated multiobjective proximal solvers.")
-    ap.add_argument("--problems", type=_CSV_LIST, default=("all",),
-                    help="comma-separated problem names, or 'all' (default)")
-    ap.add_argument("--runs", type=int, default=200, help="runs per problem (default 200)")
-    ap.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
-    ap.add_argument("--solvers", type=_CSV_LIST, default=("backtracking",),
-                    help=f"comma-separated subset of {','.join(SOLVER_NAMES)}")
-    ap.add_argument("--l0", type=float, default=1.0, help="initial curvature estimate")
-    ap.add_argument("--beta", type=float, default=2.0, help="backtracking inflation factor")
-    ap.add_argument("--sigma", type=float, default=2.0, help="largest per-iteration deflation factor")
-    ap.add_argument("--eps", type=float, default=1e-3, help="stopping residual")
-    ap.add_argument("--max-iter", type=int, default=1000, help="iteration cap per run")
-    ap.add_argument("--out", type=str, default="bench_out", help="output directory")
-    ap.add_argument("--fixed-l", type=float, default=None, dest="fixed_l",
-                    help="step constant for the fixed/pgm solvers (overrides scaling)")
-    ap.add_argument("--fixed-l-scale", type=float, default=1.0, dest="fixed_l_scale",
-                    help="multiple of the known constant used by fixed/pgm (default 1)")
-    ap.add_argument("--config", type=str, default=None,
-                    help="key=value file supplying defaults for any flag")
+    defaults = {f.name: f.default for f in fields(BenchConfig)}
+    for key, (name, kind, text) in _SETTINGS.items():
+        default = defaults[name]
+        shown = ",".join(default) if isinstance(default, tuple) else default
+        ap.add_argument("--" + key.replace("_", "-"), dest=key, type=kind,
+                        help=f"{text} (default {shown})")
+    ap.add_argument("--config", help="key=value file supplying defaults for any flag")
     return ap
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config", type=str, default=None)
-    known, _ = pre.parse_known_args(argv)
-    parser = _build_parser()
+    flags = vars(_build_parser().parse_args(argv))
     try:
-        if known.config is not None:
-            parser.set_defaults(**_parse_config_file(known.config))
-        ns = parser.parse_args(argv)
-        bc = BenchConfig(
-            problems=ns.problems, runs=ns.runs, seed=ns.seed, solvers=ns.solvers,
-            L_init=ns.l0, beta=ns.beta, sigma=ns.sigma, eps=ns.eps,
-            max_iter=ns.max_iter, out_dir=ns.out, fixed_L=ns.fixed_l,
-            fixed_L_scale=ns.fixed_l_scale)
-        report = run_benchmark(bc)
+        values = _parse_config_file(flags.pop("config")) if "config" in flags else {}
+        values.update(flags)
+        report = run_benchmark(BenchConfig(**{_SETTINGS[k][0]: v for k, v in values.items()}))
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

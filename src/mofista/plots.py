@@ -36,11 +36,16 @@ def _panel(points: np.ndarray, labels: tuple[str, str], x_off: int) -> list[str]
     x0, x1 = x_off + _MARGIN, x_off + _PANEL_W - _MARGIN // 3
     y0, y1 = _PANEL_H - _MARGIN, _MARGIN // 3
 
+    def frac(v: float, axis: int) -> float:
+        # Beyond about 1e16 the 0.5 pad of a one-value axis is lost to
+        # rounding, so the span stays 0: put that value in the middle.
+        return (v - lo[axis]) / span[axis] if span[axis] > 0.0 else 0.5
+
     def sx(v: float) -> float:
-        return x0 + (v - lo[0]) / span[0] * (x1 - x0)
+        return x0 + frac(v, 0) * (x1 - x0)
 
     def sy(v: float) -> float:
-        return y0 + (v - lo[1]) / span[1] * (y1 - y0)
+        return y0 + frac(v, 1) * (y1 - y0)
 
     parts = [
         f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" height="{y0 - y1}" '

@@ -2,18 +2,25 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mofista
 from mofista import (
     BenchConfig,
+    BenchReport,
     ConfigError,
     Front,
     nondominated_filter,
     run_benchmark,
 )
-from mofista import suite
+from mofista import cli, suite
 from mofista.cli import main
 from mofista.plots import emit_svg_scatter
 from mofista.suite import load_problem_file
@@ -31,6 +38,8 @@ def _read_csv(path):
 def test_bench_config_rejects_bad_values():
     with pytest.raises(ConfigError):
         BenchConfig(runs=0)
+    with pytest.raises(ConfigError):
+        BenchConfig(seed=-1)
     with pytest.raises(ConfigError):
         BenchConfig(solvers=())
     with pytest.raises(ConfigError):
@@ -114,8 +123,11 @@ def test_diverging_fixed_step_gives_error_rows(tmp_path):
     # overflow; the runs must end as rows, not crash the benchmark.
     bc = BenchConfig(problems=("VFM1",), runs=3, solvers=("fixed",), fixed_L=1e-3,
                      out_dir=tmp_path)
-    with np.errstate(over="ignore", invalid="ignore"):
+    # The rows record the divergence; numpy must not also warn about it.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         report = run_benchmark(bc)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert report.failed == len(report.rows) == 3
     assert "error" in {r.status for r in report.rows}
     # Error rows say why, in the report and in results.csv; others say nothing.
@@ -163,6 +175,16 @@ def test_svg_empty_front_annotated(tmp_path):
     assert "<circle" not in text
 
 
+def test_svg_far_single_value_axis_is_centred(tmp_path):
+    # A one-value axis is padded by 0.5, which rounding loses at 1e18.
+    front = Front(objectives=np.array([[1e18, 3.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        text = emit_svg_scatter(front, (0, 1), tmp_path / "far.svg").read_text()
+    assert "nan" not in text
+    assert '<circle cx="196.00" cy="134.00"' in text
+
+
 def test_svg_rejects_bad_axes(tmp_path):
     front = Front(objectives=np.array([[0.0, 1.0]]))
     with pytest.raises(ValueError):
@@ -191,7 +213,7 @@ def test_main_unknown_problem(tmp_path, capsys):
 
 
 def test_main_bad_solver_parameter(tmp_path, capsys):
-    for flag, value in (("--beta", "0.5"), ("--sigma", "inf")):
+    for flag, value in (("--beta", "0.5"), ("--sigma", "inf"), ("--seed", "-1")):
         code = main(["--problems", "BK1", "--runs", "1", flag, value,
                      "--out", str(tmp_path)])
         assert code == 2
@@ -222,6 +244,25 @@ def test_main_fixed_needs_constant(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 2
     assert "fixed-l" in capsys.readouterr().err
+
+
+def test_bad_settings_fail_before_the_first_solve(tmp_path, monkeypatch, capsys):
+    def no_solve(*args):
+        raise AssertionError("solved before the configuration was checked")
+
+    monkeypatch.setattr(cli, "run_solver", no_solve)
+    # SP1_l1 has a known constant to scale, FF1 does not: the missing
+    # --fixed-l must be found before SP1_l1's runs and before any output.
+    out = tmp_path / "out"
+    assert main(["--problems", "SP1_l1,FF1", "--solvers", "fixed", "--runs", "100",
+                 "--out", str(out)]) == 2
+    assert "fixed-l" in capsys.readouterr().err
+    assert not out.exists()
+
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    assert main(["--problems", "BK1", "--runs", "2", "--out", str(taken)]) == 2
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_main_reports_nonconverged(tmp_path, capsys):
@@ -264,3 +305,54 @@ def test_config_file_errors(tmp_path, capsys):
     assert main(["--config", str(bad_line)]) == 2
 
     assert main(["--config", str(tmp_path / "missing.cfg")]) == 2
+
+
+# Two non-default values per flag (also the config-file key): the text given
+# and the value BenchConfig must hold.
+_SETTING_SAMPLES = {
+    "problems": [("BK1", ("BK1",)), ("SP1, JOS1", ("SP1", "JOS1"))],
+    "runs": [("3", 3), ("4", 4)],
+    "seed": [("5", 5), ("6", 6)],
+    "solvers": [("fixed", ("fixed",)), ("pgm,backtracking", ("pgm", "backtracking"))],
+    "l0": [("0.5", 0.5), ("3", 3.0)],
+    "beta": [("1.5", 1.5), ("4", 4.0)],
+    "sigma": [("1.25", 1.25), ("8", 8.0)],
+    "eps": [("1e-4", 1e-4), ("1e-5", 1e-5)],
+    "max_iter": [("7", 7), ("9", 9)],
+    "out": [("from_file", Path("from_file")), ("from_flag", Path("from_flag"))],
+    "fixed_l": [("0.3", 0.3), ("2", 2.0)],
+    "fixed_l_scale": [("10", 10.0), ("0.5", 0.5)],
+}
+
+
+@pytest.mark.parametrize("key", list(cli._SETTINGS))
+def test_each_setting_reaches_its_field(key, tmp_path, monkeypatch):
+    seen = []
+
+    def capture(bc):
+        seen.append(bc)
+        return BenchReport(rows=(), aggregates=(), out_dir=bc.out_dir, failed=0)
+
+    monkeypatch.setattr(cli, "run_benchmark", capture)
+    field = cli._SETTINGS[key][0]
+    (file_text, file_value), (flag_text, flag_value) = _SETTING_SAMPLES[key]
+    flag = ["--" + key.replace("_", "-"), flag_text]
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(f"{key} = {file_text}\n")
+
+    assert main(flag) == 0
+    assert main(["--config", str(cfg)]) == 0
+    assert main(["--config", str(cfg)] + flag) == 0
+    assert seen == [BenchConfig(**{field: flag_value}), BenchConfig(**{field: file_value}),
+                    BenchConfig(**{field: flag_value})]
+
+
+def test_module_entry_point_help_lists_every_flag():
+    src = str(Path(mofista.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "mofista", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    for key in list(cli._SETTINGS) + ["config"]:
+        assert "--" + key.replace("_", "-") + " " in done.stdout
