@@ -15,9 +15,9 @@ from .solver import (Backtracking, BacktrackingError, FixedStep, IterationRecord
                      Variant, accepted_L_bound_check, run_solver)
 from .suite import (ProblemDescriptor, available_problems, builtin_problem,
                     load_problem_file, pareto_segment, sample_initial_points)
-from .diagnostics import (LyapunovSample, ReferenceSet, gap_step_bounds_check,
-                          level_set_reference, lyapunov_monotone_check,
-                          lyapunov_samples, merit_lower_bound, rate_bound_check)
+from .diagnostics import (ReferenceSet, gap_step_bounds_check, level_set_reference,
+                          lyapunov_energies, lyapunov_monotone_check,
+                          rate_bound_check)
 from .metrics import (Front, PerformanceProfile, nondominated_filter,
                       performance_profile, purity)
 from .cli import BenchConfig, BenchReport, ConfigError, run_benchmark
@@ -35,9 +35,8 @@ __all__ = [
     "Variant", "accepted_L_bound_check", "run_solver",
     "ProblemDescriptor", "available_problems", "builtin_problem",
     "load_problem_file", "pareto_segment", "sample_initial_points",
-    "LyapunovSample", "ReferenceSet", "gap_step_bounds_check",
-    "level_set_reference", "lyapunov_monotone_check", "lyapunov_samples",
-    "merit_lower_bound", "rate_bound_check",
+    "ReferenceSet", "gap_step_bounds_check", "level_set_reference",
+    "lyapunov_energies", "lyapunov_monotone_check", "rate_bound_check",
     "Front", "PerformanceProfile", "nondominated_filter", "performance_profile",
     "purity",
     "BenchConfig", "BenchReport", "ConfigError", "run_benchmark",

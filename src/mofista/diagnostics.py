@@ -1,10 +1,11 @@
 """Runtime verification of the solver's proved descent and rate relations.
 
 Every check here replays a recorded :class:`~mofista.solver.RunTrace`
-against a *reference point* ``z`` (or a set of them) and tests an
-inequality that holds mathematically for convex instances.  The central
-quantities, for iterate ``x_k`` with momentum parameter ``t_{k-1}`` and
-accepted curvature estimate ``L_{k-1}``, are
+against a :class:`ReferenceSet` of points ``z`` and tests an inequality
+that holds mathematically for convex instances, returning true only if it
+holds at every point of the set.  The central quantities, for iterate
+``x_k`` with momentum parameter ``t_{k-1}`` and accepted curvature
+estimate ``L_{k-1}``, are
 
 .. math::
 
@@ -39,13 +40,9 @@ from .suite import ProblemDescriptor
 
 __all__ = [
     "ReferenceSet",
-    "LyapunovSample",
-    "objective_gap_min",
-    "momentum_offset",
-    "lyapunov_samples",
+    "lyapunov_energies",
     "lyapunov_monotone_check",
     "gap_step_bounds_check",
-    "merit_lower_bound",
     "rate_bound_check",
     "level_set_reference",
 ]
@@ -70,68 +67,53 @@ class ReferenceSet:
         object.__setattr__(self, "points", points)
 
 
-@dataclass(frozen=True)
-class LyapunovSample:
-    """Energy terms at one accepted iteration, for a fixed z."""
-
-    k: int
-    sigma_k: float
-    rho_k: Array
-    energy: float
+def _gaps(trace: RunTrace, p: ProblemInstance, Z: ReferenceSet) -> Array:
+    """``(K+1, N)`` matrix of ``sigma_k(z)``: row k is iterate ``x_k``
+    (row 0 the start), column j the point ``Z.points[j]``."""
+    F_z = np.vstack([evaluate_objectives(p, z) for z in Z.points])
+    return np.vstack([np.min(F - F_z, axis=1) for F in trace.objective_rows()])
 
 
-def objective_gap_min(F_x: Array, F_z: Array) -> float:
-    """Worst-component objective gap ``min_i [F_i(x) - F_i(z)]``."""
-    F_x = np.asarray(F_x, dtype=float)
-    F_z = np.asarray(F_z, dtype=float)
-    if F_x.shape != F_z.shape:
-        raise ValueError("objective vectors must have equal length")
-    return float(np.min(F_x - F_z))
+def _sq_dists(trace: RunTrace, Z: ReferenceSet) -> Array:
+    """``||x_0 - z||^2`` for each point of the set."""
+    diffs = Z.points - trace.x0
+    return np.sum(diffs * diffs, axis=1)
 
 
-def momentum_offset(x_k: Array, x_prev: Array, t_prev: float, z: Array) -> Array:
-    """The extrapolated residual ``t x_k - (t - 1) x_{k-1} - z``."""
-    return t_prev * np.asarray(x_k, float) - (t_prev - 1.0) * np.asarray(x_prev, float) - z
-
-
-def lyapunov_samples(trace: RunTrace, p: ProblemInstance, z: Array,
-                     ) -> tuple[LyapunovSample, ...]:
-    """Energy sequence of a trace relative to one reference point."""
-    z = np.asarray(z, dtype=float)
-    F_z = evaluate_objectives(p, z)
+def lyapunov_energies(trace: RunTrace, p: ProblemInstance, Z: ReferenceSet) -> Array:
+    """``(K, N)`` energies: row ``k - 1`` is ``E_k`` at every point of Z."""
+    sigma = _gaps(trace, p, Z)
     xs = trace.iterates()          # row j is x_j, row 0 is x0
-    Fs = trace.objective_rows()
-    out = []
+    energies = np.empty((len(trace.records), len(Z.points)))
     for j, rec in enumerate(trace.records, start=1):
-        sigma = objective_gap_min(Fs[j], F_z)
-        rho = momentum_offset(xs[j], xs[j - 1], rec.t, z)
-        energy = 2.0 * rec.t ** 2 * sigma / rec.L + float(rho @ rho)
-        out.append(LyapunovSample(k=j, sigma_k=sigma, rho_k=rho, energy=energy))
-    return tuple(out)
+        rho = rec.t * xs[j] - (rec.t - 1.0) * xs[j - 1] - Z.points
+        energies[j - 1] = (2.0 * rec.t ** 2 * sigma[j] / rec.L
+                           + np.sum(rho * rho, axis=1))
+    return energies
 
 
-def lyapunov_monotone_check(trace: RunTrace, p: ProblemInstance, z: Array) -> bool:
-    """True iff the energy starts below ``||x0 - z||^2`` and never increases.
+def lyapunov_monotone_check(trace: RunTrace, p: ProblemInstance,
+                            Z: ReferenceSet) -> bool:
+    """True iff at every z the energy starts below ``||x0 - z||^2`` and
+    never increases.
 
     The first-step bound is checked with absolute slack 1e-8; each
     successive comparison allows ``1e-6 * (1 + |E_k|)`` of float drift.
     """
-    samples = lyapunov_samples(trace, p, z)
-    if not samples:
-        return True
-    diff = np.asarray(z, dtype=float) - trace.x0
-    if samples[0].energy > float(diff @ diff) + _STEP_SLACK:
+    energies = lyapunov_energies(trace, p, Z)
+    # energies[:1] is the first row, or nothing for a trace without records
+    if np.any(energies[:1] > _sq_dists(trace, Z) + _STEP_SLACK):
         return False
-    energies = np.array([s.energy for s in samples])
     slack = _ENERGY_SLACK * (1.0 + np.abs(energies[:-1]))
     return bool(np.all(energies[1:] <= energies[:-1] + slack))
 
 
-def gap_step_bounds_check(trace: RunTrace, p: ProblemInstance, z: Array) -> bool:
+def gap_step_bounds_check(trace: RunTrace, p: ProblemInstance,
+                          Z: ReferenceSet) -> bool:
     """Verify the two one-step inequalities behind the energy decay.
 
     With ``u = y_k - x_{k+1}`` (the proximal displacement) every accepted
-    step of a convex instance satisfies
+    step of a convex instance satisfies, at every z,
 
     .. math::
 
@@ -145,36 +127,18 @@ def gap_step_bounds_check(trace: RunTrace, p: ProblemInstance, z: Array) -> bool
 
     each up to 1e-8 of accumulated rounding.
     """
-    z = np.asarray(z, dtype=float)
-    F_z = evaluate_objectives(p, z)
+    sigma = _gaps(trace, p, Z)
     xs = trace.iterates()
-    Fs = trace.objective_rows()
     for j, rec in enumerate(trace.records, start=1):
-        x_old, x_new, y, L = xs[j - 1], xs[j], rec.y, rec.L
-        sigma_old = objective_gap_min(Fs[j - 1], F_z)
-        sigma_new = objective_gap_min(Fs[j], F_z)
-        u = y - x_new
-        decay_rhs = -0.5 * L * (2.0 * float(u @ (y - x_old)) + float(u @ u))
-        if sigma_old - sigma_new < decay_rhs - _STEP_SLACK:
-            return False
-        gap_rhs = 0.5 * L * (2.0 * float(u @ (y - z)) - float(u @ u))
-        if sigma_new > gap_rhs + _STEP_SLACK:
+        y, L = rec.y, rec.L
+        u = y - xs[j]
+        uu = float(u @ u)
+        decay_rhs = -0.5 * L * (2.0 * float(u @ (y - xs[j - 1])) + uu)
+        gap_rhs = 0.5 * L * (2.0 * ((y - Z.points) @ u) - uu)
+        if (np.any(sigma[j - 1] - sigma[j] < decay_rhs - _STEP_SLACK)
+                or np.any(sigma[j] > gap_rhs + _STEP_SLACK)):
             return False
     return True
-
-
-def merit_lower_bound(p: ProblemInstance, x: Array, Z: ReferenceSet) -> float:
-    """Certified lower bound on the merit value at x.
-
-    The merit function is ``sup_z min_i [F_i(x) - F_i(z)]``; restricting the
-    sup to the reference set gives a lower bound that is zero iff no stored
-    point improves every objective.  Enlarging Z can only raise the bound.
-    """
-    F_x = evaluate_objectives(p, x)
-    best = -np.inf
-    for z in Z.points:
-        best = max(best, objective_gap_min(F_x, evaluate_objectives(p, z)))
-    return best
 
 
 def rate_bound_check(trace: RunTrace, p: ProblemInstance, cfg: SolverConfig,
@@ -193,27 +157,20 @@ def rate_bound_check(trace: RunTrace, p: ProblemInstance, cfg: SolverConfig,
     """
     if p.grad_lipschitz is None:
         raise ValueError("rate check needs the instance's gradient Lipschitz constant")
-    points = Z.points
-    diffs = points - trace.x0[None, :]
-    sq_dist = np.sum(diffs * diffs, axis=1)
-    F_z = np.vstack([evaluate_objectives(p, z) for z in points])
-    scale = 4.0 * cfg.beta * p.grad_lipschitz * sq_dist
-    for j, rec in enumerate(trace.records, start=1):
-        gaps = np.min(rec.objectives[None, :] - F_z, axis=1)
-        if not np.all(gaps <= scale / (j + 1.0) ** 2 + _STEP_SLACK):
-            return False
-    return True
+    sigma = _gaps(trace, p, Z)
+    scale = 4.0 * cfg.beta * p.grad_lipschitz * _sq_dists(trace, Z)
+    k = np.arange(1, len(sigma), dtype=float)[:, None]
+    return bool(np.all(sigma[1:] <= scale / (k + 1.0) ** 2 + _STEP_SLACK))
 
 
 def level_set_reference(p: ProblemInstance, desc: ProblemDescriptor, x0: Array,
-                        seed: int = 0, samples: int = 10_000,
-                        extra: Array | None = None) -> ReferenceSet:
+                        seed: int = 0, samples: int = 10_000) -> ReferenceSet:
     """Build a reference set inside the level set ``{z : F(z) <= F(x0)}``.
 
     For n <= 2 the descriptor's box is swept by a grid with pitch 1e-2 of
     the box width per axis; in higher dimension, up to ``samples`` uniform
-    draws are kept.  ``x0`` itself and any ``extra`` points (e.g. known
-    Pareto-optimal points) are always included, so the set is nonempty.
+    draws are kept.  ``x0`` itself is always the first row, so the set is
+    nonempty.
     """
     x0 = np.asarray(x0, dtype=float)
     lower = np.asarray(desc.lower, dtype=float)
@@ -228,10 +185,4 @@ def level_set_reference(p: ProblemInstance, desc: ProblemDescriptor, x0: Array,
     F_x0 = evaluate_objectives(p, x0)
     kept = [z for z in candidates
             if np.all(evaluate_objectives(p, z) <= F_x0 + 1e-12)]
-    kept = kept[:samples]
-    blocks = [x0[None, :]]
-    if kept:
-        blocks.append(np.vstack(kept))
-    if extra is not None and len(extra) > 0:
-        blocks.append(np.atleast_2d(np.asarray(extra, dtype=float)))
-    return ReferenceSet(np.vstack(blocks))
+    return ReferenceSet(np.vstack([x0] + kept[:samples]))

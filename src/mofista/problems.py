@@ -159,9 +159,11 @@ def evaluate_objectives(p: ProblemInstance, x: Array) -> Array:
     """Full objective vector ``F(x) = f(x) + g(x)``.
 
     Raises :class:`EvaluationError` if any component is non-finite, carrying
-    the offending point.
+    the offending point, and ``ValueError`` unless ``x`` has shape ``(n,)``.
     """
     x = np.asarray(x, dtype=float)
+    if x.shape != (p.n,):
+        raise ValueError(f"x has shape {x.shape}, expected {(p.n,)}")
     return _objectives_from(p, x, p.smooth(x))
 
 

@@ -1,4 +1,6 @@
-"""Trace diagnostics: energies, one-step bounds, merit bounds, references."""
+"""Trace diagnostics: energies, one-step bounds, rate bounds, references."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -15,34 +17,17 @@ from mofista import (
     builtin_problem,
     gap_step_bounds_check,
     level_set_reference,
+    lyapunov_energies,
     lyapunov_monotone_check,
-    lyapunov_samples,
-    merit_lower_bound,
     pareto_segment,
     rate_bound_check,
     run_solver,
     sample_initial_points,
 )
-from mofista.diagnostics import momentum_offset, objective_gap_min
 
 
 # ---------------------------------------------------------------------------
-# scalar building blocks
-
-
-def test_objective_gap_min_examples():
-    assert objective_gap_min([1.0, 2.0], [1.0, 2.0]) == 0.0
-    assert objective_gap_min([3.0, 5.0], [1.0, 9.0]) == -4.0
-    assert objective_gap_min([7.0], [7.5]) == -0.5
-    with pytest.raises(ValueError):
-        objective_gap_min([1.0, 2.0], [1.0])
-
-
-def test_momentum_offset_examples():
-    x, x_prev, z = np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.zeros(2)
-    assert np.allclose(momentum_offset(x, x_prev, 1.0, z), x - z)
-    assert np.allclose(momentum_offset(x, x_prev, 0.0, z), x_prev - z)
-    assert np.allclose(momentum_offset(x, x_prev, 2.0, z), [2.0, -1.0])
+# reference sets
 
 
 def test_reference_set_validation():
@@ -50,6 +35,20 @@ def test_reference_set_validation():
         ReferenceSet(points=np.empty((0, 2)))
     with pytest.raises(ValueError):
         ReferenceSet(points=np.array([[np.inf, 0.0]]))
+
+
+def test_checks_reject_reference_set_of_wrong_width():
+    # MHHM1 has n = 1; a 3-wide set is not a set of points of the problem.
+    p, desc = builtin_problem("MHHM1")
+    cfg = SolverConfig(eps=1e-6)
+    trace = run_solver(p, np.array([0.5]), cfg).trace
+    wide = ReferenceSet(np.array([[0.8, 0.85, 0.9]]))
+    for check in (lyapunov_monotone_check, gap_step_bounds_check,
+                  lambda tr, p, Z: rate_bound_check(tr, p, cfg, Z)):
+        with pytest.raises(ValueError, match="shape"):
+            check(trace, p, wide)
+    with pytest.raises(ValueError, match="shape"):
+        lyapunov_energies(trace, p, wide)
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +64,28 @@ def _half_square() -> ProblemInstance:
     )
 
 
+def _two_squares() -> ProblemInstance:
+    return ProblemInstance(
+        n=1, m=2,
+        smooth=lambda x: np.array([0.5 * float(x @ x),
+                                   0.5 * float((x - 2.0) @ (x - 2.0))]),
+        smooth_jac=lambda x: np.vstack([x, x - 2.0]),
+        grad_lipschitz=1.0,
+    )
+
+
+def _trace_through(p, xs, t=1.0, L=1.0) -> RunTrace:
+    """Hand-built trace through the 1-D iterates ``xs``: every step has the
+    same ``t`` and ``L`` and extrapolates to ``y_k = x_{k-1}``."""
+    pts = [np.array([v]) for v in xs]
+    records = tuple(
+        IterationRecord(k=k, L=L, backtracks=0, residual=0.0, t=t, y=pts[k - 1],
+                        x=pts[k], objectives=p.smooth(pts[k]), dual_gap=0.0,
+                        wall_ms=0.0)
+        for k in range(1, len(pts)))
+    return RunTrace(x0=pts[0], objectives0=p.smooth(pts[0]), records=records)
+
+
 def test_lyapunov_samples_match_hand_computation():
     p = _half_square()
     rec = IterationRecord(k=1, L=2.0, backtracks=0, residual=2.0, t=1.5,
@@ -72,21 +93,34 @@ def test_lyapunov_samples_match_hand_computation():
                           objectives=np.array([0.5]), dual_gap=0.0, wall_ms=0.0)
     trace = RunTrace(x0=np.array([3.0]), objectives0=np.array([4.5]),
                      records=(rec,))
-    (sample,) = lyapunov_samples(trace, p, np.array([0.0]))
-    # sigma = 0.5 - 0; rho = 1.5 * 1 - 0.5 * 3 - 0 = 0; E = 2 * 1.5^2 * 0.5 / 2
-    assert sample.k == 1
-    assert sample.sigma_k == pytest.approx(0.5, abs=1e-15)
-    assert np.allclose(sample.rho_k, [0.0])
-    assert sample.energy == pytest.approx(1.125, abs=1e-15)
+    energies = lyapunov_energies(trace, p, ReferenceSet([[0.0], [1.0]]))
+    # z = 0: sigma = 0.5 - 0; rho = 1.5 * 1 - 0.5 * 3 - 0 = 0; E = 2 * 1.5^2 * 0.5 / 2
+    # z = 1: sigma = 0.5 - 0.5 = 0; rho = 1.5 * 1 - 0.5 * 3 - 1 = -1; E = 1
+    assert energies.shape == (1, 2)
+    assert energies[0, 0] == pytest.approx(1.125, abs=1e-15)
+    assert energies[0, 1] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_sample_count_matches_records():
     p, desc = builtin_problem("JOS1")
     x0 = sample_initial_points(desc, 1, 3)[0]
     res = run_solver(p, x0, SolverConfig(eps=1e-6))
-    samples = lyapunov_samples(res.trace, p, np.zeros(2))
-    assert len(samples) == len(res.trace.records)
-    assert [s.k for s in samples] == list(range(1, len(samples) + 1))
+    Z = ReferenceSet([[0.0, 0.0], [1.0, 1.0]])
+    energies = lyapunov_energies(res.trace, p, Z)
+    assert energies.shape == (len(res.trace.records), 2)
+    # each column is the energy sequence of that point alone
+    alone = lyapunov_energies(res.trace, p, ReferenceSet([1.0, 1.0]))
+    np.testing.assert_array_equal(energies[:, 1:], alone)
+    # and matches the formula evaluated one record and one point at a time,
+    # up to rounding in the sums (64 ulps of the terms' magnitude)
+    xs = res.trace.iterates()
+    for j, rec in enumerate(res.trace.records, start=1):
+        for col, z in enumerate(Z.points):
+            sigma = float(np.min(rec.objectives - p.smooth(z)))
+            scaled_gap = 2.0 * rec.t ** 2 * sigma / rec.L
+            rho = rec.t * xs[j] - (rec.t - 1.0) * xs[j - 1] - z
+            tol = 64 * np.finfo(float).eps * (abs(scaled_gap) + float(rho @ rho))
+            assert abs(energies[j - 1, col] - (scaled_gap + float(rho @ rho))) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -103,18 +137,68 @@ def test_checks_hold_on_convex_runs(variant):
             x0 = sample_initial_points(desc, 1, seed)[0]
             res = run_solver(p, x0, cfg)
             refs = level_set_reference(p, desc, x0, seed=seed)
-            thin = refs.points[:: max(1, len(refs.points) // 25)]
-            for z in thin:
-                assert lyapunov_monotone_check(res.trace, p, z), (name, seed)
-                assert gap_step_bounds_check(res.trace, p, z), (name, seed)
+            thin = ReferenceSet(refs.points[:: max(1, len(refs.points) // 25)])
+            assert lyapunov_monotone_check(res.trace, p, thin), (name, seed)
+            assert gap_step_bounds_check(res.trace, p, thin), (name, seed)
+
+
+def _rate_check(trace, p, Z):
+    return rate_bound_check(trace, p, SolverConfig(), Z)
+
+
+# name: (check, problem, iterates, trace settings, points where every
+# inequality holds, the one point where the trace breaks an inequality by far
+# more than its slack)
+_BROKEN = {
+    # E_1(0) = 32 > ||x0 - 0||^2 = 9
+    "energy_start": (lyapunov_monotone_check, _half_square, [3.0, 4.0], {},
+                     [5.0, -7.0, 6.0], 0.0),
+    # E_1(0) = 0 < E_2(0) = 18
+    "energy_decay": (lyapunov_monotone_check, _half_square, [0.0, 0.0, 3.0], {},
+                     [4.0, 5.0, 6.0], 0.0),
+    # sigma_1(0) = 0.5 > L/2 [2<u, y - 0> - |u|^2] = 0.15
+    "step_gap": (gap_step_bounds_check, _half_square, [2.0, 1.0], {"L": 0.1},
+                 [-2.0, 2.0, 3.0], 0.0),
+    # sigma_0(2) - sigma_1(2) = -2 < -L/2 [2<u, y - x0> + |u|^2] = -1
+    "step_decay": (gap_step_bounds_check, _two_squares, [0.0, 2.0], {"L": 0.5},
+                   [0.0, 1.0, -2.0], 2.0),
+    # stuck at 3: sigma_5(0) = 4.5 > 4 beta L_f ||x0 - 0||^2 / 6^2 = 2
+    "rate": (_rate_check, _half_square, [3.0] * 6, {}, [3.0, 4.0, -4.0], 0.0),
+}
+
+
+@pytest.mark.parametrize("case", list(_BROKEN))
+def test_check_fails_at_the_one_point_that_breaks_it(case):
+    check, problem, xs, settings, good, bad = _BROKEN[case]
+    p = problem()
+    trace = _trace_through(p, xs, **settings)
+    assert check(trace, p, ReferenceSet([[z] for z in good]))
+    mixed = good[:2] + [bad] + good[2:]
+    assert not check(trace, p, ReferenceSet([[z] for z in mixed]))
+    assert not check(trace, p, ReferenceSet([bad]))
+
+
+def test_gap_step_check_flags_planted_objective_error():
+    p, desc = builtin_problem("JOS1")
+    x0 = sample_initial_points(desc, 1, 0)[0]
+    trace = run_solver(p, x0, SolverConfig(eps=1e-6)).trace
+    refs = level_set_reference(p, desc, x0)
+    thin = ReferenceSet(refs.points[:: max(1, len(refs.points) // 25)])
+    assert gap_step_bounds_check(trace, p, thin)
+    mid = len(trace.records) // 2
+    rec = trace.records[mid]
+    bumped = dataclasses.replace(rec, objectives=rec.objectives + 1e-3)
+    records = trace.records[:mid] + (bumped,) + trace.records[mid + 1:]
+    planted = dataclasses.replace(trace, records=records)
+    assert not gap_step_bounds_check(planted, p, thin)
 
 
 def test_checks_hold_with_start_as_reference():
     p, desc = builtin_problem("JOS1")
     x0 = np.array([4.0, -3.0])
     res = run_solver(p, x0, SolverConfig(eps=1e-6))
-    assert lyapunov_monotone_check(res.trace, p, x0)
-    assert gap_step_bounds_check(res.trace, p, x0)
+    assert lyapunov_monotone_check(res.trace, p, ReferenceSet(x0))
+    assert gap_step_bounds_check(res.trace, p, ReferenceSet(x0))
 
 
 def test_stationary_start_keeps_energy_at_zero():
@@ -122,50 +206,19 @@ def test_stationary_start_keeps_energy_at_zero():
     x0 = np.array([2.0, 2.0])  # on the Pareto segment
     res = run_solver(p, x0, SolverConfig(eps=1e-6, variant=FixedStep(desc.L_true)))
     assert res.status is Status.CONVERGED
-    samples = lyapunov_samples(res.trace, p, x0)
+    energies = lyapunov_energies(res.trace, p, ReferenceSet(x0))
     # steps are certified-gap-sized, so energies sit at ~1e-6, not at zero
-    assert all(abs(s.energy) <= 1e-5 for s in samples)
-    assert lyapunov_monotone_check(res.trace, p, x0)
+    assert np.all(np.abs(energies) <= 1e-5)
+    assert lyapunov_monotone_check(res.trace, p, ReferenceSet(x0))
 
 
 def test_lyapunov_single_objective_run():
     p = _half_square()
     res = run_solver(p, np.array([3.0]), SolverConfig(eps=1e-10, variant=FixedStep(1.0)))
-    z = np.array([0.0])
+    z = ReferenceSet([0.0])
     assert lyapunov_monotone_check(res.trace, p, z)
-    energies = [s.energy for s in lyapunov_samples(res.trace, p, z)]
-    assert energies[0] <= 9.0 + 1e-8
-
-
-# ---------------------------------------------------------------------------
-# merit lower bound
-
-
-def test_merit_lower_bound_zero_on_self():
-    p, _ = builtin_problem("VFM1")
-    x = np.array([0.3, -0.2])
-    assert merit_lower_bound(p, x, ReferenceSet(x[None, :])) == 0.0
-
-
-def test_merit_lower_bound_monotone_in_reference_set():
-    p, desc = builtin_problem("BK1")
-    x = np.array([1.0, -1.0])
-    seg = pareto_segment("BK1", 30)
-    small = ReferenceSet(seg[:5])
-    big = ReferenceSet(seg)
-    assert merit_lower_bound(p, x, small) <= merit_lower_bound(p, x, big) + 1e-15
-
-
-def test_merit_lower_bound_matches_grid_oracle():
-    p, _ = builtin_problem("BK1")
-    x = np.array([2.0, 2.0])
-    seg = pareto_segment("BK1", 101)
-    got = merit_lower_bound(p, x, ReferenceSet(seg))
-    F_x = p.smooth(x)
-    oracle = max(float(np.min(F_x - p.smooth(z))) for z in seg)
-    assert got == oracle
-    # x sits on the segment, so no reference point dominates it: the max is 0.
-    assert abs(oracle) <= 1e-12
+    energies = lyapunov_energies(res.trace, p, z)
+    assert energies[0, 0] <= 9.0 + 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +252,13 @@ def test_rate_bound_holds_on_accelerated_run():
 def test_level_set_reference_grid_path():
     p, desc = builtin_problem("JOS1")
     x0 = np.array([3.0, 3.0])
-    extra = np.array([[1.0, 1.0]])
-    refs = level_set_reference(p, desc, x0, extra=extra)
+    refs = level_set_reference(p, desc, x0)
     assert np.allclose(refs.points[0], x0)
-    assert any(np.allclose(z, extra[0]) for z in refs.points)
+    # the Pareto-optimal (1, 1) is a grid node inside the level set
+    assert any(np.allclose(z, [1.0, 1.0]) for z in refs.points)
     F_x0 = p.smooth(x0)
-    # every kept candidate (all rows except x0 and extra) is in the level set
-    for z in refs.points[1:-1]:
+    # every kept candidate (all rows except x0) is in the level set
+    for z in refs.points[1:]:
         assert np.all(p.smooth(z) <= F_x0 + 1e-9)
 
 

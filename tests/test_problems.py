@@ -144,6 +144,13 @@ def test_evaluate_shape_mismatch_raises():
         evaluate_objectives(p, np.zeros(1))
 
 
+def test_evaluate_wrong_length_point_raises():
+    p, _ = builtin_problem("BK1")
+    for x in ([1.0], np.zeros(3), np.zeros((1, 2))):
+        with pytest.raises(ValueError, match="shape"):
+            evaluate_objectives(p, x)
+
+
 def test_problem_dims_validated():
     with pytest.raises(ValueError):
         ProblemInstance(n=0, m=1, smooth=lambda x: x, smooth_jac=lambda x: x)
