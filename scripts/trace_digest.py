@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Print one digest line per solver run on the built-in problems.
 
-For every built-in problem, every variant (backtracking, fixed, pgm) and 12
-starts from ``sample_initial_points(desc, 12, 0)``, runs the solver with
-``eps=1e-6`` and ``max_iter=500``.  Each line holds the status, the iteration
+Without ``--problems`` the run also covers two quadratics with m = 3 and
+n = 4 that ``load_problem_file`` reads from a spec written to a temporary
+file, ``loaded`` without and ``loaded_l1`` with an l1 term.  For every
+problem, every variant (backtracking, fixed, pgm) and 12 starts from
+``sample_initial_points(desc, 12, 0)``, runs the solver with ``eps=1e-6``
+and ``max_iter=500``.  Each line holds the status, the iteration
 count and the sha256 of every record's ``L``, ``backtracks``, ``residual``,
 ``t``, ``y``, ``x``, ``objectives`` and ``dual_gap`` (``wall_ms`` is left
 out).  The fixed-step variants use the problem's ``L_true`` and are skipped
@@ -17,15 +20,40 @@ their outputs are identical:
 
 import argparse
 import hashlib
+import json
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
 from mofista import (Backtracking, BacktrackingError, EvaluationError, FixedStep,
                      PlainProxGrad, SolverConfig, available_problems,
-                     builtin_problem, run_solver, sample_initial_points)
+                     builtin_problem, load_problem_file, run_solver,
+                     sample_initial_points)
 
 STARTS = 12
+
+# Convex: each quad is positive definite, with largest eigenvalue 4 overall.
+LOADED = {"n": 4, "m": 3, "lower": [-2.0] * 4, "upper": [2.0] * 4, "objectives": [
+    {"quad": [[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+     "linear": [-1, 0, 0, 0]},
+    {"quad": [[1, 0, 0, 0], [0, 3, 1, 0], [0, 1, 3, 0], [0, 0, 0, 1]],
+     "linear": [0, -2, 0, 1], "constant": 1},
+    {"quad": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, -1], [0, 0, -1, 2]],
+     "linear": [0, 0, -1, -1], "constant": -0.5}]}
+
+
+def loaded_problems():
+    """``(instance, descriptor)`` of ``loaded`` and ``loaded_l1``, read back
+    by ``load_problem_file``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "loaded.json"
+        out = []
+        for spec in (dict(LOADED, name="loaded"), dict(LOADED, name="loaded_l1", l1_weight=0.5)):
+            path.write_text(json.dumps(spec))
+            out.append(load_problem_file(path))
+    return out
 
 
 def digest(records) -> str:
@@ -44,8 +72,11 @@ def main(argv=None) -> int:
                     help="built-in problems to run (default: all)")
     args = ap.parse_args(argv)
 
-    for name in args.problems or available_problems():
-        p, desc = builtin_problem(name)
+    problems = [builtin_problem(name) for name in args.problems or available_problems()]
+    if args.problems is None:
+        problems += loaded_problems()
+    for p, desc in problems:
+        name = desc.name
         variants = [("backtracking", Backtracking())]
         if desc.L_true is not None:
             variants += [("fixed", FixedStep(desc.L_true)),

@@ -171,8 +171,12 @@ def _resolve_problems(bc: BenchConfig) -> _Resolved:
         if desc.m < 2:
             raise ConfigError(f"problem {name!r} has {desc.m} objective; "
                               "the benchmark's fronts need at least 2")
-        out.append((p, desc, {solver: replace(base, variant=_variant_for(solver, desc, bc))
-                              for solver in bc.solvers}))
+        variants = {solver: _variant_for(solver, desc, bc) for solver in bc.solvers}
+        try:
+            out.append((p, desc, {solver: replace(base, variant=variant)
+                                  for solver, variant in variants.items()}))
+        except ValueError as exc:
+            raise ConfigError(f"problem {name!r}: {exc}") from None
     return out
 
 

@@ -90,8 +90,8 @@ class WeightedL1(NonsmoothPart):
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.weight < 0.0:
-            raise ValueError("l1 weight must be nonnegative")
+        if not 0.0 <= self.weight < np.inf:
+            raise ValueError("l1 weight must be finite and nonnegative")
 
     def value(self, x: Array) -> float:
         return self.weight * float(np.abs(x).sum())

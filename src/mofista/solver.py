@@ -103,6 +103,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.L_init < np.inf:
             raise ValueError("L_init must be positive and finite")
+        if not isinstance(self.variant, Backtracking) and not 0.0 < self.variant.L < np.inf:
+            raise ValueError(f"a fixed step's L must be positive and finite, got {self.variant.L}")
         if not 1.0 < self.beta < np.inf:
             raise ValueError("beta must be finite and exceed 1")
         if not 1.0 < self.sigma < np.inf:

@@ -1,11 +1,12 @@
 """Benchmark problem registry.
 
-The convex instances used by the acceptance tests (two-ball, scaled
-quadratic, and skewed quadratic families, each with an optional shared l1
-term) are hard coded with analytic gradient Lipschitz constants.  A handful
-of standard instances from the multiobjective test-set literature are
-registered alongside them, and :func:`register_problem` plus
-:func:`load_problem_file` let users add the rest.
+The convex instances used by the acceptance tests (two-ball, scaled and
+skewed quadratic families, each with an optional l1 twin) carry analytic
+gradient Lipschitz constants.  Standard instances from the multiobjective
+test-set literature sit alongside them, and :func:`register_problem` plus
+:func:`load_problem_file` let users add the rest.  One constructor builds
+every built-in and loaded problem, stating ``n``, ``m``, the l1 weight and
+``L`` once for both its instance and its descriptor.
 
 Box bounds only drive initial-point sampling; the solvers themselves are
 unconstrained.
@@ -47,7 +48,9 @@ class ProblemDescriptor:
     L_true: Optional[float] = None
 
 
-Builder = Callable[[], tuple[ProblemInstance, ProblemDescriptor]]
+Problem = tuple[ProblemInstance, ProblemDescriptor]  # what a builder returns
+Builder = Callable[[], Problem]
+Family = Callable[[str, float], Problem]
 _REGISTRY: dict[str, Builder] = {}
 
 
@@ -62,7 +65,7 @@ def available_problems() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def builtin_problem(name: str) -> tuple[ProblemInstance, ProblemDescriptor]:
+def builtin_problem(name: str) -> Problem:
     try:
         builder = _REGISTRY[name]
     except KeyError:
@@ -82,9 +85,32 @@ def sample_initial_points(desc: ProblemDescriptor, count: int,
     return lower + rng.random((count, desc.n)) * (upper - lower)
 
 
-def _quadratic_family(name: str, centers: Array, scales: Array, consts: Array,
-                      lower, upper, l1_weight: float) -> tuple[ProblemInstance, ProblemDescriptor]:
-    """Objectives ``f_i(x) = scale_i * ||x - center_i||^2 + const_i``."""
+def _problem(name: str, n: int, m: int, smooth: Callable[[Array], Array],
+             smooth_jac: Callable[[Array], Array], lower, upper, l1_weight: float = 0.0,
+             convex: bool = False, L: Optional[float] = None) -> Problem:
+    """An instance and its descriptor from one statement of their facts.
+
+    The shared term is ``Zero()`` for an l1 weight of exactly 0 and
+    ``WeightedL1(l1_weight)``, which rejects a negative or non-finite weight,
+    otherwise.  ``L`` is both ``grad_lipschitz`` and ``L_true``.
+    """
+    part: NonsmoothPart = Zero() if l1_weight == 0.0 else WeightedL1(l1_weight)
+    inst = ProblemInstance(n=n, m=m, smooth=smooth, smooth_jac=smooth_jac,
+                           nonsmooth=part, grad_lipschitz=L)
+    desc = ProblemDescriptor(name=name, n=n, m=m, lower=tuple(lower), upper=tuple(upper),
+                             l1_weight=l1_weight, convex=convex, L_true=L)
+    return inst, desc
+
+
+def _register(name: str, build: Family, l1_twin: bool = False) -> None:
+    """Register ``build(name, 0.0)`` and, if asked, its twin ``name + "_l1"`` of weight 1."""
+    register_problem(name, lambda: build(name, 0.0))
+    if l1_twin:
+        register_problem(name + "_l1", lambda: build(name + "_l1", 1.0))
+
+
+def _quadratic_family(centers: Array, scales: Array, consts: Array, lower, upper) -> Family:
+    """Builder of the objectives ``f_i(x) = scale_i * ||x - center_i||^2 + const_i``."""
     centers = np.asarray(centers, dtype=float)
     scales = np.asarray(scales, dtype=float)
     consts = np.asarray(consts, dtype=float)
@@ -97,54 +123,30 @@ def _quadratic_family(name: str, centers: Array, scales: Array, consts: Array,
     def smooth_jac(x: Array) -> Array:
         return 2.0 * scales[:, None] * (x[None, :] - centers)
 
-    part: NonsmoothPart = WeightedL1(l1_weight) if l1_weight > 0.0 else Zero()
-    inst = ProblemInstance(n=n, m=m, smooth=smooth, smooth_jac=smooth_jac,
-                           nonsmooth=part, grad_lipschitz=2.0 * float(np.max(scales)))
-    desc = ProblemDescriptor(name=name, n=n, m=m, lower=tuple(lower), upper=tuple(upper),
-                             l1_weight=l1_weight, convex=True,
-                             L_true=2.0 * float(np.max(scales)))
-    return inst, desc
-
-
-def _register_quadratic(name, centers, scales, consts, lower, upper, l1_variant=True):
-    register_problem(name, lambda: _quadratic_family(name, centers, scales, consts,
-                                                     lower, upper, 0.0))
-    if l1_variant:
-        register_problem(name + "_l1",
-                         lambda: _quadratic_family(name + "_l1", centers, scales, consts,
-                                                   lower, upper, 1.0))
+    return lambda name, weight: _problem(name, n, m, smooth, smooth_jac, lower, upper, weight,
+                                         convex=True, L=2.0 * float(np.max(scales)))
 
 
 # Two quadratic balls centered at the origin and at (5, 5).
-_register_quadratic(
-    "BK1",
+_register("BK1", _quadratic_family(
     centers=[[0.0, 0.0], [5.0, 5.0]],
     scales=[1.0, 1.0],
     consts=[0.0, 0.0],
     lower=(-5.0, -5.0), upper=(10.0, 10.0),
-)
+), l1_twin=True)
 
 # Dimension-scaled quadratics: f1 = ||x||^2 / n, f2 = ||x - 2||^2 / n.
-_register_quadratic(
-    "JOS1",
+_register("JOS1", _quadratic_family(
     centers=[[0.0, 0.0], [2.0, 2.0]],
     scales=[0.5, 0.5],
     consts=[0.0, 0.0],
     lower=(-5.0, -5.0), upper=(5.0, 5.0),
-)
-
-# Three anisotropic quadratics sharing a coupling term (x1 - x2)^2.
+), l1_twin=True)
 
 
-def _sp1() -> tuple[ProblemInstance, ProblemDescriptor]:
-    return _sp1_build("SP1", 0.0)
+def _sp1(name: str, l1_weight: float) -> Problem:
+    """Two anisotropic quadratics sharing a coupling term (x1 - x2)^2."""
 
-
-def _sp1_l1() -> tuple[ProblemInstance, ProblemDescriptor]:
-    return _sp1_build("SP1_l1", 1.0)
-
-
-def _sp1_build(name: str, l1_weight: float) -> tuple[ProblemInstance, ProblemDescriptor]:
     def smooth(x: Array) -> Array:
         coupling = (x[0] - x[1]) ** 2
         return np.array([(x[0] - 1.0) ** 2 + coupling,
@@ -155,50 +157,39 @@ def _sp1_build(name: str, l1_weight: float) -> tuple[ProblemInstance, ProblemDes
         return np.array([[2.0 * (x[0] - 1.0) + c1, -c1],
                          [c1, 2.0 * (x[1] - 3.0) - c1]])
 
-    part: NonsmoothPart = WeightedL1(l1_weight) if l1_weight > 0.0 else Zero()
     L = 3.0 + np.sqrt(5.0)  # top eigenvalue of [[4, -2], [-2, 2]]
-    inst = ProblemInstance(n=2, m=2, smooth=smooth, smooth_jac=smooth_jac,
-                           nonsmooth=part, grad_lipschitz=float(L))
-    desc = ProblemDescriptor(name=name, n=2, m=2, lower=(2.0, -2.0), upper=(3.0, 3.0),
-                             l1_weight=l1_weight, convex=True, L_true=float(L))
-    return inst, desc
+    return _problem(name, 2, 2, smooth, smooth_jac, (2.0, -2.0), (3.0, 3.0), l1_weight,
+                    convex=True, L=float(L))
 
 
-register_problem("SP1", _sp1)
-register_problem("SP1_l1", _sp1_l1)
+_register("SP1", _sp1, l1_twin=True)
 
 # Three quadratic bowls with distinct centers and offsets.
-_register_quadratic(
-    "VFM1",
+_register("VFM1", _quadratic_family(
     centers=[[0.0, 1.0], [0.0, -1.0], [1.0, 0.0]],
     scales=[1.0, 1.0, 1.0],
     consts=[0.0, 1.0, 2.0],
     lower=(-2.0, -2.0), upper=(2.0, 2.0),
-    l1_variant=False,
-)
+))
 
 # One-dimensional triple of shifted parabolas.
-_register_quadratic(
-    "MHHM1",
+_register("MHHM1", _quadratic_family(
     centers=[[0.8], [0.85], [0.9]],
     scales=[1.0, 1.0, 1.0],
     consts=[0.0, 0.0, 0.0],
     lower=(0.0,), upper=(1.0,),
-    l1_variant=False,
-)
+))
 
 # Its two-dimensional companion.
-_register_quadratic(
-    "MHHM2",
+_register("MHHM2", _quadratic_family(
     centers=[[0.8, 0.6], [0.85, 0.7], [0.9, 0.6]],
     scales=[1.0, 1.0, 1.0],
     consts=[0.0, 0.0, 0.0],
     lower=(0.0, 0.0), upper=(1.0, 1.0),
-    l1_variant=False,
-)
+))
 
 
-def _dd1() -> tuple[ProblemInstance, ProblemDescriptor]:
+def _dd1(name: str, l1_weight: float) -> Problem:
     """Quadratic ball against a cubic-perturbed linear form (nonconvex)."""
 
     def smooth(x: Array) -> Array:
@@ -210,16 +201,13 @@ def _dd1() -> tuple[ProblemInstance, ProblemDescriptor]:
         return np.array([2.0 * x,
                          [3.0, 2.0, -1.0 / 3.0, cubic, -cubic]])
 
-    inst = ProblemInstance(n=5, m=2, smooth=smooth, smooth_jac=smooth_jac)
-    desc = ProblemDescriptor(name="DD1", n=5, m=2,
-                             lower=(-20.0,) * 5, upper=(20.0,) * 5)
-    return inst, desc
+    return _problem(name, 5, 2, smooth, smooth_jac, (-20.0,) * 5, (20.0,) * 5, l1_weight)
 
 
-register_problem("DD1", _dd1)
+_register("DD1", _dd1)
 
 
-def _ff1() -> tuple[ProblemInstance, ProblemDescriptor]:
+def _ff1(name: str, l1_weight: float) -> Problem:
     """Complementary Gaussian wells around (+-1/sqrt(2), +-1/sqrt(2))."""
     c = 1.0 / np.sqrt(2.0)
 
@@ -233,13 +221,10 @@ def _ff1() -> tuple[ProblemInstance, ProblemDescriptor]:
         return np.array([[2.0 * (x[0] - c) * e1, 2.0 * (x[1] - c) * e1],
                          [2.0 * (x[0] + c) * e2, 2.0 * (x[1] + c) * e2]])
 
-    inst = ProblemInstance(n=2, m=2, smooth=smooth, smooth_jac=smooth_jac)
-    desc = ProblemDescriptor(name="FF1", n=2, m=2,
-                             lower=(-1.0, -1.0), upper=(1.0, 1.0))
-    return inst, desc
+    return _problem(name, 2, 2, smooth, smooth_jac, (-1.0, -1.0), (1.0, 1.0), l1_weight)
 
 
-register_problem("FF1", _ff1)
+_register("FF1", _ff1)
 
 
 def pareto_segment(name: str, count: int = 20) -> Array:
@@ -262,8 +247,7 @@ def pareto_segment(name: str, count: int = 20) -> Array:
     raise KeyError(f"no closed-form Pareto segment for {name!r}")
 
 
-def load_problem_file(path: Union[str, Path], register: bool = False,
-                      ) -> tuple[ProblemInstance, ProblemDescriptor]:
+def load_problem_file(path: Union[str, Path], register: bool = False) -> Problem:
     """Load a quadratic problem definition.
 
     The file is JSON with fields ``name``, ``n``, ``m``, ``lower``, ``upper``,
@@ -281,7 +265,6 @@ def load_problem_file(path: Union[str, Path], register: bool = False,
     ``f`` and ``grad f`` each cost one ``(m, n, n)`` matrix-vector product.
     """
     spec = json.loads(Path(path).read_text())
-    name = str(spec["name"])
     n, m = int(spec["n"]), int(spec["m"])
     if len(spec["objectives"]) != m:
         raise ValueError("objective count does not match m")
@@ -291,9 +274,6 @@ def load_problem_file(path: Union[str, Path], register: bool = False,
         raise ValueError(f"box bounds need {n} entries each, got {len(lower)} and {len(upper)}")
     if not np.isfinite([*lower, *upper]).all():
         raise ValueError("box bounds must be finite")
-    l1_weight = float(spec.get("l1_weight", 0.0))
-    if not 0.0 <= l1_weight < np.inf:
-        raise ValueError("l1_weight must be finite and nonnegative")
     quads = np.array([o["quad"] for o in spec["objectives"]], dtype=float)
     lins = np.array([o.get("linear", np.zeros(n)) for o in spec["objectives"]], dtype=float)
     consts = np.array([o.get("constant", 0.0) for o in spec["objectives"]], dtype=float)
@@ -313,17 +293,8 @@ def load_problem_file(path: Union[str, Path], register: bool = False,
     def smooth_jac(x: Array) -> Array:
         return quads @ x + lins
 
-    part: NonsmoothPart = WeightedL1(l1_weight) if l1_weight > 0.0 else Zero()
-    inst = ProblemInstance(n=n, m=m, smooth=smooth, smooth_jac=smooth_jac,
-                           nonsmooth=part,
-                           grad_lipschitz=L)
-    desc = ProblemDescriptor(
-        name=name, n=n, m=m,
-        lower=lower, upper=upper,
-        l1_weight=l1_weight,
-        convex=convex,
-        L_true=L,
-    )
+    inst, desc = _problem(str(spec["name"]), n, m, smooth, smooth_jac, lower, upper,
+                          float(spec.get("l1_weight", 0.0)), convex, L)
     if register:
-        register_problem(name, lambda: (inst, desc))
+        register_problem(desc.name, lambda: (inst, desc))
     return inst, desc

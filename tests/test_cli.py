@@ -265,6 +265,34 @@ def test_bad_settings_fail_before_the_first_solve(tmp_path, monkeypatch, capsys)
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_fixed_step_on_flat_problem_fails_before_the_first_solve(tmp_path, monkeypatch,
+                                                                capsys):
+    # All-zero quads give L_true = 0: a fixed step of 0 cannot run, and
+    # must be refused before any solve or output file.
+    def no_solve(*args):
+        raise AssertionError("solved before the configuration was checked")
+
+    monkeypatch.setattr(cli, "run_solver", no_solve)
+    zero = [[0.0, 0.0], [0.0, 0.0]]
+    path = tmp_path / "flat2.json"
+    path.write_text(json.dumps({"name": "_tmp_flat2", "n": 2, "m": 2,
+                                "lower": [0.0, 0.0], "upper": [1.0, 1.0],
+                                "objectives": [{"quad": zero, "linear": [1.0, 0.0]},
+                                               {"quad": zero, "linear": [0.0, 1.0]}]}))
+    assert load_problem_file(path, register=True)[1].L_true == 0.0
+    try:
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="positive and finite"):
+            run_benchmark(BenchConfig(problems=("_tmp_flat2",), solvers=("fixed",), runs=2,
+                                      out_dir=out))
+        assert main(["--problems", "_tmp_flat2", "--solvers", "pgm", "--runs", "2",
+                     "--out", str(out)]) == 2
+        assert "_tmp_flat2" in capsys.readouterr().err
+        assert not out.exists()
+    finally:
+        suite._REGISTRY.pop("_tmp_flat2", None)
+
+
 def test_main_reports_nonconverged(tmp_path, capsys):
     code = main(["--problems", "JOS1", "--runs", "2", "--eps", "1e-13",
                  "--max-iter", "1", "--out", str(tmp_path)])

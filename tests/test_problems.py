@@ -40,6 +40,13 @@ def test_l1_negative_weight_rejected():
         WeightedL1(-0.5)
 
 
+@pytest.mark.parametrize("weight", [np.nan, np.inf])
+def test_l1_non_finite_weight_rejected(weight):
+    # A nan weight made the prox return nan; an infinite one made g infinite.
+    with pytest.raises(ValueError, match="finite"):
+        WeightedL1(weight)
+
+
 def test_l1_prox_beats_grid():
     # g(y) + (1/(2t))(v - y)^2 on a dense 1-D grid never beats the prox point.
     w, t, v = 0.7, 0.4, 1.1

@@ -41,6 +41,23 @@ def test_trace_digest_repeats_with_one_line_per_run(capsys):
                for line in lines)
 
 
+def test_trace_digest_default_run_covers_loaded_problems(capsys):
+    digest = load_script("trace_digest")
+    outputs = []
+    for _ in range(2):
+        assert digest.main([]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    # Both loaded problems have L_true, so every variant runs on each.
+    runs = [f"{name} {variant} {i}" for name in ("loaded", "loaded_l1")
+            for variant in ("backtracking", "fixed", "pgm") for i in range(digest.STARTS)]
+    lines = outputs[0].splitlines()
+    loaded = [line for line in lines if line.startswith("loaded")]
+    assert [" ".join(line.split()[:3]) for line in loaded] == runs
+    assert lines[-len(runs):] == loaded
+    assert all(re.fullmatch(r"\w+ \d+ [0-9a-f]{64}", line.split(" ", 3)[3]) for line in loaded)
+
+
 def test_readme_public_api_is_all():
     text = (ROOT / "README.md").read_text()
     section = text.split("## Public API", 1)[1].split("\n## ", 1)[0]

@@ -293,7 +293,9 @@ def test_config_validation():
     for bad in (dict(L_init=0.0), dict(beta=1.0), dict(sigma=0.5),
                 dict(eps=0.0), dict(max_iter=0), dict(L_init=np.inf),
                 dict(L_init=np.nan), dict(beta=np.inf), dict(sigma=np.inf),
-                dict(sigma=np.nan)):
+                dict(sigma=np.nan), dict(variant=FixedStep(0.0)),
+                dict(variant=PlainProxGrad(-1.0)), dict(variant=FixedStep(np.nan)),
+                dict(variant=FixedStep(np.inf))):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
 

@@ -363,7 +363,7 @@ def test_idle_rounds_short_of_tolerance_halve_the_step(monkeypatch):
     # pieces of the dual: the third and fourth evaluations improve nothing
     # while the relative gap is still about 0.9.  Stopping there would raise;
     # the half step of the last improving round raises the dual, and the
-    # solve certifies in 20 evaluations.
+    # solve certifies in 15 evaluations.
     quad = np.array([
         [[2.623806413733313, -0.9801444422663029], [-0.9801444422663029, 0.4187039506943042]],
         [[0.7442182623824191, -0.1569241004050676], [-0.1569241004050676, 0.12287956224200122]],
@@ -396,6 +396,48 @@ def test_idle_rounds_short_of_tolerance_halve_the_step(monkeypatch):
     rels = [gap / (1.0 + abs(primal)) for _, primal, gap in seen]
     assert max(duals[2:4]) <= duals[1] and min(rels[2:4]) >= rels[1] > 0.5
     assert duals[4] > duals[1]
+    assert len(seen) <= 15
+
+
+def test_solve_rejects_nonpositive_L():
+    p, _ = builtin_problem("SP1_l1")
+    x, y = np.array([2.5, 0.5]), np.array([2.4, 0.7])
+    for L in (0.0, -1.0):
+        with pytest.raises(ValueError, match="positive"):
+            solve_subproblem(x, y, L, p)
+
+
+def test_solve_rejects_jacobian_of_wrong_shape():
+    p, _ = builtin_problem("SP1")
+    tall = replace(p, smooth_jac=lambda x: np.zeros((3, 2)))
+    with pytest.raises(ValueError, match=r"\(3, 2\).*\(2, 2\)"):
+        solve_subproblem(np.array([2.5, 0.5]), np.array([2.4, 0.7]), 3.0, tall)
+
+
+def test_non_finite_curvature_ends_the_solve():
+    # SP1_l1's own prox derivative certifies this subproblem in 2 evaluations;
+    # a nan one leaves no Newton round, so the solve ends after the first.
+    p, _ = builtin_problem("SP1_l1")
+    calls = []
+
+    class CountedL1(WeightedL1):
+        def prox(self, t, v):
+            calls.append(t)
+            return super().prox(t, v)
+
+    class NanCurvatureL1(CountedL1):
+        def prox_jvp(self, t, v, z, dirs):
+            return np.full_like(dirs, np.nan)
+
+    x, y = np.array([2.5, 0.5]), np.array([2.4, 0.7])
+    cfg = SubproblemConfig(tol=1e-12)
+    sol = solve_subproblem(x, y, 3.0, replace(p, nonsmooth=CountedL1(1.0)), cfg)
+    assert sol.dual_gap <= cfg.tol * (1.0 + abs(sol.value))
+    assert len(calls) == 2
+    calls.clear()
+    with pytest.raises(SubproblemError):
+        solve_subproblem(x, y, 3.0, replace(p, nonsmooth=NanCurvatureL1(1.0)), cfg)
+    assert len(calls) == 1
 
 
 def simplex_qp_lstsq(c, Q, w):

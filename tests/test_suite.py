@@ -8,6 +8,7 @@ import pytest
 import mofista.suite as suite
 from mofista import (
     ProblemDescriptor,
+    WeightedL1,
     Zero,
     available_problems,
     builtin_problem,
@@ -93,6 +94,32 @@ def test_l1_variants_carry_weighted_l1():
         assert p.nonsmooth.value(np.ones(p.n)) == pytest.approx(p.n)
     p, _ = builtin_problem("BK1")
     assert isinstance(p.nonsmooth, Zero)
+
+
+def assert_descriptor_states_instance(p, desc):
+    assert (desc.n, desc.m) == (p.n, p.m)
+    assert desc.L_true == p.grad_lipschitz
+    if desc.l1_weight == 0.0:
+        assert isinstance(p.nonsmooth, Zero)
+    else:
+        assert type(p.nonsmooth) is WeightedL1
+        assert desc.l1_weight == p.nonsmooth.weight
+
+
+@pytest.mark.parametrize("name", available_problems())
+def test_descriptor_states_its_instance_facts(name):
+    assert_descriptor_states_instance(*builtin_problem(name))
+
+
+@pytest.mark.parametrize("extra", [{}, {"l1_weight": 0.25}])
+def test_loaded_descriptor_states_its_instance_facts(tmp_path, extra):
+    body = {"name": "facts", "n": 3, "m": 2, "lower": [0.0] * 3, "upper": [1.0] * 3,
+            "objectives": [{"quad": np.diag([1.0, 2.0, 3.0]).tolist()},
+                           {"quad": np.eye(3).tolist(), "linear": [1.0, 0.0, -1.0]}]}
+    p, desc = load_problem_file(_write_problem_file(tmp_path, dict(body, **extra)))
+    assert desc.l1_weight == extra.get("l1_weight", 0.0)
+    assert desc.L_true == 3.0
+    assert_descriptor_states_instance(p, desc)
 
 
 # ---------------------------------------------------------------------------
