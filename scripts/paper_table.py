@@ -1,0 +1,155 @@
+#!/usr/bin/env python3
+"""Adaptive against monotone backtracking, beside the fixed-step baselines.
+
+    PYTHONPATH=src python3 scripts/paper_table.py --out paper_table.json
+
+Runs four variants from 20 starts per problem, ``sample_initial_points(desc,
+20, 0)``, with ``eps=1e-6`` and ``max_iter=1000``:
+
+- ``backtracking``: ``Backtracking`` with the default ``sigma = 2``, which
+  lets ``L`` go down between iterations;
+- ``monotone``: ``Backtracking`` with ``sigma = 1 + 1e-12``, the classical
+  rule under which ``L`` only grows (``SolverConfig`` requires ``sigma > 1``);
+- ``fixed``: ``FixedStep(L_true)``;
+- ``pgm``: ``PlainProxGrad(L_true)``.
+
+The fixed-step rows are ``n/a`` for problems without ``L_true`` (DD1, FF1).
+Without ``--problems`` the run covers every built-in and then the generated
+convex quadratics of ``perfbench``'s ``generated_m3`` and
+``generated_large_n`` workloads at seed 1, read through
+``load_problem_file``.  Each row holds the accepted iterations, the trials
+``T`` (iterations plus backtracks), the ``1 + 2T`` calls of ``f`` and ``T``
+of ``grad f`` that a run of ``T`` trials makes, and the count of each final
+status; a run that raises counts under the exception's name and adds no
+calls.  ``totals`` sums the rows of each group for each variant.
+
+The JSON holds no wall time, so reruns give byte-identical files.  A
+markdown summary goes to stdout.
+"""
+
+import argparse
+import importlib
+import json
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+from mofista import (Backtracking, BacktrackingError, EvaluationError, FixedStep,
+                     PlainProxGrad, SolverConfig, available_problems, builtin_problem,
+                     load_problem_file, run_solver, sample_initial_points)
+
+STARTS = 20
+EPS = 1e-6
+MAX_ITER = 1000
+MONOTONE_SIGMA = 1.0 + 1e-12
+GENERATED_SEED = 1
+VARIANTS = ("backtracking", "monotone", "fixed", "pgm")
+COUNTS = ("runs", "iterations", "trials", "f_calls", "jac_calls")
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def configs(L_true):
+    """The ``SolverConfig`` of each variant, ``None`` where it needs ``L_true``."""
+    base = dict(eps=EPS, max_iter=MAX_ITER)
+    fixed = {label: None if L_true is None else SolverConfig(variant=kind(L_true), **base)
+             for label, kind in (("fixed", FixedStep), ("pgm", PlainProxGrad))}
+    return {"backtracking": SolverConfig(variant=Backtracking(), **base),
+            "monotone": SolverConfig(sigma=MONOTONE_SIGMA, **base), **fixed}
+
+
+def row(p, starts, cfg) -> dict:
+    """Counts and statuses of ``cfg`` from every start."""
+    out = dict.fromkeys(COUNTS, 0)
+    statuses = Counter()
+    for x0 in starts:
+        out["runs"] += 1
+        try:
+            res = run_solver(p, x0, cfg)
+        except (BacktrackingError, EvaluationError) as exc:
+            statuses[type(exc).__name__] += 1
+            continue
+        records = res.trace.records
+        trials = len(records) + sum(r.backtracks for r in records)
+        out["iterations"] += len(records)
+        out["trials"] += trials
+        out["f_calls"] += 1 + 2 * trials
+        out["jac_calls"] += trials
+        statuses[res.status.value] += 1
+    out["statuses"] = dict(sorted(statuses.items()))
+    return out
+
+
+def generated_problems() -> dict:
+    """``group -> [(instance, descriptor)]`` of perfbench's generated
+    workloads, written by its own generator and read back."""
+    sys.path.insert(0, str(ROOT))
+    workloads = importlib.import_module("perfbench.workloads")
+    with tempfile.TemporaryDirectory() as tmp:
+        return {name: [load_problem_file(path) for path in
+                       workloads.write_inputs(name, GENERATED_SEED, Path(tmp))]
+                for name in workloads.GENERATED}
+
+
+def table(groups: dict) -> dict:
+    """Rows of every problem of every group, and each group's totals."""
+    rows, totals = {}, {}
+    for group, problems in groups.items():
+        total = {v: dict.fromkeys(COUNTS, 0) | {"problems": 0, "statuses": Counter()}
+                 for v in VARIANTS}
+        for p, desc in problems:
+            starts = sample_initial_points(desc, STARTS, 0)
+            cells = {}
+            for label, cfg in configs(desc.L_true).items():
+                if cfg is None:
+                    cells[label] = "n/a"
+                    continue
+                cells[label] = cell = row(p, starts, cfg)
+                total[label]["problems"] += 1
+                total[label]["statuses"].update(cell["statuses"])
+                for key in COUNTS:
+                    total[label][key] += cell[key]
+            rows[desc.name] = {"group": group, **cells}
+        for t in total.values():
+            t["statuses"] = dict(sorted(t["statuses"].items()))
+        totals[group] = total
+    return {"settings": {"starts": STARTS, "eps": EPS, "max_iter": MAX_ITER,
+                         "monotone_sigma": MONOTONE_SIGMA, "generated_seed": GENERATED_SEED},
+            "rows": rows, "totals": totals}
+
+
+def markdown(doc: dict) -> str:
+    """Iterations / trials per variant: one line per built-in, one per group total."""
+    def cell(c):
+        return "n/a" if c == "n/a" else f"{c['iterations']} / {c['trials']}"
+
+    lines = ["| Problem | " + " | ".join(VARIANTS) + " |", "|---" * (len(VARIANTS) + 1) + "|"]
+    for name, r in doc["rows"].items():
+        if r["group"] == "builtin":
+            lines.append(f"| {name} | " + " | ".join(cell(r[v]) for v in VARIANTS) + " |")
+    for group, total in doc["totals"].items():
+        lines.append(f"| **{group} total** | "
+                     + " | ".join(cell(total[v]) for v in VARIANTS) + " |")
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--problems", nargs="+", default=None,
+                    help="built-in problems to run (default: all, then the generated ones)")
+    ap.add_argument("--out", type=Path, required=True, help="JSON file to write")
+    args = ap.parse_args(argv)
+
+    groups = {"builtin": [builtin_problem(name)
+                          for name in args.problems or available_problems()]}
+    if args.problems is None:
+        groups.update(generated_problems())
+    doc = table(groups)
+    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    print(markdown(doc))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -134,3 +134,26 @@ def test_bench_interleaves_modes_and_keeps_other_labels(tmp_path, monkeypatch):
     assert doc["parent"] == {"runs": 3}
     p50 = doc["change"]["workloads"]["cli_suite"]["trace1"]["metrics"]["solve_ms_p50"]
     assert (p50["median"], p50["n"]) == (6.0, 2)
+
+
+def test_paper_table_repeats_and_matches_the_committed_rows(tmp_path, capsys):
+    table = load_script("paper_table")
+    outputs = []
+    for k in range(2):
+        out = tmp_path / f"table{k}.json"
+        assert table.main(["--problems", "BK1", "FF1", "--out", str(out)]) == 0
+        outputs.append((out.read_bytes(), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    doc = json.loads(outputs[0][0])
+    assert list(doc["rows"]) == ["BK1", "FF1"] and list(doc["totals"]) == ["builtin"]
+    # FF1 has no L_true, so only the two backtracking rules run on it.
+    assert doc["rows"]["FF1"]["fixed"] == doc["rows"]["FF1"]["pgm"] == "n/a"
+    for variant in table.VARIANTS:
+        cell = doc["rows"]["BK1"][variant]
+        assert cell["runs"] == table.STARTS and cell["statuses"] == {"converged": 20}
+        assert cell["f_calls"] == cell["runs"] + 2 * cell["trials"]
+        assert cell["jac_calls"] == cell["trials"] >= cell["iterations"]
+    assert doc["totals"]["builtin"]["pgm"]["problems"] == 1
+    committed = json.loads((ROOT / "paper_table.json").read_text())
+    assert committed["settings"] == doc["settings"]
+    assert all(committed["rows"][name] == doc["rows"][name] for name in ("BK1", "FF1"))

@@ -1,4 +1,5 @@
 from dataclasses import fields, replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 from mofista import (Backtracking, BacktrackingError, CustomNonsmooth,
                      EvaluationError, FixedStep, PlainProxGrad,
                      ProblemInstance, SolverConfig, Status, SubproblemConfig,
-                     accepted_L_bound_check, builtin_problem, run_solver,
-                     sample_initial_points)
+                     accepted_L_bound_check, available_problems, builtin_problem,
+                     run_solver, sample_initial_points)
 from mofista.problems import evaluate_objectives
 from mofista.solver import _upper_bound_holds, fista_step
 from mofista.subproblem import solve_subproblem
@@ -245,8 +246,9 @@ def test_nonconvex_builtins_converge(name):
 
 def test_deflation_stops_at_the_curvature_seen():
     # Deflating by the full 1/sigma every iteration is rejected about once
-    # per iteration (about 1.05 backtracks per iteration on SP1); deflating
-    # no further than the curvature the last step saw avoids most of those.
+    # per iteration (about 1.08 backtracks per iteration on SP1); deflating
+    # no further than the curvature the last step saw avoids most of those
+    # (about 0.45 per iteration).
     p, desc = builtin_problem("SP1")
     cfg = SolverConfig(eps=1e-6)
     iterations = backtracks = 0
@@ -312,6 +314,70 @@ def test_converged_means_small_final_residual():
         res = run_solver(p, x0, SolverConfig(eps=1e-5))
         assert res.status is Status.CONVERGED
         assert res.trace.records[-1].residual < 1e-5
+
+
+# ------------------------------------------------------------ invariances
+#
+# Over 20 starts per built-in with eps=1e-6; the floors are the measured
+# counts.  A first trial exactly at the curvature the last step saw puts f(z)
+# on the bound, where rounding that grows with |f| decides the test; that
+# fails these on FF1, SP1, SP1_l1 and DD1.
+
+INVARIANCE_CFG = SolverConfig(eps=1e-6)
+
+
+def invariance_runs(p, desc, cfg=INVARIANCE_CFG):
+    return [run_solver(p, x0, cfg) for x0 in sample_initial_points(desc, 20, 0)]
+
+
+@lru_cache(maxsize=None)
+def plain_runs(name):
+    return invariance_runs(*builtin_problem(name))
+
+
+def same_status_and_count(name, runs):
+    return sum(a.status is b.status and len(a.trace.records) == len(b.trace.records)
+               for a, b in zip(plain_runs(name), runs))
+
+
+@pytest.mark.parametrize("name", available_problems())
+@pytest.mark.parametrize("shift, floor", [(100.0, 19), (1e4, 15)])
+def test_added_constant_keeps_status_and_count(name, shift, floor):
+    p, desc = builtin_problem(name)
+    shifted = replace(p, smooth=lambda x: p.smooth(x) + shift)
+    assert same_status_and_count(name, invariance_runs(shifted, desc)) >= floor
+
+
+@pytest.mark.parametrize("name", available_problems())
+def test_reversed_objectives_keep_status_and_count(name):
+    p, desc = builtin_problem(name)
+    flipped = replace(p, smooth=lambda x: p.smooth(x)[::-1],
+                      smooth_jac=lambda x: p.smooth_jac(x)[::-1])
+    assert same_status_and_count(name, invariance_runs(flipped, desc)) == 20
+
+
+@pytest.mark.parametrize("name", [n for n in available_problems()
+                                  if builtin_problem(n)[1].l1_weight == 0.0])
+def test_scaling_f_and_L_init_by_four_keeps_iterates(name):
+    # The quarter-power grid of beta = 2 scales exactly under powers of 2.
+    p, desc = builtin_problem(name)
+    scaled = replace(p, smooth=lambda x: 4.0 * p.smooth(x),
+                     smooth_jac=lambda x: 4.0 * p.smooth_jac(x))
+    runs = invariance_runs(scaled, desc, replace(INVARIANCE_CFG, L_init=4.0))
+    assert sum(len(a.trace.records) == len(b.trace.records) and np.array_equal(a.x, b.x)
+               for a, b in zip(plain_runs(name), runs)) == 20
+
+
+@pytest.mark.parametrize("name", available_problems())
+def test_momentum_identity_holds_to_rounding_on_every_record_pair(name):
+    # t (t - 1) / L = t_prev^2 / L_prev on accepted iterations, whatever the
+    # first trial; the largest deviation measured is 3 ulp of the larger side.
+    for run in plain_runs(name):
+        recs = run.trace.records
+        for prev, curr in zip(recs, recs[1:]):
+            lhs = curr.t * (curr.t - 1.0) / curr.L
+            rhs = prev.t ** 2 / prev.L
+            assert abs(lhs - rhs) <= 8.0 * np.spacing(max(abs(lhs), abs(rhs)))
 
 
 # ----------------------------------------------------------- oracle budget
