@@ -135,23 +135,17 @@ def _single_run(p: ProblemInstance, cfg: SolverConfig, x0: Array,
         with np.errstate(over="ignore", invalid="ignore"):
             res = run_solver(p, x0, cfg)
     except (BacktrackingError, EvaluationError) as exc:
-        wall = (time.perf_counter() - tick) * 1e3
-        return RunRow(problem=problem, solver=solver, run_id=run_id,
-                      status="error", iterations=0, backtracks_total=0,
-                      wall_ms=wall, final_residual=float("nan"), reason=str(exc),
-                      objectives=np.full(p.m, np.nan), x=np.asarray(x0, float))
+        status, recs, reason = "error", (), str(exc)
+        objectives, x = np.full(p.m, np.nan), np.asarray(x0, float)
+    else:
+        status, recs, reason = res.status.value, res.trace.records, ""
+        objectives = recs[-1].objectives if recs else res.trace.objectives0
+        x = res.x
     wall = (time.perf_counter() - tick) * 1e3
-    recs = res.trace.records
-    return RunRow(
-        problem=problem, solver=solver, run_id=run_id, status=res.status.value,
-        iterations=len(recs),
-        backtracks_total=sum(r.backtracks for r in recs),
-        wall_ms=wall,
-        final_residual=recs[-1].residual if recs else float("nan"),
-        reason="",
-        objectives=recs[-1].objectives if recs else res.trace.objectives0,
-        x=res.x,
-    )
+    return RunRow(problem=problem, solver=solver, run_id=run_id, status=status,
+                  iterations=len(recs), backtracks_total=sum(r.backtracks for r in recs),
+                  wall_ms=wall, final_residual=recs[-1].residual if recs else float("nan"),
+                  reason=reason, objectives=objectives, x=x)
 
 
 _Resolved = list[tuple[ProblemInstance, ProblemDescriptor, dict[str, SolverConfig]]]
@@ -271,13 +265,13 @@ def _write_profiles(path: Path, groups: dict[tuple[str, str], list[RunRow]],
     costs = np.array([[r.iterations if r.status == Status.CONVERGED.value else np.nan
                        for _, desc, _ in resolved for r in groups[desc.name, solver]]
                       for solver in solvers], dtype=float)
-    if not np.any(np.isfinite(costs)):
+    # Columns no solver converged on have no ratio.  Drop them here, so that
+    # performance_profile neither warns about them nor raises on none left.
+    costs = costs[:, np.isfinite(costs).any(axis=0)]
+    if not costs.size:
         _write_csv(path, ["tau"], [])
         return
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        prof = performance_profile(costs, solvers)
+    prof = performance_profile(costs, solvers)
     _write_csv(path, ["tau"] + solvers,
                ([_fmt(tau)] + _fmts(prof.fractions[:, t]) for t, tau in enumerate(prof.taus)))
 

@@ -212,12 +212,11 @@ def run_solver(p: ProblemInstance, x0: Array, cfg: Optional[SolverConfig] = None
     Deterministic: identical ``(p, x0, cfg)`` reproduce the trace exactly
     apart from wall-clock fields.  Raises :class:`BacktrackingError` after
     100 inflations within one iteration; a subproblem failure ends the run
-    with ``Status.SUBPROBLEM_FAILURE``.
+    with ``Status.SUBPROBLEM_FAILURE``.  Raises ``ValueError`` unless ``x0``
+    has shape ``(p.n,)``.
     """
     cfg = cfg or SolverConfig()
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (p.n,):
-        raise ValueError(f"x0 has shape {x0.shape}, expected {(p.n,)}")
     objectives0 = evaluate_objectives(p, x0)
 
     # The variants differ only in these two flags.
@@ -257,7 +256,7 @@ def run_solver(p: ProblemInstance, x0: Array, cfg: Optional[SolverConfig] = None
         Fx = _objectives_from(p, sol.z, fz)
         records.append(IterationRecord(
             k=k, L=L, backtracks=backtracks, residual=residual, t=t,
-            y=np.asarray(y, dtype=float), x=sol.z, objectives=Fx,
+            y=y, x=sol.z, objectives=Fx,
             dual_gap=sol.dual_gap, wall_ms=(time.perf_counter() - tick) * 1e3,
         ))
         warm = project_simplex(sol.weights)  # once for every trial of the next iteration

@@ -54,12 +54,7 @@ _QP_CUTOFF = 1e-7
 
 
 class SubproblemError(RuntimeError):
-    """Inner solver did not certify the requested dual gap."""
-
-    def __init__(self, message: str, z: Optional[Array] = None, gap: Optional[float] = None):
-        super().__init__(message)
-        self.z = z
-        self.gap = gap
+    """Inner solver did not certify the requested dual gap; the message states it."""
 
 
 @dataclass(frozen=True)
@@ -88,14 +83,12 @@ class SubproblemSolution:
     ``z`` is the inner minimizer ``z(weights)`` for the returned
     ``weights``, the optimal simplex multipliers.  ``value`` is the model
     value at ``z`` (negative away from weakly Pareto points, zero exactly
-    there), ``active_set`` the objectives attaining the inner max at ``z``,
-    and ``dual_gap`` the certified primal-dual gap at ``weights``.
+    there) and ``dual_gap`` the certified primal-dual gap at ``weights``.
     """
 
     z: Array
     value: float
     weights: Array
-    active_set: tuple[int, ...]
     dual_gap: float
 
 
@@ -164,10 +157,6 @@ def _linearize(y: Array, L: float, p: ProblemInstance, Fx: Array) -> _Model:
         raise ValueError(f"jacobian shape {grads.shape}, expected {(p.m, p.n)}")
     fy = np.asarray(p.smooth(y), dtype=float)
     return _Model(grads, fy, fy - Fx, y, float(L), p.nonsmooth)
-
-
-def _model_at(x: Array, y: Array, L: float, p: ProblemInstance) -> _Model:
-    return _linearize(y, L, p, evaluate_objectives(p, x))
 
 
 def _simplex_qp(c: Array, Q: Array, w: Array) -> Array:
@@ -269,39 +258,32 @@ def _solve_dual(model: _Model, cfg: SubproblemConfig,
     rounds in a row that neither raise the dual nor lower the best gap halve
     the step of the last improving round, down to a thousandth; a non-finite
     gap or curvature and the evaluation budget also end the solve.  The
-    solution is built from the best-certified weights; a gap there above
-    both the floor and ``cfg.tol * (1 + |primal|)`` raises.
+    solution is built from the best evaluation, ``(weights, z, primal, gap)``
+    with the least gap; a gap there above both the floor and ``cfg.tol * (1
+    + |primal|)`` raises.
     """
     m = model.grads.shape[0]
     # np.vdot: np.linalg.norm is several times slower at small n, math.hypot at large n.
     gg = math.sqrt(np.vdot(model.grads, model.grads))
     floor = _ROUNDING * (3.0 * gg * (math.sqrt(np.vdot(model.y, model.y)) + gg / model.L)
                          + max(map(abs, model.offsets.tolist())))
-    evals = 0
 
-    def measure(w: Array) -> tuple[float, float, tuple]:
-        """Dual value, certified gap, and the point ``(w, b, z, primal, gap, v)``."""
-        nonlocal evals
-        evals += 1
-        dual, primal, gap, z, linear, v = model.evaluate(w)
-        return dual, gap, (w, linear, z, primal, gap, v)
-
-    def newton(point: tuple) -> Optional[Array]:
-        """Maximizer over the simplex of the quadratic model at ``point``."""
-        w, b, z, _, _, v = point
+    def newton(w: Array, b: Array, z: Array, v: Array) -> Optional[Array]:
+        """Maximizer over the simplex of the quadratic model at evaluation ``(w, b, z, v)``."""
         jac = model.grads @ model.g.prox_jvp(1.0 / model.L, v, z, model.grads.T / -model.L)
         if not np.isfinite(jac).all():
             return None
         curv = -0.5 * (jac + jac.T)
         return _simplex_qp(b + curv @ w, curv, w)
 
-    top_q, gap, point = measure(warm if warm is not None else np.full(m, 1.0 / m))
-    best, stale, alpha = (point, gap), 0, 1.0
-    while floor < best[1] < math.inf and evals < cfg.max_inner_iter:
+    w = warm if warm is not None else np.full(m, 1.0 / m)
+    top_q, primal, gap, z, b, v = model.evaluate(w)
+    best, evals, stale, alpha = (w, z, primal, gap), 1, 0, 1.0
+    while floor < best[3] < math.inf and evals < cfg.max_inner_iter:
         if stale < 2:
-            target = newton(point)
+            target = newton(w, b, z, v)
             if not stale:
-                lam, aim = point[0], target
+                lam, aim = w, target
         elif alpha > 1e-3:
             # Idle rounds: halve the last improving step.
             alpha *= 0.5
@@ -310,17 +292,17 @@ def _solve_dual(model: _Model, cfg: SubproblemConfig,
             break
         if target is None:
             break
-        q, gap, point = measure(target)
-        stale, alpha = (0, 1.0) if q > top_q or gap < best[1] else (stale + 1, alpha)
+        w = target
+        q, primal, gap, z, b, v = model.evaluate(w)
+        evals += 1
+        stale, alpha = (0, 1.0) if q > top_q or gap < best[3] else (stale + 1, alpha)
         top_q = max(top_q, q)
-        if gap < best[1]:
-            best = (point, gap)
-    weights, linear, z, primal, gap, _ = best[0]
+        if gap < best[3]:
+            best = (w, z, primal, gap)
+    weights, z, primal, gap = best
     if gap > max(floor, cfg.tol * (1.0 + abs(primal))):
-        raise SubproblemError(f"dual gap {gap:.3e} above tolerance", z=z, gap=gap)
-    top = float(linear.max())
-    active = (linear >= top - floor).nonzero()[0]
-    return SubproblemSolution(z, primal, weights, tuple(active.tolist()), gap)
+        raise SubproblemError(f"dual gap {gap:.3e} above tolerance")
+    return SubproblemSolution(z, primal, weights, gap)
 
 
 def solve_subproblem(x: Array, y: Array, L: float, p: ProblemInstance,
@@ -332,7 +314,8 @@ def solve_subproblem(x: Array, y: Array, L: float, p: ProblemInstance,
     the dual solve; the solver itself keeps no state between calls.
     """
     warm = project_simplex(warm_weights) if warm_weights is not None else None
-    return _solve_dual(_model_at(x, y, L, p), cfg or SubproblemConfig(), warm)
+    model = _linearize(y, L, p, evaluate_objectives(p, x))
+    return _solve_dual(model, cfg or SubproblemConfig(), warm)
 
 
 def weak_pareto_residual(x: Array, y: Array, L: float, p: ProblemInstance,

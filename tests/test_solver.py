@@ -126,6 +126,11 @@ def test_single_objective_one_step_convergence():
     np.testing.assert_allclose(res.x, [0.0], atol=1e-12)
 
 
+def test_wrong_shape_start_raises():
+    with pytest.raises(ValueError, match=r"shape \(2,\), expected \(1,\)"):
+        run_solver(single_quadratic(), np.array([1.0, 2.0]))
+
+
 def test_start_on_pareto_point_stops_immediately():
     p = ProblemInstance(
         n=1, m=2,
@@ -530,3 +535,17 @@ def test_divergent_step_raises_at_overflowed_iterate(variant):
             x_prev, warm = rec.x, sol.weights
         np.testing.assert_array_equal(
             solve_subproblem(x, y, variant.L, p, warm_weights=warm).z, bad)
+
+
+def test_public_solve_replays_every_accepted_step_bit_for_bit():
+    # The adaptive solver's accepted trial at (x_{k-1}, y_k, L_k), warm-started
+    # from the previous accepted weights, is what solve_subproblem returns there.
+    cfg = SolverConfig(eps=1e-6, max_iter=300)
+    for name in available_problems():
+        p, desc = builtin_problem(name)
+        for x0 in sample_initial_points(desc, 4, seed=5):
+            x_prev, warm = np.asarray(x0, dtype=float), None
+            for rec in run_solver(p, x0, cfg).trace.records:
+                sol = solve_subproblem(x_prev, rec.y, rec.L, p, warm_weights=warm)
+                assert sol.z.tobytes() == rec.x.tobytes(), (name, rec.k)
+                x_prev, warm = rec.x, sol.weights

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from mofista import (CustomNonsmooth, ProblemInstance, SubproblemConfig,
                      WeightedL1, Zero, builtin_problem, sample_initial_points)
 from mofista.problems import evaluate_objectives
-from mofista.subproblem import (_QP_CUTOFF, SubproblemError, _Model, _model_at,
+from mofista.subproblem import (_QP_CUTOFF, SubproblemError, _Model, _linearize,
                                 _simplex_qp, project_simplex, solve_subproblem,
                                 weak_pareto_residual)
 from reference import (dual_value, inner_primal_step, kkt_residual, model_evaluation,
@@ -160,7 +160,7 @@ def test_model_evaluation_matches_reference_bit_for_bit(m, l1):
         p = quad_instance(rng.uniform(-1, 1, (m, n)), rng.uniform(0.25, 1.5, m), weight)
         x, y = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
         L = float(rng.uniform(0.2, 4.0) * p.grad_lipschitz)
-        model = _model_at(x, y, L, p)
+        model = _linearize(y, L, p, evaluate_objectives(p, x))
         cases = list(np.eye(m)) + [rng.dirichlet(np.ones(m)) for _ in range(5)]
         for w in cases:
             got = model.evaluate(w)[:5]
@@ -178,7 +178,6 @@ def test_solve_interior_saddle():
     np.testing.assert_allclose(sol.z, [1.0], atol=1e-9)
     assert abs(sol.value) <= 1e-9
     np.testing.assert_allclose(sol.weights, [0.5, 0.5], atol=1e-6)
-    assert sol.active_set == (0, 1)
 
 
 def test_solve_boundary_saddle():
@@ -187,7 +186,6 @@ def test_solve_boundary_saddle():
     np.testing.assert_allclose(sol.z, [0.0], atol=1e-10)
     assert sol.value == pytest.approx(-1.0, abs=1e-10)
     np.testing.assert_allclose(sol.weights, [1.0, 0.0], atol=1e-8)
-    assert sol.active_set == (0,)
 
 
 def test_single_objective_exact_gradient_step():
@@ -303,9 +301,8 @@ def test_many_objectives_certify_tight_gap(m, n, l1):
 def test_inner_budget_exhaustion_raises():
     cfg = SubproblemConfig(tol=1e-14, max_inner_iter=1)
     p = quad_instance([[0.0, 1.0], [0.0, -1.0], [1.0, 0.0]], [1.0, 1.0, 1.0])
-    with pytest.raises(SubproblemError) as err:
+    with pytest.raises(SubproblemError, match=r"dual gap .* above tolerance"):
         solve_subproblem(np.array([0.9, 1.7]), np.array([0.9, 1.7]), 2.0, p, cfg)
-    assert err.value.gap is not None and err.value.z is not None
 
 
 def test_rejected_newton_point_steps_on_with_its_own_curvature():
