@@ -18,10 +18,10 @@ Without ``--problems`` the run covers every built-in and then the generated
 convex quadratics of ``perfbench``'s ``generated_m3`` and
 ``generated_large_n`` workloads at seed 1, read through
 ``load_problem_file``.  Each row holds the accepted iterations, the trials
-``T`` (iterations plus backtracks), the ``1 + 2T`` calls of ``f`` and ``T``
-of ``grad f`` that a run of ``T`` trials makes, and the count of each final
-status; a run that raises counts under the exception's name and adds no
-calls.  ``totals`` sums the rows of each group for each variant.
+(iterations plus backtracks), the calls of ``f`` and of ``grad f``, counted
+by wrappers around the problem's oracles, and the count of each final
+status; a run that raises counts under the exception's name and adds
+nothing else.  ``totals`` sums the rows of each group for each variant.
 
 The JSON holds no wall time, so reruns give byte-identical files.  A
 markdown summary goes to stdout.
@@ -33,6 +33,7 @@ import json
 import sys
 import tempfile
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 from mofista import (Backtracking, BacktrackingError, EvaluationError, FixedStep,
@@ -58,23 +59,38 @@ def configs(L_true):
             "monotone": SolverConfig(sigma=MONOTONE_SIGMA, **base), **fixed}
 
 
+def counting_copy(p):
+    """``p`` with ``f`` and ``grad f`` wrapped in call counters."""
+    calls = Counter()
+
+    def counted(key, oracle):
+        def call(x):
+            calls[key] += 1
+            return oracle(x)
+        return call
+
+    return replace(p, smooth=counted("f_calls", p.smooth),
+                   smooth_jac=counted("jac_calls", p.smooth_jac)), calls
+
+
 def row(p, starts, cfg) -> dict:
     """Counts and statuses of ``cfg`` from every start."""
     out = dict.fromkeys(COUNTS, 0)
     statuses = Counter()
+    p, calls = counting_copy(p)
     for x0 in starts:
         out["runs"] += 1
+        calls.clear()
         try:
             res = run_solver(p, x0, cfg)
         except (BacktrackingError, EvaluationError) as exc:
             statuses[type(exc).__name__] += 1
             continue
         records = res.trace.records
-        trials = len(records) + sum(r.backtracks for r in records)
         out["iterations"] += len(records)
-        out["trials"] += trials
-        out["f_calls"] += 1 + 2 * trials
-        out["jac_calls"] += trials
+        out["trials"] += len(records) + sum(r.backtracks for r in records)
+        out["f_calls"] += calls["f_calls"]
+        out["jac_calls"] += calls["jac_calls"]
         statuses[res.status.value] += 1
     out["statuses"] = dict(sorted(statuses.items()))
     return out

@@ -161,19 +161,19 @@ def evaluate_objectives(p: ProblemInstance, x: Array) -> Array:
     Raises :class:`EvaluationError` if any component is non-finite, carrying
     the offending point, and ``ValueError`` unless ``x`` has shape ``(n,)``.
     """
+    return _evaluate(p, x)[1]
+
+
+def _evaluate(p: ProblemInstance, x: Array, fx: Optional[Array] = None) -> tuple[Array, Array]:
+    """``(f(x), F(x))``, checked as in :func:`evaluate_objectives`, from one
+    ``f`` call or from ``fx = f(x)`` when the caller already holds it."""
     x = np.asarray(x, dtype=float)
     if x.shape != (p.n,):
         raise ValueError(f"x has shape {x.shape}, expected {(p.n,)}")
-    return _objectives_from(p, x, p.smooth(x))
-
-
-def _objectives_from(p: ProblemInstance, x: Array, fx: Array) -> Array:
-    """``F(x) = f(x) + g(x)`` from an already computed ``fx = f(x)``."""
-    fx = np.asarray(fx, dtype=float)
+    fx = np.asarray(p.smooth(x) if fx is None else fx, dtype=float)
     if fx.shape != (p.m,):
         raise ValueError(f"smooth eval returned shape {fx.shape}, expected ({p.m},)")
     total = fx + p.nonsmooth.value(x)
     if not np.isfinite(total).all():
         raise EvaluationError("objective evaluation produced a non-finite value", x)
-    return total
-
+    return fx, total

@@ -20,10 +20,11 @@ Seeding ``t_prev = 0`` makes the first iteration use ``t = 1`` and
 
 All variants run one trial loop and differ in two flags: ``L`` deflates
 then inflates (:class:`Backtracking`), and momentum extrapolates (all but
-:class:`PlainProxGrad`).  A trial calls ``grad f(y)``, ``f(y)`` and ``f(z)``
-once each: ``F(x)`` carries over, and the upper-bound test's ``f(z)`` gives
-the accepted ``F(z)``.  ``T`` trials (iterations plus backtracks) cost
-``1 + 2T`` calls of ``f``, counting ``F(x0)``, and ``T`` of ``grad f``.
+:class:`PlainProxGrad`).  No oracle is called twice at one point.  ``f(x)``
+carries over with ``F(x)``.  An iteration where ``y`` is ``x`` (each one of
+:class:`PlainProxGrad`, the first two of the others) makes one ``grad f``
+call for all its trials and takes ``f(y) = f(x)``; other trials call both
+at ``y``.  Each trial calls ``f(z)`` unless its step is exactly zero.
 """
 
 from __future__ import annotations
@@ -31,13 +32,13 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
 
-from .problems import Array, ProblemInstance, _objectives_from, evaluate_objectives
-from .subproblem import (SubproblemConfig, SubproblemError, SubproblemSolution,
+from .problems import Array, ProblemInstance, _evaluate
+from .subproblem import (SubproblemConfig, SubproblemError, SubproblemSolution, _Model,
                          _linearize, _solve_dual, project_simplex)
 
 __all__ = [
@@ -188,21 +189,21 @@ def _upper_bound_holds(fy: Array, gd: Array, dd: float, fz: Array, L: float) -> 
                for a, b, g in zip(fz.tolist(), fy.tolist(), gd.tolist()))
 
 
-def _trial(p: ProblemInstance, y: Array, L: float, Fx: Array, sub_cfg: SubproblemConfig,
+def _trial(p: ProblemInstance, model: _Model, sub_cfg: SubproblemConfig,
            warm: Optional[Array]) -> tuple[SubproblemSolution, Array, bool, float]:
-    """Solve at ``(y, L)`` from the weights ``warm`` against ``Fx = F(x)``;
-    return the solution, ``f(z)``, the upper-bound test on those values and
-    the curvature seen, ``L_seen = max_i 2 (f_i(z) - f_i(y) - <grad f_i(y),
-    d>) / ||d||^2`` (0 if ``d = 0``), which the next first trial rounds up to
-    a quarter power of ``beta``, off the bound where rounding decides the test."""
-    model = _linearize(y, L, p, Fx)
+    """Solve the subproblem of ``model`` from the weights ``warm``; return
+    the solution, ``f(z)`` (``f(y)`` if the step ``d`` is exactly zero), the
+    upper-bound test on those values and the curvature seen, ``L_seen =
+    max_i 2 (f_i(z) - f_i(y) - <grad f_i(y), d>) / ||d||^2`` (0 if ``d = 0``),
+    which the next first trial rounds up to a quarter power of ``beta``, off
+    the bound where rounding decides the test."""
     sol = _solve_dual(model, sub_cfg, warm)
-    fz = np.asarray(p.smooth(sol.z), dtype=float)
     d = sol.z - model.y
-    gd = model.grads @ d
     dd = float(d @ d)
+    fz = np.asarray(p.smooth(sol.z), dtype=float) if dd > 0.0 or d.any() else model.fy
+    gd = model.grads @ d
     seen = 2.0 * float((fz - model.fy - gd).max()) / dd if dd > 0.0 else 0.0
-    return sol, fz, _upper_bound_holds(model.fy, gd, dd, fz, L), seen
+    return sol, fz, _upper_bound_holds(model.fy, gd, dd, fz, model.L), seen
 
 
 def run_solver(p: ProblemInstance, x0: Array, cfg: Optional[SolverConfig] = None) -> SolveResult:
@@ -217,7 +218,7 @@ def run_solver(p: ProblemInstance, x0: Array, cfg: Optional[SolverConfig] = None
     """
     cfg = cfg or SolverConfig()
     x0 = np.asarray(x0, dtype=float)
-    objectives0 = evaluate_objectives(p, x0)
+    fx, objectives0 = _evaluate(p, x0)
 
     # The variants differ only in these two flags.
     adaptive = isinstance(cfg.variant, Backtracking)
@@ -234,12 +235,15 @@ def run_solver(p: ProblemInstance, x0: Array, cfg: Optional[SolverConfig] = None
         ratio = min(1.0, seen / L_prev)  # a trial under L_seen would likely fail
         omega = (max(1.0 / cfg.sigma, cfg.beta ** (math.ceil(4.0 * math.log(ratio, cfg.beta)) / 4.0))
                  if ratio > 0.0 else 1.0 / cfg.sigma) if adaptive else 1.0
-        backtracks = 0
+        backtracks, anchored, model = 0, not momentum or k <= 2, None
         try:
             while True:
                 L = omega * L_prev
                 t, _, y = fista_step(x, x_prev, t_prev, omega) if momentum else (1.0, None, x)
-                sol, fz, ok, seen = _trial(p, y, L, Fx, cfg.subproblem, warm)
+                # Anchored trials share one model, built at y: x's zeros may differ in sign.
+                model = (replace(model, L=L) if anchored and model is not None
+                         else _linearize(y, L, p, Fx, fx if anchored else None))
+                sol, fz, ok, seen = _trial(p, model, cfg.subproblem, warm)
                 if ok or not adaptive:
                     break
                 backtracks += 1
@@ -253,7 +257,7 @@ def run_solver(p: ProblemInstance, x0: Array, cfg: Optional[SolverConfig] = None
             break
 
         residual = float(abs(sol.z - y).max())
-        Fx = _objectives_from(p, sol.z, fz)
+        fx, Fx = _evaluate(p, sol.z, fz)
         records.append(IterationRecord(
             k=k, L=L, backtracks=backtracks, residual=residual, t=t,
             y=y, x=sol.z, objectives=Fx,

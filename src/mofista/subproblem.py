@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .problems import Array, NonsmoothPart, ProblemInstance, evaluate_objectives
+from .problems import Array, NonsmoothPart, ProblemInstance, _evaluate
 
 __all__ = [
     "SubproblemConfig",
@@ -146,16 +146,18 @@ class _Model:
         return avg + rest, top + rest, top - avg, z, linear, v
 
 
-def _linearize(y: Array, L: float, p: ProblemInstance, Fx: Array) -> _Model:
-    """Model at ``(y, L)`` from one ``grad f`` and one ``f`` call at ``y``,
-    against objective values ``Fx = F(x)`` the caller already holds."""
+def _linearize(y: Array, L: float, p: ProblemInstance, Fx: Array,
+               fy: Optional[Array] = None) -> _Model:
+    """Model at ``(y, L)`` from one ``grad f`` call at ``y``, against objective
+    values ``Fx = F(x)`` the caller already holds; ``f(y)`` is one more call
+    unless the caller passes it as ``fy`` (``f(x)`` where ``y`` is ``x``)."""
     if not L > 0.0:
         raise ValueError("step constant L must be positive")
     y = np.asarray(y, dtype=float)
     grads = np.asarray(p.smooth_jac(y), dtype=float)
     if grads.shape != (p.m, p.n):
         raise ValueError(f"jacobian shape {grads.shape}, expected {(p.m, p.n)}")
-    fy = np.asarray(p.smooth(y), dtype=float)
+    fy = np.asarray(p.smooth(y), dtype=float) if fy is None else fy
     return _Model(grads, fy, fy - Fx, y, float(L), p.nonsmooth)
 
 
@@ -311,10 +313,12 @@ def solve_subproblem(x: Array, y: Array, L: float, p: ProblemInstance,
     """Solve one worst-case prox-linear step to a certified dual gap.
 
     ``warm_weights``, when given, are projected onto the simplex and seed
-    the dual solve; the solver itself keeps no state between calls.
+    the dual solve; the solver itself keeps no state between calls.  When
+    ``y is x`` one ``f`` call serves both points.
     """
     warm = project_simplex(warm_weights) if warm_weights is not None else None
-    model = _linearize(y, L, p, evaluate_objectives(p, x))
+    fx, Fx = _evaluate(p, x)
+    model = _linearize(y, L, p, Fx, fx if y is x else None)
     return _solve_dual(model, cfg or SubproblemConfig(), warm)
 
 

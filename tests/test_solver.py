@@ -11,9 +11,10 @@ from mofista import (Backtracking, BacktrackingError, CustomNonsmooth,
                      ProblemInstance, SolverConfig, Status, SubproblemConfig,
                      accepted_L_bound_check, available_problems, builtin_problem,
                      run_solver, sample_initial_points)
+from mofista import solver as solver_module
 from mofista.problems import evaluate_objectives
 from mofista.solver import _upper_bound_holds, fista_step
-from mofista.subproblem import solve_subproblem
+from mofista.subproblem import solve_subproblem, weak_pareto_residual
 from reference import sufficient_decrease_check
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -403,58 +404,103 @@ def counting_copy(p):
     return replace(p, smooth=smooth, smooth_jac=smooth_jac), calls
 
 
+VARIANTS = {"backtracking": lambda L: Backtracking(), "fixed": FixedStep, "pgm": PlainProxGrad}
+
+
 @pytest.mark.parametrize("name", ["SP1_l1", "VFM1"])
 @pytest.mark.parametrize("kind", ["backtracking", "fixed", "pgm"])
 def test_one_oracle_call_per_point(name, kind):
-    # Per trial: f(y), grad f(y) and f(z); F(x) carries over, so the only
-    # extra call is f(x0).
+    # An iteration is anchored when y is x: every pgm iteration and the first
+    # two of the others.  Its trials share one grad f(y) and take f(y) = f(x);
+    # every other trial calls both.  f(z) is called unless the step is zero,
+    # which only an accepted record with residual 0 can have.  F(x) carries
+    # over, so the only extra call is f(x0).
     p, desc = builtin_problem(name)
-    variant = {"backtracking": Backtracking(), "fixed": FixedStep(desc.L_true),
-               "pgm": PlainProxGrad(desc.L_true)}[kind]
     counted, calls = counting_copy(p)
     x0 = sample_initial_points(desc, 1, seed=18)[0]
-    res = run_solver(counted, x0, SolverConfig(eps=1e-6, variant=variant))
+    res = run_solver(counted, x0, SolverConfig(eps=1e-6, variant=VARIANTS[kind](desc.L_true)))
     assert res.status is Status.CONVERGED
     records = res.trace.records
     trials = len(records) + sum(r.backtracks for r in records)
-    assert calls["f"] == 1 + 2 * trials
-    assert calls["jac"] == trials
+    anchored = sum(kind == "pgm" or r.k <= 2 for r in records)
+    unanchored_trials = sum(1 + r.backtracks for r in records if kind != "pgm" and r.k > 2)
+    zero_steps = sum(r.residual == 0.0 for r in records)
+    assert calls["jac"] == anchored + unanchored_trials
+    assert calls["f"] == 1 + trials - zero_steps + unanchored_trials
     if kind == "backtracking":
         assert trials > len(records)
 
 
+@pytest.mark.parametrize("name", available_problems())
+def test_no_oracle_called_twice_at_one_point(name):
+    p, desc = builtin_problem(name)
+    seen = {"smooth": [], "smooth_jac": []}
+
+    def logged(attr):
+        def oracle(x):
+            seen[attr].append(np.asarray(x, dtype=float).tobytes())
+            return getattr(p, attr)(x)
+        return oracle
+
+    watched = replace(p, smooth=logged("smooth"), smooth_jac=logged("smooth_jac"))
+    kinds = ["backtracking"] if desc.L_true is None else list(VARIANTS)
+    for kind in kinds:
+        for x0 in sample_initial_points(desc, 5, seed=2):
+            for points in seen.values():
+                points.clear()
+            run_solver(watched, x0, SolverConfig(eps=1e-6, variant=VARIANTS[kind](desc.L_true)))
+            for attr, points in seen.items():
+                assert len(set(points)) == len(points), (kind, attr)
+
+
+def test_residual_at_x_calls_f_once():
+    # With y is x, F(x) and f(y) share one f call; a copy of x costs a second.
+    p, desc = builtin_problem("SP1_l1")
+    counted, calls = counting_copy(p)
+    x = sample_initial_points(desc, 1, seed=3)[0]
+    at_x = weak_pareto_residual(x, x, desc.L_true, counted)
+    assert calls == {"f": 1, "jac": 1}
+    assert weak_pareto_residual(x, x.copy(), desc.L_true, counted) == at_x
+    assert calls == {"f": 3, "jac": 2}
+
+
+def count_solves(monkeypatch, per_solve):
+    """Start a new entry of ``per_solve`` at each subproblem solve of the
+    solver; trials that share a linearization still solve one each."""
+    solve = solver_module._solve_dual
+
+    def counted(*args):
+        per_solve.append(0)
+        return solve(*args)
+
+    monkeypatch.setattr(solver_module, "_solve_dual", counted)
+
+
 @pytest.mark.parametrize("name", ["SP1_l1", "VFM1"])
-def test_prox_calls_per_subproblem_solve(name):
-    # Each trial calls grad f(y) once and then solves its subproblem, so the
-    # prox calls after one Jacobian call and before the next are one solve's.
+def test_prox_calls_per_subproblem_solve(name, monkeypatch):
+    # Each trial makes one dual solve, so the prox calls after one solve
+    # starts and before the next are that solve's.
     p, desc = builtin_problem(name)
     per_solve = []
-
-    def smooth_jac(x):
-        per_solve.append(0)
-        return p.smooth_jac(x)
+    count_solves(monkeypatch, per_solve)
 
     def prox(t, v):
         per_solve[-1] += 1
         return p.nonsmooth.prox(t, v)
 
-    counted = replace(p, smooth_jac=smooth_jac,
-                      nonsmooth=CustomNonsmooth(p.nonsmooth.value, prox))
+    counted = replace(p, nonsmooth=CustomNonsmooth(p.nonsmooth.value, prox))
     for x0 in sample_initial_points(desc, 10, seed=1):
         assert run_solver(counted, x0, SolverConfig(eps=1e-6)).status is Status.CONVERGED
     assert max(per_solve) <= 20
 
 
-def prox_calls_per_solve(name):
+def prox_calls_per_solve(name, monkeypatch):
     # As above, but the prox is counted through a subclass of the problem's
     # own part class, so the solve takes the part's exact curvature path.
     p, desc = builtin_problem(name)
     per_solve = []
+    count_solves(monkeypatch, per_solve)
     base = type(p.nonsmooth)
-
-    def smooth_jac(x):
-        per_solve.append(0)
-        return p.smooth_jac(x)
 
     def prox(self, t, v):
         per_solve[-1] += 1
@@ -462,22 +508,22 @@ def prox_calls_per_solve(name):
 
     part = type("Counted" + base.__name__, (base,), {"prox": prox})(
         **{f.name: getattr(p.nonsmooth, f.name) for f in fields(p.nonsmooth)})
-    counted = replace(p, smooth_jac=smooth_jac, nonsmooth=part)
+    counted = replace(p, nonsmooth=part)
     for x0 in sample_initial_points(desc, 10, seed=1):
         run_solver(counted, x0, SolverConfig(eps=1e-6))
     return per_solve
 
 
 @pytest.mark.parametrize("name", ["SP1", "FF1", "VFM1", "MHHM2", "DD1"])
-def test_exact_curvature_solves_smooth_subproblem_in_one_round(name):
+def test_exact_curvature_solves_smooth_subproblem_in_one_round(name, monkeypatch):
     # With g = 0 the dual is one concave quadratic: the start and the Newton
     # point are the only evaluations.
-    assert max(prox_calls_per_solve(name)) <= 2
+    assert max(prox_calls_per_solve(name, monkeypatch)) <= 2
 
 
 @pytest.mark.parametrize("name", ["SP1_l1", "JOS1_l1", "BK1_l1"])
-def test_exact_curvature_solves_l1_subproblem_in_few_rounds(name):
-    per_solve = prox_calls_per_solve(name)
+def test_exact_curvature_solves_l1_subproblem_in_few_rounds(name, monkeypatch):
+    per_solve = prox_calls_per_solve(name, monkeypatch)
     assert np.median(per_solve) <= 2
     assert max(per_solve) <= 6
 
