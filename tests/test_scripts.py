@@ -48,6 +48,9 @@ def test_trace_digest_default_run_covers_loaded_problems(capsys):
         assert digest.main([]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+    # Byte-identical traces: a change that alters them on purpose regenerates
+    # the file with ``scripts/trace_digest.py`` and says so.
+    assert outputs[0] == (ROOT / "tests" / "trace_digest.txt").read_text()
     # Both loaded problems have L_true, so every variant runs on each.
     runs = [f"{name} {variant} {i}" for name in ("loaded", "loaded_l1")
             for variant in ("backtracking", "fixed", "pgm") for i in range(digest.STARTS)]
