@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Replay the proved descent/rate relations on recorded solver traces.
 
-Runs the backtracking and fixed-step variants on the convex built-in
-problems from random starts, then checks on every trace:
+Runs the backtracking and fixed-step variants on the built-in problems
+whose descriptor is ``convex``, from random starts, then checks on every
+trace:
 
   * the one-step gap inequalities,
   * monotone decay of the momentum energy (accelerated variants),
@@ -18,13 +19,10 @@ import sys
 import numpy as np
 
 from mofista import (Backtracking, FixedStep, ReferenceSet, SolverConfig,
-                     accepted_L_bound_check, builtin_problem,
+                     accepted_L_bound_check, available_problems, builtin_problem,
                      gap_step_bounds_check, level_set_reference,
                      lyapunov_monotone_check, pareto_segment, rate_bound_check,
                      run_solver, sample_initial_points)
-
-CONVEX = ["BK1", "BK1_l1", "JOS1", "JOS1_l1", "SP1", "SP1_l1",
-          "VFM1", "MHHM1", "MHHM2"]
 
 
 def main(argv=None) -> int:
@@ -35,8 +33,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     failures = 0
-    for name in CONVEX:
+    for name in available_problems():
         p, desc = builtin_problem(name)
+        if not desc.convex:
+            continue
         starts = sample_initial_points(desc, args.seeds, seed=(7, len(name)))
         # one level-set reference per start, thinned so the replay stays quick
         level_sets = []

@@ -8,11 +8,15 @@ step-constant ratio ``omega = L_new / L_old``:
           \\theta_{+} = \\frac{t - 1}{t_{+}}, \\qquad
           y_{+} = x + \\theta_{+} (x - x_{-}) .
 
-The line search first deflates ``L`` by at most ``1/sigma``, to the curvature
-``L_seen`` the last step saw rounded up to a quarter power of ``beta``, then
-inflates by ``beta`` until the smooth parts meet the quadratic upper bound at
-the trial step; each inflation rescales ``omega`` and rebuilds ``(t, y)``, so
-accepted iterations keep ``t (t - 1) / L = t_prev^2 / L_prev`` exactly.
+One trial at ``(t, y, L)`` solves the subproblem from the last iteration's
+weights for ``z`` and tests the quadratic upper bound on the smooth parts at
+the step ``d = z - y``, with residual ``||d||_inf`` and curvature ``L_seen =
+max_i 2 (f_i(z) - f_i(y) - <grad f_i(y), d>) / ||d||^2`` (0 if ``d = 0``).
+The line search first deflates ``L`` by at most ``1/sigma``, to the last
+``L_seen`` rounded up to a quarter power of ``beta``, off the bound where
+rounding decides the test, then inflates by ``beta`` until a trial passes;
+each inflation rescales ``omega`` and rebuilds ``(t, y)``, so accepted
+iterations keep ``t (t - 1) / L = t_prev^2 / L_prev`` exactly.
 
 Seeding ``t_prev = 0`` makes the first iteration use ``t = 1`` and
 ``y = x0`` regardless of retries, so backtracking at the start only adjusts
@@ -21,8 +25,8 @@ Seeding ``t_prev = 0`` makes the first iteration use ``t = 1`` and
 All variants run one trial loop and differ in two flags: ``L`` deflates
 then inflates (:class:`Backtracking`), and momentum extrapolates (all but
 :class:`PlainProxGrad`).  No oracle is called twice at one point.  ``f(x)``
-carries over with ``F(x)``.  An iteration where ``y`` is ``x`` (each one of
-:class:`PlainProxGrad`, the first two of the others) makes one ``grad f``
+carries over with ``F(x)``.  An iteration where ``y`` equals ``x`` (each one
+of :class:`PlainProxGrad`, the first two of the others) makes one ``grad f``
 call for all its trials and takes ``f(y) = f(x)``; other trials call both
 at ``y``.  Each trial calls ``f(z)`` unless its step is exactly zero.
 """
@@ -38,8 +42,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .problems import Array, ProblemInstance, _evaluate
-from .subproblem import (SubproblemConfig, SubproblemError, SubproblemSolution, _Model,
-                         _linearize, _solve_dual, project_simplex)
+from .subproblem import (SubproblemConfig, SubproblemError, _linearize, _solve_dual,
+                         project_simplex)
 
 __all__ = [
     "Backtracking",
@@ -189,23 +193,6 @@ def _upper_bound_holds(fy: Array, gd: Array, dd: float, fz: Array, L: float) -> 
                for a, b, g in zip(fz.tolist(), fy.tolist(), gd.tolist()))
 
 
-def _trial(p: ProblemInstance, model: _Model, sub_cfg: SubproblemConfig,
-           warm: Optional[Array]) -> tuple[SubproblemSolution, Array, bool, float]:
-    """Solve the subproblem of ``model`` from the weights ``warm``; return
-    the solution, ``f(z)`` (``f(y)`` if the step ``d`` is exactly zero), the
-    upper-bound test on those values and the curvature seen, ``L_seen =
-    max_i 2 (f_i(z) - f_i(y) - <grad f_i(y), d>) / ||d||^2`` (0 if ``d = 0``),
-    which the next first trial rounds up to a quarter power of ``beta``, off
-    the bound where rounding decides the test."""
-    sol = _solve_dual(model, sub_cfg, warm)
-    d = sol.z - model.y
-    dd = float(d @ d)
-    fz = np.asarray(p.smooth(sol.z), dtype=float) if dd > 0.0 or d.any() else model.fy
-    gd = model.grads @ d
-    seen = 2.0 * float((fz - model.fy - gd).max()) / dd if dd > 0.0 else 0.0
-    return sol, fz, _upper_bound_holds(model.fy, gd, dd, fz, model.L), seen
-
-
 def run_solver(p: ProblemInstance, x0: Array, cfg: Optional[SolverConfig] = None) -> SolveResult:
     """Run one solver variant from ``x0`` until the weak-Pareto residual
     drops below ``cfg.eps`` or ``cfg.max_iter`` iterations are accepted.
@@ -243,8 +230,14 @@ def run_solver(p: ProblemInstance, x0: Array, cfg: Optional[SolverConfig] = None
                 # Anchored trials share one model, built at y: x's zeros may differ in sign.
                 model = (replace(model, L=L) if anchored and model is not None
                          else _linearize(y, L, p, Fx, fx if anchored else None))
-                sol, fz, ok, seen = _trial(p, model, cfg.subproblem, warm)
-                if ok or not adaptive:
+                sol = _solve_dual(model, cfg.subproblem, warm)
+                d = sol.z - y
+                dd = float(d @ d)
+                # An exactly zero step has f(z) = f(y) without a call.
+                fz = np.asarray(p.smooth(sol.z), dtype=float) if dd > 0.0 or d.any() else model.fy
+                gd = model.grads @ d
+                seen = 2.0 * float((fz - model.fy - gd).max()) / dd if dd > 0.0 else 0.0
+                if _upper_bound_holds(model.fy, gd, dd, fz, L) or not adaptive:
                     break
                 backtracks += 1
                 if backtracks > _MAX_BACKTRACKS:
@@ -256,7 +249,7 @@ def run_solver(p: ProblemInstance, x0: Array, cfg: Optional[SolverConfig] = None
             status = Status.SUBPROBLEM_FAILURE
             break
 
-        residual = float(abs(sol.z - y).max())
+        residual = float(abs(d).max())
         fx, Fx = _evaluate(p, sol.z, fz)
         records.append(IterationRecord(
             k=k, L=L, backtracks=backtracks, residual=residual, t=t,

@@ -47,6 +47,9 @@ __all__ = [
 # (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).
 _ROUNDING = 4.0 * np.finfo(float).eps
 
+# Dual evaluations one solve may make.
+_MAX_EVALS = 10_000
+
 # Relative least-squares cutoff of ``_simplex_qp``: the accuracy of difference
 # curvature (the default ``NonsmoothPart.prox_jvp``).  Exact curvature took the
 # same steps on every built-in with 1e-12, so one cutoff serves both.
@@ -63,17 +66,14 @@ class SubproblemConfig:
 
     ``tol`` is a relative dual-gap tolerance for a solve that ends above the
     gap's rounding floor: it is accepted when ``primal - dual <= tol * (1 +
-    |primal|)``.  ``max_inner_iter`` caps the dual evaluations of one solve.
+    |primal|)``.
     """
 
     tol: float = 1e-12
-    max_inner_iter: int = 10_000
 
     def __post_init__(self) -> None:
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
-        if self.max_inner_iter < 1:
-            raise ValueError("max_inner_iter must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,7 @@ def _linearize(y: Array, L: float, p: ProblemInstance, Fx: Array,
                fy: Optional[Array] = None) -> _Model:
     """Model at ``(y, L)`` from one ``grad f`` call at ``y``, against objective
     values ``Fx = F(x)`` the caller already holds; ``f(y)`` is one more call
-    unless the caller passes it as ``fy`` (``f(x)`` where ``y`` is ``x``)."""
+    unless the caller passes it as ``fy`` (``f(x)`` where ``y`` equals ``x``)."""
     if not L > 0.0:
         raise ValueError("step constant L must be positive")
     y = np.asarray(y, dtype=float)
@@ -259,10 +259,10 @@ def _solve_dual(model: _Model, cfg: SubproblemConfig,
     of ``b`` (``||G||^2 / L`` bounds the cancellation in ``G^T lam``).  Two
     rounds in a row that neither raise the dual nor lower the best gap halve
     the step of the last improving round, down to a thousandth; a non-finite
-    gap or curvature and the evaluation budget also end the solve.  The
-    solution is built from the best evaluation, ``(weights, z, primal, gap)``
-    with the least gap; a gap there above both the floor and ``cfg.tol * (1
-    + |primal|)`` raises.
+    gap or curvature and the evaluation budget ``_MAX_EVALS`` also end the
+    solve.  The solution is built from the best evaluation, ``(weights, z,
+    primal, gap)`` with the least gap; a gap there above both the floor and
+    ``cfg.tol * (1 + |primal|)`` raises.
     """
     m = model.grads.shape[0]
     # np.vdot: np.linalg.norm is several times slower at small n, math.hypot at large n.
@@ -270,20 +270,17 @@ def _solve_dual(model: _Model, cfg: SubproblemConfig,
     floor = _ROUNDING * (3.0 * gg * (math.sqrt(np.vdot(model.y, model.y)) + gg / model.L)
                          + max(map(abs, model.offsets.tolist())))
 
-    def newton(w: Array, b: Array, z: Array, v: Array) -> Optional[Array]:
-        """Maximizer over the simplex of the quadratic model at evaluation ``(w, b, z, v)``."""
-        jac = model.grads @ model.g.prox_jvp(1.0 / model.L, v, z, model.grads.T / -model.L)
-        if not np.isfinite(jac).all():
-            return None
-        curv = -0.5 * (jac + jac.T)
-        return _simplex_qp(b + curv @ w, curv, w)
-
     w = warm if warm is not None else np.full(m, 1.0 / m)
     top_q, primal, gap, z, b, v = model.evaluate(w)
     best, evals, stale, alpha = (w, z, primal, gap), 1, 0, 1.0
-    while floor < best[3] < math.inf and evals < cfg.max_inner_iter:
+    while floor < best[3] < math.inf and evals < _MAX_EVALS:
         if stale < 2:
-            target = newton(w, b, z, v)
+            # Newton round: maximize the quadratic model at the last evaluation.
+            jac = model.grads @ model.g.prox_jvp(1.0 / model.L, v, z, model.grads.T / -model.L)
+            if not np.isfinite(jac).all():
+                break
+            curv = -0.5 * (jac + jac.T)
+            target = _simplex_qp(b + curv @ w, curv, w)
             if not stale:
                 lam, aim = w, target
         elif alpha > 1e-3:
@@ -291,8 +288,6 @@ def _solve_dual(model: _Model, cfg: SubproblemConfig,
             alpha *= 0.5
             target = (1.0 - alpha) * lam + alpha * aim
         else:
-            break
-        if target is None:
             break
         w = target
         q, primal, gap, z, b, v = model.evaluate(w)
@@ -314,11 +309,11 @@ def solve_subproblem(x: Array, y: Array, L: float, p: ProblemInstance,
 
     ``warm_weights``, when given, are projected onto the simplex and seed
     the dual solve; the solver itself keeps no state between calls.  When
-    ``y is x`` one ``f`` call serves both points.
+    ``y`` equals ``x`` in value one ``f`` call serves both points.
     """
     warm = project_simplex(warm_weights) if warm_weights is not None else None
     fx, Fx = _evaluate(p, x)
-    model = _linearize(y, L, p, Fx, fx if y is x else None)
+    model = _linearize(y, L, p, Fx, fx if np.array_equal(x, y) else None)
     return _solve_dual(model, cfg or SubproblemConfig(), warm)
 
 

@@ -289,10 +289,10 @@ def test_max_iter_status():
     assert len(res.trace.records) == 1
 
 
-def test_subproblem_failure_status():
+def test_subproblem_failure_status(monkeypatch):
+    monkeypatch.setattr("mofista.subproblem._MAX_EVALS", 1)
     p, desc = builtin_problem("VFM1")
-    cfg = SolverConfig(eps=1e-10,
-                       subproblem=SubproblemConfig(tol=1e-10, max_inner_iter=1))
+    cfg = SolverConfig(eps=1e-10, subproblem=SubproblemConfig(tol=1e-10))
     res = run_solver(p, np.array([1.9, -1.7]), cfg)
     assert res.status is Status.SUBPROBLEM_FAILURE
 
@@ -454,14 +454,33 @@ def test_no_oracle_called_twice_at_one_point(name):
 
 
 def test_residual_at_x_calls_f_once():
-    # With y is x, F(x) and f(y) share one f call; a copy of x costs a second.
+    # With y equal to x in value, F(x) and f(y) share one f call, also when
+    # y is a copy of x.
     p, desc = builtin_problem("SP1_l1")
     counted, calls = counting_copy(p)
     x = sample_initial_points(desc, 1, seed=3)[0]
     at_x = weak_pareto_residual(x, x, desc.L_true, counted)
     assert calls == {"f": 1, "jac": 1}
     assert weak_pareto_residual(x, x.copy(), desc.L_true, counted) == at_x
-    assert calls == {"f": 3, "jac": 2}
+    assert calls == {"f": 2, "jac": 2}
+
+
+def test_replaying_anchored_records_calls_f_once():
+    # The first two iterations have y = x in value; replaying each through
+    # solve_subproblem from a copy of the previous iterate takes one f call
+    # and gives the recorded iterate bit for bit.
+    p, desc = builtin_problem("SP1_l1")
+    counted, calls = counting_copy(p)
+    x0 = sample_initial_points(desc, 1, seed=3)[0]
+    records = run_solver(p, x0, SolverConfig(eps=1e-6)).trace.records
+    x_prev, warm = x0, None
+    for rec in records[:2]:
+        assert np.array_equal(rec.y, x_prev)
+        before = calls["f"]
+        sol = solve_subproblem(x_prev.copy(), rec.y, rec.L, counted, warm_weights=warm)
+        assert calls["f"] - before == 1
+        assert sol.z.tobytes() == rec.x.tobytes()
+        x_prev, warm = rec.x, sol.weights
 
 
 def count_solves(monkeypatch, per_solve):

@@ -298,8 +298,9 @@ def test_many_objectives_certify_tight_gap(m, n, l1):
         assert sol.dual_gap <= cfg.tol * (1.0 + abs(sol.value))
 
 
-def test_inner_budget_exhaustion_raises():
-    cfg = SubproblemConfig(tol=1e-14, max_inner_iter=1)
+def test_inner_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr("mofista.subproblem._MAX_EVALS", 1)
+    cfg = SubproblemConfig(tol=1e-14)
     p = quad_instance([[0.0, 1.0], [0.0, -1.0], [1.0, 0.0]], [1.0, 1.0, 1.0])
     with pytest.raises(SubproblemError, match=r"dual gap .* above tolerance"):
         solve_subproblem(np.array([0.9, 1.7]), np.array([0.9, 1.7]), 2.0, p, cfg)
@@ -667,7 +668,5 @@ def test_project_simplex_is_nearest_point(v, raw):
 def test_config_validation():
     with pytest.raises(ValueError):
         SubproblemConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        SubproblemConfig(max_inner_iter=0)
     with pytest.raises(ValueError):
         inner_primal_step(np.array([1.0]), np.zeros(1), -1.0, TWO_PARABOLAS)
