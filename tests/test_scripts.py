@@ -61,6 +61,13 @@ def test_trace_digest_default_run_covers_loaded_problems(capsys):
     assert all(re.fullmatch(r"\w+ \d+ [0-9a-f]{64}", line.split(" ", 3)[3]) for line in loaded)
 
 
+def test_cli_digest_matches_the_committed_file(capsys):
+    # Byte-identical CLI outputs outside the wall-time columns: a change that
+    # alters them on purpose regenerates the file with ``scripts/cli_digest.py``.
+    assert load_script("cli_digest").main([]) == 0
+    assert capsys.readouterr().out == (ROOT / "tests" / "cli_digest.txt").read_text()
+
+
 def test_readme_public_api_is_all():
     text = (ROOT / "README.md").read_text()
     section = text.split("## Public API", 1)[1].split("\n## ", 1)[0]
