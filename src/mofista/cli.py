@@ -148,10 +148,8 @@ def _single_run(p: ProblemInstance, cfg: SolverConfig, x0: Array,
                   reason=reason, objectives=objectives, x=x)
 
 
-_Resolved = list[tuple[ProblemInstance, ProblemDescriptor, dict[str, SolverConfig]]]
-
-
-def _resolve_problems(bc: BenchConfig) -> _Resolved:
+def _resolve_problems(bc: BenchConfig) -> list[tuple[ProblemInstance, ProblemDescriptor,
+                                                        dict[str, SolverConfig]]]:
     """Each problem with the solver settings of every solver on it; raises
     ConfigError for any setting that cannot run, before anything is solved."""
     base = _base_solver_config(bc)
@@ -176,48 +174,40 @@ def _resolve_problems(bc: BenchConfig) -> _Resolved:
 
 def run_benchmark(bc: BenchConfig) -> BenchReport:
     resolved = _resolve_problems(bc)
-    out_dir = Path(bc.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    bc.out_dir.mkdir(parents=True, exist_ok=True)
 
-    groups: dict[tuple[str, str], list[RunRow]] = {}
+    rows, aggregates = [], []
     for p, desc, cfgs in resolved:
         starts = sample_initial_points(desc, bc.runs,
                                        (bc.seed, zlib.crc32(desc.name.encode())))
+        groups, fronts = {}, {}
         for solver, cfg in cfgs.items():
-            groups[desc.name, solver] = [
-                _single_run(p, cfg, starts[run_id], desc.name, solver, run_id)
-                for run_id in range(bc.runs)]
-    rows = [r for group in groups.values() for r in group]
-    _write_results(out_dir / "results.csv", rows, resolved)
-
-    aggregates = []
-    for _, desc, _ in resolved:
-        fronts = {}
-        for solver in bc.solvers:
-            sub = [r for r in groups[desc.name, solver] if np.all(np.isfinite(r.objectives))]
+            group = groups[solver] = [_single_run(p, cfg, x0, desc.name, solver, run_id)
+                                      for run_id, x0 in enumerate(starts)]
+            sub = [r for r in group if np.all(np.isfinite(r.objectives))]
             fronts[solver] = nondominated_filter(
                 np.vstack([r.objectives for r in sub]), np.vstack([r.x for r in sub])
             ) if sub else Front(objectives=np.empty((0, desc.m)))
         front_list = list(fronts.values())
-        for solver in bc.solvers:
-            group = groups[desc.name, solver]
+        for solver, group in groups.items():
+            rows += group
             aggregates.append((
                 desc.name, solver,
                 float(np.mean([r.iterations for r in group])),
                 float(np.mean([r.wall_ms for r in group])),
                 purity(fronts[solver], front_list),
             ))
-        _write_fronts(out_dir / f"fronts_{desc.name}.csv", fronts, desc)
+        _write_fronts(bc.out_dir / f"fronts_{desc.name}.csv", fronts, desc)
         merged = nondominated_filter(np.vstack([f.objectives for f in front_list]))
-        axes = (0, 1) if desc.m == 2 else (0, 1, 2)
-        emit_svg_scatter(merged, axes, out_dir / f"front_{desc.name}.svg")
+        emit_svg_scatter(merged, bc.out_dir / f"front_{desc.name}.svg")
 
-    _write_aggregates(out_dir / "aggregates.csv", aggregates)
-    _write_profiles(out_dir / "profiles.csv", groups, bc, resolved)
+    _write_results(bc.out_dir / "results.csv", rows)
+    _write_aggregates(bc.out_dir / "aggregates.csv", aggregates)
+    _write_profiles(bc.out_dir / "profiles.csv", rows, bc.solvers)
 
     failed = sum(1 for r in rows if r.status != Status.CONVERGED.value)
     return BenchReport(rows=tuple(rows), aggregates=tuple(aggregates),
-                       out_dir=out_dir, failed=failed)
+                       out_dir=bc.out_dir, failed=failed)
 
 
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
@@ -232,9 +222,9 @@ def _fmts(values, width: int = 0) -> list[str]:
     return [_fmt(v) for v in values] + [""] * (width - len(values))
 
 
-def _write_results(path: Path, rows: Sequence[RunRow], resolved: _Resolved) -> None:
-    max_m = max(desc.m for _, desc, _ in resolved)
-    max_n = max(desc.n for _, desc, _ in resolved)
+def _write_results(path: Path, rows: Sequence[RunRow]) -> None:
+    max_m = max(r.objectives.size for r in rows)
+    max_n = max(r.x.size for r in rows)
     header = (["problem", "solver", "run_id", "status", "iterations",
                "backtracks_total", "wall_ms", "final_residual", "reason"]
               + [f"F_{i + 1}" for i in range(max_m)]
@@ -258,12 +248,11 @@ def _write_aggregates(path: Path, aggregates) -> None:
                ([problem, solver] + _fmts(values) for problem, solver, *values in aggregates))
 
 
-def _write_profiles(path: Path, groups: dict[tuple[str, str], list[RunRow]],
-                    bc: BenchConfig, resolved: _Resolved) -> None:
+def _write_profiles(path: Path, rows: Sequence[RunRow], solvers: Sequence[str]) -> None:
     """Iteration-count profiles; each (problem, run) pair is one column."""
-    solvers = list(bc.solvers)
+    solvers = list(solvers)
     costs = np.array([[r.iterations if r.status == Status.CONVERGED.value else np.nan
-                       for _, desc, _ in resolved for r in groups[desc.name, solver]]
+                       for r in rows if r.solver == solver]
                       for solver in solvers], dtype=float)
     # Columns no solver converged on have no ratio.  Drop them here, so that
     # performance_profile neither warns about them nor raises on none left.

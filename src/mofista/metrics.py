@@ -124,9 +124,7 @@ def performance_profile(costs: Array, solvers: Sequence[str]) -> PerformanceProf
     costs = costs[:, usable]
     if costs.shape[1] == 0:
         raise ValueError("no problem was solved by any solver")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        best = np.nanmin(costs, axis=0)
+    best = np.nanmin(costs, axis=0)
     ratios = costs / best[None, :]
     ratios[~np.isfinite(ratios)] = np.inf
     finite = ratios[np.isfinite(ratios)]

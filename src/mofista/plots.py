@@ -1,4 +1,5 @@
-"""Minimal self-contained SVG scatter plots of objective fronts.
+"""Minimal self-contained SVG scatter plots of objective fronts: one panel
+for two objectives, else the pairwise panels (f1, f2), (f1, f3), (f2, f3).
 
 Hand-rolled on purpose: byte-identical output for identical input, one
 ``<circle>`` element per plotted point, no plotting-toolkit dependency.
@@ -7,7 +8,7 @@ Hand-rolled on purpose: byte-identical output for identical input, one
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -66,22 +67,17 @@ def _panel(points: np.ndarray, labels: tuple[str, str], x_off: int) -> list[str]
     return parts
 
 
-def emit_svg_scatter(front: Front, axes: Sequence[int],
-                     path: Union[str, Path]) -> Path:
+def emit_svg_scatter(front: Front, path: Union[str, Path]) -> Path:
     """Write a scatter of the front's objective vectors and return the path.
 
-    ``axes`` selects two objective indices for a single panel, or three for
-    a row of pairwise panels.  Axis ranges are the data bounding box padded
-    by 5%.  An empty front produces an annotated empty plot.
+    Two objectives give one panel, f1 against f2; three or more give the
+    pairwise panels of f1, f2 and f3.  Axis ranges are the data bounding box
+    padded by 5%.  An empty front produces an annotated empty plot.
     """
-    axes = tuple(int(a) for a in axes)
-    if len(axes) == 2:
-        pairs = [axes]
-    elif len(axes) == 3:
-        pairs = [(axes[0], axes[1]), (axes[0], axes[2]), (axes[1], axes[2])]
-    else:
-        raise ValueError("axes must contain two or three objective indices")
-
+    m = front.objectives.shape[1]
+    if m < 2:
+        raise ValueError("a front needs at least two objectives")
+    pairs = [(0, 1)] if m == 2 else [(0, 1), (0, 2), (1, 2)]
     width = _PANEL_W * len(pairs)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -93,11 +89,8 @@ def emit_svg_scatter(front: Front, axes: Sequence[int],
         parts.append(f'<text x="{width / 2:.1f}" y="{_PANEL_H / 2:.1f}" '
                      'text-anchor="middle" font-size="14">empty front</text>')
     else:
-        obj = front.objectives
-        if max(axes) >= obj.shape[1]:
-            raise ValueError("axis index exceeds objective count")
         for panel_idx, (i, j) in enumerate(pairs):
-            parts.extend(_panel(obj[:, [i, j]], (f"f{i + 1}", f"f{j + 1}"),
+            parts.extend(_panel(front.objectives[:, [i, j]], (f"f{i + 1}", f"f{j + 1}"),
                                 panel_idx * _PANEL_W))
     parts.append("</svg>")
     out = Path(path)

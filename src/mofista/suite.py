@@ -247,7 +247,7 @@ def pareto_segment(name: str, count: int = 20) -> Array:
     raise KeyError(f"no closed-form Pareto segment for {name!r}")
 
 
-def load_problem_file(path: Union[str, Path], register: bool = False) -> Problem:
+def load_problem_file(path: Union[str, Path]) -> Problem:
     """Load a quadratic problem definition.
 
     The file is JSON with fields ``name``, ``n``, ``m``, ``lower``, ``upper``,
@@ -255,9 +255,10 @@ def load_problem_file(path: Union[str, Path], register: bool = False) -> Problem
     ``{"quad": n x n matrix, "linear": n vector, "constant": scalar}``
     entries meaning ``f_i(x) = x'Q_i x / 2 + b_i'x + c_i``; ``linear`` and
     ``constant`` default to zero.  ``quad`` is symmetrized.  Raises
-    ``ValueError`` unless there are ``m`` objectives, the bounds have ``n``
-    entries each and are finite, every coefficient has its shape and is
-    finite, and ``l1_weight`` is finite and nonnegative.
+    ``ValueError`` unless ``n`` and ``m`` are JSON integers, there are ``m``
+    objectives, the bounds have ``n`` entries each and are finite, every
+    coefficient has its shape and is finite, and ``l1_weight`` is finite and
+    nonnegative.
 
     The gradient Lipschitz constant is the largest ``|eigenvalue|`` over all
     ``Q_i``.  The convexity flag holds when every ``Q_i`` is positive
@@ -265,7 +266,9 @@ def load_problem_file(path: Union[str, Path], register: bool = False) -> Problem
     ``f`` and ``grad f`` each cost one ``(m, n, n)`` matrix-vector product.
     """
     spec = json.loads(Path(path).read_text())
-    n, m = int(spec["n"]), int(spec["m"])
+    n, m = spec["n"], spec["m"]
+    if type(n) is not int or type(m) is not int:
+        raise ValueError(f"n and m must be integers, got {n!r} and {m!r}")
     if len(spec["objectives"]) != m:
         raise ValueError("objective count does not match m")
     lower = tuple(float(v) for v in spec["lower"])
@@ -293,8 +296,5 @@ def load_problem_file(path: Union[str, Path], register: bool = False) -> Problem
     def smooth_jac(x: Array) -> Array:
         return quads @ x + lins
 
-    inst, desc = _problem(str(spec["name"]), n, m, smooth, smooth_jac, lower, upper,
-                          float(spec.get("l1_weight", 0.0)), convex, L)
-    if register:
-        register_problem(desc.name, lambda: (inst, desc))
-    return inst, desc
+    return _problem(str(spec["name"]), n, m, smooth, smooth_jac, lower, upper,
+                    float(spec.get("l1_weight", 0.0)), convex, L)

@@ -23,7 +23,7 @@ from mofista import (
 from mofista import cli, suite
 from mofista.cli import main
 from mofista.plots import emit_svg_scatter
-from mofista.suite import load_problem_file
+from mofista.suite import load_problem_file, register_problem
 
 
 def _read_csv(path):
@@ -158,19 +158,19 @@ def test_single_solver_purity_is_one(tmp_path):
 
 def test_svg_one_circle_per_point(tmp_path):
     front = Front(objectives=np.array([[0.0, 1.0], [1.0, 0.0]]))
-    path = emit_svg_scatter(front, (0, 1), tmp_path / "two.svg")
+    path = emit_svg_scatter(front, tmp_path / "two.svg")
     text = path.read_text()
     assert text.count("<circle") == 2
     assert text.startswith("<?xml")
 
     front3 = Front(objectives=np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]]))
-    text3 = emit_svg_scatter(front3, (0, 1, 2), tmp_path / "three.svg").read_text()
+    text3 = emit_svg_scatter(front3, tmp_path / "three.svg").read_text()
     assert text3.count("<circle") == 6  # three pairwise panels
 
 
 def test_svg_empty_front_annotated(tmp_path):
     empty = nondominated_filter(np.empty((0, 2)))
-    text = emit_svg_scatter(empty, (0, 1), tmp_path / "empty.svg").read_text()
+    text = emit_svg_scatter(empty, tmp_path / "empty.svg").read_text()
     assert "empty front" in text
     assert "<circle" not in text
 
@@ -180,17 +180,15 @@ def test_svg_far_single_value_axis_is_centred(tmp_path):
     front = Front(objectives=np.array([[1e18, 3.0]]))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        text = emit_svg_scatter(front, (0, 1), tmp_path / "far.svg").read_text()
+        text = emit_svg_scatter(front, tmp_path / "far.svg").read_text()
     assert "nan" not in text
     assert '<circle cx="196.00" cy="134.00"' in text
 
 
 def test_svg_rejects_bad_axes(tmp_path):
-    front = Front(objectives=np.array([[0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        emit_svg_scatter(front, (0,), tmp_path / "bad.svg")
-    with pytest.raises(ValueError):
-        emit_svg_scatter(front, (0, 5), tmp_path / "bad.svg")
+    front = Front(objectives=np.array([[0.0], [1.0]]))
+    with pytest.raises(ValueError, match="at least two objectives"):
+        emit_svg_scatter(front, tmp_path / "bad.svg")
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +225,8 @@ def test_single_objective_problem_rejected_before_solving(tmp_path, capsys):
     path.write_text(json.dumps({"name": "_tmp_single", "n": 1, "m": 1,
                                 "lower": [0.0], "upper": [1.0],
                                 "objectives": [{"quad": [[1.0]]}]}))
-    load_problem_file(path, register=True)
+    p, desc = load_problem_file(path)
+    register_problem(desc.name, lambda: (p, desc))
     try:
         out = tmp_path / "out"
         with pytest.raises(ConfigError, match="objective"):
@@ -279,7 +278,9 @@ def test_fixed_step_on_flat_problem_fails_before_the_first_solve(tmp_path, monke
                                 "lower": [0.0, 0.0], "upper": [1.0, 1.0],
                                 "objectives": [{"quad": zero, "linear": [1.0, 0.0]},
                                                {"quad": zero, "linear": [0.0, 1.0]}]}))
-    assert load_problem_file(path, register=True)[1].L_true == 0.0
+    p, desc = load_problem_file(path)
+    assert desc.L_true == 0.0
+    register_problem(desc.name, lambda: (p, desc))
     try:
         out = tmp_path / "out"
         with pytest.raises(ConfigError, match="positive and finite"):

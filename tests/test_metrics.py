@@ -1,5 +1,7 @@
 """Front metrics: nondominated filtering, purity, performance profiles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -143,6 +145,17 @@ def test_profile_failures_cap_the_curve():
     assert prof.value("a", 1.0) == 0.5
     assert prof.value("a", prof.taus[-1]) == 0.5
     assert prof.value("b", prof.taus[-1]) == 1.0
+
+
+def test_profile_with_failures_but_a_finite_cost_per_problem_is_silent():
+    # Every column keeps a finite cost, so the per-problem best is found
+    # without an all-NaN slice and nothing may warn.
+    costs = np.array([[1.0, np.nan, 4.0, np.nan], [np.nan, 3.0, 2.0, 5.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prof = performance_profile(costs, ["a", "b"])
+    assert prof.value("a", prof.taus[-1]) == 0.5
+    assert prof.value("b", 1.0) == 0.75 and prof.value("b", prof.taus[-1]) == 0.75
 
 
 def test_profile_drops_problems_failed_by_all():

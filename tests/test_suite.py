@@ -289,25 +289,6 @@ def test_load_problem_file_quadratic(tmp_path):
     assert p.nonsmooth.value(np.array([2.0, -2.0])) == pytest.approx(2.0)
 
 
-def test_load_problem_file_register_flag(tmp_path):
-    body = {
-        "name": "_tmp_file_prob",
-        "n": 1,
-        "m": 1,
-        "lower": [0.0],
-        "upper": [1.0],
-        "objectives": [{"quad": [[1.0]]}],
-    }
-    path = _write_problem_file(tmp_path, body)
-    try:
-        load_problem_file(path, register=True)
-        p, desc = builtin_problem("_tmp_file_prob")
-        assert desc.L_true == pytest.approx(1.0)
-        assert p.m == 1
-    finally:
-        suite._REGISTRY.pop("_tmp_file_prob", None)
-
-
 def test_load_problem_file_rejects_malformed(tmp_path):
     base = {
         "name": "bad",
@@ -346,6 +327,12 @@ def test_load_problem_file_rejects_malformed(tmp_path):
             load_problem_file(path)
 
     two_bowls = dict(base, objectives=[{"quad": eye}, {"quad": eye}])
+    # Sizes must be JSON integers: each of these once loaded, truncated.
+    for bad in ({"n": 2.7}, {"m": 2.9}, {"n": True}, {"n": "2"}):
+        path = _write_problem_file(tmp_path, dict(two_bowls, **bad))
+        with pytest.raises(ValueError, match="integers"):
+            load_problem_file(path)
+
     for bad in ({"l1_weight": -1.0}, {"l1_weight": float("nan")},
                 {"l1_weight": float("inf")}, {"lower": [0.0, float("-inf")]},
                 {"upper": [float("inf"), 1.0]}, {"lower": [float("nan"), 0.0]}):
