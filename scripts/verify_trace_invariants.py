@@ -7,8 +7,14 @@ trace:
 
   * the one-step gap inequalities,
   * monotone decay of the momentum energy (accelerated variants),
-  * the O(1/k^2) worst-component rate bound (instances with known L),
+  * the O(1/k^2) worst-component rate bound (backtracking runs on the
+    problems with a closed-form Pareto segment: BK1, JOS1 and SP1),
   * the accepted-L cap.
+
+Only on SP1 does some iterate's worst-component gap to a point of that
+segment turn positive, so SP1 is where the rate check can fail; on BK1
+and JOS1 the gap stays nonpositive from these starts (checked up to
+--seeds 20).
 
 Exits nonzero if any check fails.
 """
@@ -43,6 +49,10 @@ def main(argv=None) -> int:
         for x0 in starts:
             points = level_set_reference(p, desc, x0).points
             level_sets.append(ReferenceSet(points[:: max(1, len(points) // 40)]))
+        try:
+            front = ReferenceSet(pareto_segment(name, 20))
+        except KeyError:
+            front = None
         variants = [("backtracking", Backtracking()),
                     ("fixed", FixedStep(desc.L_true))]
         for label, variant in variants:
@@ -52,8 +62,7 @@ def main(argv=None) -> int:
                 ok = gap_step_bounds_check(res.trace, p, Z)
                 ok &= lyapunov_monotone_check(res.trace, p, Z)
                 ok &= accepted_L_bound_check(res.trace, desc.L_true, cfg)
-                if label == "backtracking" and name in ("BK1", "JOS1"):
-                    front = ReferenceSet(pareto_segment(name, 20))
+                if label == "backtracking" and front is not None:
                     ok &= rate_bound_check(res.trace, p, cfg, front)
                 flag = "ok" if ok else "FAIL"
                 failures += not ok

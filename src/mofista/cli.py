@@ -70,18 +70,17 @@ class BenchConfig:
         unknown = [s for s in self.solvers if s not in SOLVER_NAMES]
         if unknown:
             raise ConfigError(f"unknown solver(s) {unknown}; choose from {SOLVER_NAMES}")
-        if self.fixed_L is not None and not 0.0 < self.fixed_L < np.inf:
-            raise ConfigError("fixed_L must be positive and finite")
         if not 0.0 < self.fixed_L_scale < np.inf:
             raise ConfigError("fixed_L_scale must be positive and finite")
         _base_solver_config(self)
 
 
 def _base_solver_config(bc: BenchConfig) -> SolverConfig:
-    """Solver settings shared by every run; invalid values raise ConfigError."""
+    """Shared run settings, a set fixed_L checked as a fixed step; bad ones raise ConfigError."""
+    variant = Backtracking() if bc.fixed_L is None else FixedStep(bc.fixed_L)
     try:
         return SolverConfig(L_init=bc.L_init, beta=bc.beta, sigma=bc.sigma,
-                            eps=bc.eps, max_iter=bc.max_iter)
+                            eps=bc.eps, max_iter=bc.max_iter, variant=variant)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -254,8 +253,8 @@ def _write_profiles(path: Path, rows: Sequence[RunRow], solvers: Sequence[str]) 
     costs = np.array([[r.iterations if r.status == Status.CONVERGED.value else np.nan
                        for r in rows if r.solver == solver]
                       for solver in solvers], dtype=float)
-    # Columns no solver converged on have no ratio.  Drop them here, so that
-    # performance_profile neither warns about them nor raises on none left.
+    # Columns no solver converged on have no ratio, and performance_profile
+    # rejects them: this is the one place they are dropped.
     costs = costs[:, np.isfinite(costs).any(axis=0)]
     if not costs.size:
         _write_csv(path, ["tau"], [])

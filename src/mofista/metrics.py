@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -25,8 +24,8 @@ _MATCH_TOL = 1e-8
 class Front:
     """A mutually nondominated set of objective vectors.
 
-    Build fronts through :func:`nondominated_filter`; ``decisions`` rows,
-    when present, align with ``objectives`` rows.
+    Build fronts through :func:`nondominated_filter`.  Objective rows need a
+    column, and ``decisions`` rows, when present, must align with them.
     """
 
     objectives: Array                 # (N, m)
@@ -34,6 +33,8 @@ class Front:
 
     def __post_init__(self) -> None:
         obj = np.atleast_2d(np.asarray(self.objectives, dtype=float))
+        if obj.shape[1] == 0:
+            raise ValueError("objective rows need at least one column")
         object.__setattr__(self, "objectives", obj)
         if self.decisions is not None:
             dec = np.atleast_2d(np.asarray(self.decisions, dtype=float))
@@ -52,22 +53,14 @@ def nondominated_filter(objectives: Array, decisions: Optional[Array] = None) ->
     the (lexicographically sorted) deduplicated objectives, which keeps the
     result independent of input ordering.
     """
-    obj = np.asarray(objectives, dtype=float)
-    if obj.size == 0:
-        return Front(objectives=np.empty((0, 1)) if obj.ndim < 2 else obj.reshape(0, obj.shape[-1]),
-                     decisions=None)
-    obj = np.atleast_2d(obj)
-    if decisions is not None:
-        decisions = np.atleast_2d(np.asarray(decisions, dtype=float))
-        if decisions.shape[0] != obj.shape[0]:
-            raise ValueError("decision rows must align with objective rows")
-    uniq, first = np.unique(obj, axis=0, return_index=True)
+    front = Front(objectives, decisions)
+    uniq, first = np.unique(front.objectives, axis=0, return_index=True)
     # le[i, j]: row i weakly dominates row j; rows are distinct, so any
     # off-diagonal weak domination is domination proper.
     le = np.all(uniq[:, None, :] <= uniq[None, :, :], axis=2)
     np.fill_diagonal(le, False)
     keep = ~np.any(le, axis=0)
-    kept_dec = decisions[first[keep]] if decisions is not None else None
+    kept_dec = front.decisions[first[keep]] if front.decisions is not None else None
     return Front(objectives=uniq[keep], decisions=kept_dec)
 
 
@@ -108,22 +101,18 @@ def performance_profile(costs: Array, solvers: Sequence[str]) -> PerformanceProf
     ``costs[s, p]`` is a positive scalar (iterations, time, ...) or NaN for
     a failed run.  For each problem the ratio against the per-problem best
     is formed; curve s at tau is the fraction of problems whose ratio is
-    finite and <= tau.  Problems failed by every solver are dropped with a
-    warning since no ratio is defined for them.
+    finite and <= tau.  Raises ``ValueError`` unless there is at least one
+    problem and every problem has a finite cost, since a problem failed by
+    every solver has no ratio; callers drop such problems first.
     """
     costs = np.atleast_2d(np.asarray(costs, dtype=float))
     if costs.shape[0] != len(solvers):
         raise ValueError("one cost row per solver required")
-    if np.any(costs[np.isfinite(costs)] <= 0.0):
-        raise ValueError("costs must be positive")
     solved = np.isfinite(costs)
-    usable = np.any(solved, axis=0)
-    if not np.all(usable):
-        warnings.warn(f"excluding {int(np.count_nonzero(~usable))} problem(s) "
-                      "failed by every solver", stacklevel=2)
-    costs = costs[:, usable]
-    if costs.shape[1] == 0:
-        raise ValueError("no problem was solved by any solver")
+    if costs.shape[1] == 0 or not solved.any(axis=0).all():
+        raise ValueError("every problem needs a finite cost from some solver")
+    if np.any(costs[solved] <= 0.0):
+        raise ValueError("costs must be positive")
     best = np.nanmin(costs, axis=0)
     ratios = costs / best[None, :]
     ratios[~np.isfinite(ratios)] = np.inf

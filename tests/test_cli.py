@@ -211,7 +211,9 @@ def test_main_unknown_problem(tmp_path, capsys):
 
 
 def test_main_bad_solver_parameter(tmp_path, capsys):
-    for flag, value in (("--beta", "0.5"), ("--sigma", "inf"), ("--seed", "-1")):
+    # --fixed-l is checked even when only backtracking runs.
+    for flag, value in (("--beta", "0.5"), ("--sigma", "inf"), ("--seed", "-1"),
+                        ("--fixed-l", "-1")):
         code = main(["--problems", "BK1", "--runs", "1", flag, value,
                      "--out", str(tmp_path)])
         assert code == 2

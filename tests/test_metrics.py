@@ -29,6 +29,11 @@ def test_filter_singleton_and_empty():
     empty = nondominated_filter(np.empty((0, 2)))
     assert len(empty) == 0
     assert empty.objectives.shape == (0, 2)
+    empty = nondominated_filter(np.empty((0, 2)), np.empty((0, 3)))
+    assert len(empty) == 0 and empty.decisions.shape == (0, 3)
+    # atleast_2d makes [] one row with no columns, which is not a front.
+    with pytest.raises(ValueError, match="at least one column"):
+        nondominated_filter([])
 
 
 def test_filter_collapses_duplicates():
@@ -73,6 +78,8 @@ def test_front_validation_and_len():
     with pytest.raises(ValueError):
         Front(objectives=np.zeros((1, 2)), decisions=np.zeros((2, 1)))
     assert len(Front(objectives=np.zeros((3, 2)))) == 3
+    with pytest.raises(ValueError, match="at least one column"):
+        Front([])
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +165,12 @@ def test_profile_with_failures_but_a_finite_cost_per_problem_is_silent():
     assert prof.value("b", 1.0) == 0.75 and prof.value("b", prof.taus[-1]) == 0.75
 
 
-def test_profile_drops_problems_failed_by_all():
+def test_profile_rejects_problems_failed_by_all():
+    # A problem no solver solved has no ratio; the caller drops it first.
     costs = np.array([[1.0, np.nan], [1.0, np.nan]])
-    with pytest.warns(UserWarning, match="excluding 1"):
-        prof = performance_profile(costs, ["a", "b"])
+    with pytest.raises(ValueError, match="finite cost"):
+        performance_profile(costs, ["a", "b"])
+    prof = performance_profile(costs[:, :1], ["a", "b"])
     assert prof.value("a", 1.0) == 1.0
     assert prof.taus[0] == 1.0
 
@@ -173,9 +182,10 @@ def test_profile_rejects_degenerate_input():
         performance_profile(np.array([[0.0]]), ["a"])
     with pytest.raises(ValueError):
         performance_profile(np.array([[-1.0]]), ["a"])
-    with pytest.warns(UserWarning):
-        with pytest.raises(ValueError):
-            performance_profile(np.array([[np.nan], [np.nan]]), ["a", "b"])
+    with pytest.raises(ValueError):
+        performance_profile(np.array([[np.nan], [np.nan]]), ["a", "b"])
+    with pytest.raises(ValueError, match="finite cost"):
+        performance_profile(np.empty((2, 0)), ["a", "b"])
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 import mofista
+from mofista.problems import evaluate_objectives
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -22,6 +23,19 @@ def load_script(name):
 
 def test_verify_trace_invariants_passes():
     assert load_script("verify_trace_invariants").main(["--seeds", "1"]) == 0
+
+
+def test_rate_check_in_verify_script_can_fail_on_sp1():
+    # The rate bound only constrains iterates whose worst-component gap to a
+    # Pareto point is positive.  On SP1, with the script's starts and
+    # settings, a backtracking run has such an iterate.
+    p, desc = mofista.builtin_problem("SP1")
+    F_z = np.vstack([evaluate_objectives(p, z) for z in mofista.pareto_segment("SP1", 20)])
+    cfg = mofista.SolverConfig(eps=1e-6, max_iter=500)
+    gaps = [np.min(F[None, :] - F_z, axis=1)
+            for x0 in mofista.sample_initial_points(desc, 5, seed=(7, 3))
+            for F in mofista.run_solver(p, x0, cfg).trace.objective_rows()[1:]]
+    assert np.max(gaps) > 0.0
 
 
 def test_trace_digest_repeats_with_one_line_per_run(capsys):
