@@ -63,7 +63,7 @@ def main(argv=None) -> int:
                 ok &= lyapunov_monotone_check(res.trace, p, Z)
                 ok &= accepted_L_bound_check(res.trace, desc.L_true, cfg)
                 if label == "backtracking" and front is not None:
-                    ok &= rate_bound_check(res.trace, p, cfg, front)
+                    ok &= rate_bound_check(res.trace, p, desc.L_true, cfg, front)
                 flag = "ok" if ok else "FAIL"
                 failures += not ok
                 print(f"{name:8s} {label:12s} iters={len(res.trace.records):4d} "

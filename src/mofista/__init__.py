@@ -12,12 +12,12 @@ from .problems import (CustomNonsmooth, EvaluationError, NonsmoothPart,
 from .subproblem import SubproblemConfig
 from .solver import (Backtracking, BacktrackingError, FixedStep, IterationRecord,
                      PlainProxGrad, RunTrace, SolveResult, SolverConfig, Status,
-                     Variant, accepted_L_bound_check, run_solver)
+                     Variant, run_solver)
 from .suite import (ProblemDescriptor, available_problems, builtin_problem,
                     load_problem_file, pareto_segment, sample_initial_points)
-from .diagnostics import (ReferenceSet, gap_step_bounds_check, level_set_reference,
-                          lyapunov_energies, lyapunov_monotone_check,
-                          rate_bound_check)
+from .diagnostics import (ReferenceSet, accepted_L_bound_check, gap_step_bounds_check,
+                          level_set_reference, lyapunov_energies,
+                          lyapunov_monotone_check, rate_bound_check)
 from .metrics import (Front, PerformanceProfile, nondominated_filter,
                       performance_profile, purity)
 from .cli import BenchConfig, BenchReport, ConfigError, run_benchmark
@@ -30,13 +30,13 @@ __all__ = [
     "CustomNonsmooth", "EvaluationError", "NonsmoothPart", "ProblemInstance",
     "WeightedL1", "Zero",
     "SubproblemConfig",
-    "Backtracking", "BacktrackingError", "FixedStep", "IterationRecord",
-    "PlainProxGrad", "RunTrace", "SolveResult", "SolverConfig", "Status",
-    "Variant", "accepted_L_bound_check", "run_solver",
+    "Backtracking", "BacktrackingError", "FixedStep", "IterationRecord", "PlainProxGrad",
+    "RunTrace", "SolveResult", "SolverConfig", "Status", "Variant", "run_solver",
     "ProblemDescriptor", "available_problems", "builtin_problem",
     "load_problem_file", "pareto_segment", "sample_initial_points",
-    "ReferenceSet", "gap_step_bounds_check", "level_set_reference",
-    "lyapunov_energies", "lyapunov_monotone_check", "rate_bound_check",
+    "ReferenceSet", "accepted_L_bound_check", "gap_step_bounds_check",
+    "level_set_reference", "lyapunov_energies", "lyapunov_monotone_check",
+    "rate_bound_check",
     "Front", "PerformanceProfile", "nondominated_filter", "performance_profile",
     "purity",
     "BenchConfig", "BenchReport", "ConfigError", "run_benchmark",

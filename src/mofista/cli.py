@@ -159,8 +159,8 @@ def _resolve_problems(bc: BenchConfig) -> list[tuple[ProblemInstance, ProblemDes
             p, desc = builtin_problem(name)
         except KeyError as exc:
             raise ConfigError(str(exc)) from None
-        if desc.m < 2:
-            raise ConfigError(f"problem {name!r} has {desc.m} objective; "
+        if p.m < 2:
+            raise ConfigError(f"problem {name!r} has {p.m} objective; "
                               "the benchmark's fronts need at least 2")
         variants = {solver: _variant_for(solver, desc, bc) for solver in bc.solvers}
         try:
@@ -186,7 +186,7 @@ def run_benchmark(bc: BenchConfig) -> BenchReport:
             sub = [r for r in group if np.all(np.isfinite(r.objectives))]
             fronts[solver] = nondominated_filter(
                 np.vstack([r.objectives for r in sub]), np.vstack([r.x for r in sub])
-            ) if sub else Front(objectives=np.empty((0, desc.m)))
+            ) if sub else Front(objectives=np.empty((0, p.m)))
         front_list = list(fronts.values())
         for solver, group in groups.items():
             rows += group
@@ -196,7 +196,7 @@ def run_benchmark(bc: BenchConfig) -> BenchReport:
                 float(np.mean([r.wall_ms for r in group])),
                 purity(fronts[solver], front_list),
             ))
-        _write_fronts(bc.out_dir / f"fronts_{desc.name}.csv", fronts, desc)
+        _write_fronts(bc.out_dir / f"fronts_{desc.name}.csv", fronts, p)
         merged = nondominated_filter(np.vstack([f.objectives for f in front_list]))
         emit_svg_scatter(merged, bc.out_dir / f"front_{desc.name}.svg")
 
@@ -234,9 +234,9 @@ def _write_results(path: Path, rows: Sequence[RunRow]) -> None:
         + _fmts(r.objectives, max_m) + _fmts(r.x, max_n) for r in rows))
 
 
-def _write_fronts(path: Path, fronts: dict[str, Front], desc: ProblemDescriptor) -> None:
-    header = (["solver"] + [f"F_{i + 1}" for i in range(desc.m)]
-              + [f"x_{i + 1}" for i in range(desc.n)])
+def _write_fronts(path: Path, fronts: dict[str, Front], p: ProblemInstance) -> None:
+    header = (["solver"] + [f"F_{i + 1}" for i in range(p.m)]
+              + [f"x_{i + 1}" for i in range(p.n)])
     _write_csv(path, header, (
         [solver] + _fmts(front.objectives[i]) + _fmts(front.decisions[i])
         for solver, front in fronts.items() for i in range(len(front))))

@@ -1,11 +1,11 @@
 """Runtime verification of the solver's proved descent and rate relations.
 
 Every check here replays a recorded :class:`~mofista.solver.RunTrace`
-against a :class:`ReferenceSet` of points ``z`` and tests an inequality
-that holds mathematically for convex instances, returning true only if it
-holds at every point of the set.  The central quantities, for iterate
-``x_k`` with momentum parameter ``t_{k-1}`` and accepted curvature
-estimate ``L_{k-1}``, are
+and tests an inequality that holds mathematically for convex instances;
+all but :func:`accepted_L_bound_check` test it at every point ``z`` of a
+:class:`ReferenceSet`, returning true only if it holds at each.  The
+central quantities, for iterate ``x_k`` with momentum parameter
+``t_{k-1}`` and accepted curvature estimate ``L_{k-1}``, are
 
 .. math::
 
@@ -31,11 +31,12 @@ modelling error (the inequalities hold exactly in reals).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .problems import Array, ProblemInstance, evaluate_objectives
-from .solver import RunTrace, SolverConfig
+from .solver import Backtracking, RunTrace, SolverConfig
 from .suite import ProblemDescriptor
 
 __all__ = [
@@ -44,6 +45,7 @@ __all__ = [
     "lyapunov_monotone_check",
     "gap_step_bounds_check",
     "rate_bound_check",
+    "accepted_L_bound_check",
     "level_set_reference",
 ]
 
@@ -141,8 +143,8 @@ def gap_step_bounds_check(trace: RunTrace, p: ProblemInstance,
     return True
 
 
-def rate_bound_check(trace: RunTrace, p: ProblemInstance, cfg: SolverConfig,
-                     Z: ReferenceSet) -> bool:
+def rate_bound_check(trace: RunTrace, p: ProblemInstance, L_true: Optional[float],
+                     cfg: SolverConfig, Z: ReferenceSet) -> bool:
     """Check the accelerated worst-component rate against every z in Z.
 
     .. math::
@@ -150,17 +152,28 @@ def rate_bound_check(trace: RunTrace, p: ProblemInstance, cfg: SolverConfig,
         \\min_i [F_i(x_k) - F_i(z)]
             \\le \\frac{4 \\beta L_f \\|x_0 - z\\|^2}{(k+1)^2} + 10^{-8}
 
-    for all accepted iterations k, where ``L_f`` is the instance's known
-    gradient Lipschitz constant.  Requires a convex instance started with
-    ``L_init <= beta * L_f`` so that accepted estimates stay below the
-    theoretical cap.
+    for all accepted iterations k, where ``L_f = L_true`` is a known gradient
+    Lipschitz constant (``None`` raises ``ValueError``).  Requires a convex
+    instance started with ``L_init <= beta * L_f`` so that accepted
+    estimates stay below the theoretical cap.
     """
-    if p.grad_lipschitz is None:
-        raise ValueError("rate check needs the instance's gradient Lipschitz constant")
+    if L_true is None:
+        raise ValueError("rate check needs the gradient Lipschitz constant L_true")
     sigma = _gaps(trace, p, Z)
-    scale = 4.0 * cfg.beta * p.grad_lipschitz * _sq_dists(trace, Z)
+    scale = 4.0 * cfg.beta * L_true * _sq_dists(trace, Z)
     k = np.arange(1, len(sigma), dtype=float)[:, None]
     return bool(np.all(sigma[1:] <= scale / (k + 1.0) ** 2 + _STEP_SLACK))
+
+
+def accepted_L_bound_check(trace: RunTrace, L_true: float, cfg: SolverConfig) -> bool:
+    """Every accepted step constant stays below ``max(beta * L_true, L_init)``.
+
+    Vacuously true for the fixed-step variants, which never adapt ``L``.
+    """
+    if not isinstance(cfg.variant, Backtracking):
+        return True
+    cap = max(cfg.beta * L_true, cfg.L_init)
+    return all(r.L <= cap * (1.0 + 1e-12) for r in trace.records)
 
 
 def level_set_reference(p: ProblemInstance, desc: ProblemDescriptor, x0: Array,

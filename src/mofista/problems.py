@@ -138,9 +138,6 @@ class ProblemInstance:
         ``x -> (m, n)`` array whose rows are the gradients ``grad f_i(x)``.
     nonsmooth : NonsmoothPart
         Shared nonsmooth term ``g``, added to every objective.
-    grad_lipschitz : float, optional
-        A common Lipschitz constant of the smooth gradients, when known
-        analytically (curvature units, 1/length^2 of f).
     """
 
     n: int
@@ -148,7 +145,6 @@ class ProblemInstance:
     smooth: Callable[[Array], Array]
     smooth_jac: Callable[[Array], Array]
     nonsmooth: NonsmoothPart = field(default_factory=Zero)
-    grad_lipschitz: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.m < 1:

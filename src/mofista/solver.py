@@ -58,7 +58,6 @@ __all__ = [
     "BacktrackingError",
     "fista_step",
     "run_solver",
-    "accepted_L_bound_check",
 ]
 
 _MAX_BACKTRACKS = 100
@@ -264,14 +263,3 @@ def run_solver(p: ProblemInstance, x0: Array, cfg: Optional[SolverConfig] = None
 
     trace = RunTrace(x0=x0, objectives0=objectives0, records=tuple(records))
     return SolveResult(x=x, status=status, trace=trace)
-
-
-def accepted_L_bound_check(trace: RunTrace, L_true: float, cfg: SolverConfig) -> bool:
-    """Every accepted step constant stays below ``max(beta * L_true, L_init)``.
-
-    Vacuously true for the fixed-step variants, which never adapt ``L``.
-    """
-    if not isinstance(cfg.variant, Backtracking):
-        return True
-    cap = max(cfg.beta * L_true, cfg.L_init)
-    return all(r.L <= cap * (1.0 + 1e-12) for r in trace.records)

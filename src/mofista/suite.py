@@ -4,9 +4,9 @@ The convex instances used by the acceptance tests (two-ball, scaled and
 skewed quadratic families, each with an optional l1 twin) carry analytic
 gradient Lipschitz constants.  Standard instances from the multiobjective
 test-set literature sit alongside them, and :func:`register_problem` plus
-:func:`load_problem_file` let users add the rest.  One constructor builds
-every built-in and loaded problem, stating ``n``, ``m``, the l1 weight and
-``L`` once for both its instance and its descriptor.
+:func:`load_problem_file` let users add the rest.  Each problem is an
+instance, which holds the objectives, and a descriptor, which holds only the
+benchmark metadata.
 
 Box bounds only drive initial-point sampling; the solvers themselves are
 unconstrained.
@@ -36,16 +36,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProblemDescriptor:
-    """Benchmark metadata: sampling box, l1 weight, convexity, known L."""
+    """Benchmark metadata: sampling box, convexity, known L.  Raises
+    ``ValueError`` unless the box is nonempty, of one length and finite."""
 
     name: str
-    n: int
-    m: int
     lower: tuple[float, ...]
     upper: tuple[float, ...]
-    l1_weight: float = 0.0
     convex: bool = False
     L_true: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if not 0 < len(self.lower) == len(self.upper):
+            raise ValueError(f"empty or unequal-length box bounds {self.lower}, {self.upper}")
+        if not np.isfinite([*self.lower, *self.upper]).all():
+            raise ValueError("box bounds must be finite")
 
 
 Problem = tuple[ProblemInstance, ProblemDescriptor]  # what a builder returns
@@ -82,24 +86,19 @@ def sample_initial_points(desc: ProblemDescriptor, count: int,
     rng = np.random.default_rng(seed)
     lower = np.asarray(desc.lower, dtype=float)
     upper = np.asarray(desc.upper, dtype=float)
-    return lower + rng.random((count, desc.n)) * (upper - lower)
+    return lower + rng.random((count, lower.size)) * (upper - lower)
 
 
 def _problem(name: str, n: int, m: int, smooth: Callable[[Array], Array],
              smooth_jac: Callable[[Array], Array], lower, upper, l1_weight: float = 0.0,
              convex: bool = False, L: Optional[float] = None) -> Problem:
-    """An instance and its descriptor from one statement of their facts.
-
-    The shared term is ``Zero()`` for an l1 weight of exactly 0 and
-    ``WeightedL1(l1_weight)``, which rejects a negative or non-finite weight,
-    otherwise.  ``L`` is both ``grad_lipschitz`` and ``L_true``.
-    """
+    """An instance and its descriptor.  The shared term is ``Zero()`` for an
+    l1 weight of exactly 0 and ``WeightedL1(l1_weight)``, which rejects a
+    negative or non-finite weight, otherwise."""
     part: NonsmoothPart = Zero() if l1_weight == 0.0 else WeightedL1(l1_weight)
-    inst = ProblemInstance(n=n, m=m, smooth=smooth, smooth_jac=smooth_jac,
-                           nonsmooth=part, grad_lipschitz=L)
-    desc = ProblemDescriptor(name=name, n=n, m=m, lower=tuple(lower), upper=tuple(upper),
-                             l1_weight=l1_weight, convex=convex, L_true=L)
-    return inst, desc
+    return (ProblemInstance(n=n, m=m, smooth=smooth, smooth_jac=smooth_jac, nonsmooth=part),
+            ProblemDescriptor(name=name, lower=tuple(lower), upper=tuple(upper),
+                              convex=convex, L_true=L))
 
 
 def _register(name: str, build: Family, l1_twin: bool = False) -> None:
@@ -256,12 +255,12 @@ def load_problem_file(path: Union[str, Path]) -> Problem:
     entries meaning ``f_i(x) = x'Q_i x / 2 + b_i'x + c_i``; ``linear`` and
     ``constant`` default to zero.  ``quad`` is symmetrized.  Raises
     ``ValueError`` unless ``n`` and ``m`` are JSON integers, there are ``m``
-    objectives, the bounds have ``n`` entries each and are finite, every
-    coefficient has its shape and is finite, and ``l1_weight`` is finite and
-    nonnegative.
+    objectives, the bounds have ``n`` entries each and are finite (the
+    descriptor checks that), every coefficient has its shape and is finite,
+    and ``l1_weight`` is finite and nonnegative.
 
-    The gradient Lipschitz constant is the largest ``|eigenvalue|`` over all
-    ``Q_i``.  The convexity flag holds when every ``Q_i`` is positive
+    ``L_true``, the gradient Lipschitz constant, is the largest
+    ``|eigenvalue|`` over all ``Q_i``.  The convexity flag holds when every ``Q_i`` is positive
     semidefinite up to eigenvalue rounding, ``n * eps * max|eig(Q_i)|``.
     ``f`` and ``grad f`` each cost one ``(m, n, n)`` matrix-vector product.
     """
@@ -275,8 +274,6 @@ def load_problem_file(path: Union[str, Path]) -> Problem:
     upper = tuple(float(v) for v in spec["upper"])
     if len(lower) != n or len(upper) != n:
         raise ValueError(f"box bounds need {n} entries each, got {len(lower)} and {len(upper)}")
-    if not np.isfinite([*lower, *upper]).all():
-        raise ValueError("box bounds must be finite")
     quads = np.array([o["quad"] for o in spec["objectives"]], dtype=float)
     lins = np.array([o.get("linear", np.zeros(n)) for o in spec["objectives"]], dtype=float)
     consts = np.array([o.get("constant", 0.0) for o in spec["objectives"]], dtype=float)

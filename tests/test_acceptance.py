@@ -183,7 +183,6 @@ def test_04_single_objective_reduction():
         smooth=lambda x: np.array([0.5 * float(x @ x)]),
         smooth_jac=lambda x: x[None, :].copy(),
         nonsmooth=WeightedL1(0.0),
-        grad_lipschitz=1.0,
     )
     cfg = SolverConfig(L_init=4.0, beta=2.0, sigma=2.0, eps=1e-300, max_iter=50)
     res = run_solver(p, x0, cfg)
@@ -237,17 +236,17 @@ def segment_traces():
             x0 = sample_initial_points(desc, 1, seed)[0]
             res = run_solver(p, x0, cfg)
             assert res.status is Status.CONVERGED
-            out.append((name, p, cfg, res.trace, segment, x0))
+            out.append((name, p, desc.L_true, cfg, res.trace, segment, x0))
     return time.perf_counter() - tick, out
 
 
 def test_06_rate_bound(segment_traces):
     build_seconds, traces = segment_traces
     tick = time.perf_counter()
-    for name, p, cfg, trace, segment, x0 in traces:
+    for name, p, L_true, cfg, trace, segment, x0 in traces:
         assert len(trace.records) <= 1000
         ref = ReferenceSet(segment)
-        assert rate_bound_check(trace, p, cfg, ref), name
+        assert rate_bound_check(trace, p, L_true, cfg, ref), name
     elapsed = build_seconds + (time.perf_counter() - tick)
     assert elapsed < 120.0, f"rate sweep took {elapsed:.1f}s"
     print("ACCEPTANCE 06 rate-bound: PASS")
@@ -255,7 +254,7 @@ def test_06_rate_bound(segment_traces):
 
 def test_07_energy_replay(segment_traces):
     _, traces = segment_traces
-    for name, p, _, trace, segment, _ in traces:
+    for name, p, _, _, trace, segment, _ in traces:
         ref = ReferenceSet(segment)
         assert gap_step_bounds_check(trace, p, ref), name
         assert lyapunov_monotone_check(trace, p, ref), name

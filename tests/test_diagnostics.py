@@ -44,7 +44,7 @@ def test_checks_reject_reference_set_of_wrong_width():
     trace = run_solver(p, np.array([0.5]), cfg).trace
     wide = ReferenceSet(np.array([[0.8, 0.85, 0.9]]))
     for check in (lyapunov_monotone_check, gap_step_bounds_check,
-                  lambda tr, p, Z: rate_bound_check(tr, p, cfg, Z)):
+                  lambda tr, p, Z: rate_bound_check(tr, p, desc.L_true, cfg, Z)):
         with pytest.raises(ValueError, match="shape"):
             check(trace, p, wide)
     with pytest.raises(ValueError, match="shape"):
@@ -60,7 +60,6 @@ def _half_square() -> ProblemInstance:
         n=1, m=1,
         smooth=lambda x: np.array([0.5 * float(x @ x)]),
         smooth_jac=lambda x: x[None, :].copy(),
-        grad_lipschitz=1.0,
     )
 
 
@@ -70,7 +69,6 @@ def _two_squares() -> ProblemInstance:
         smooth=lambda x: np.array([0.5 * float(x @ x),
                                    0.5 * float((x - 2.0) @ (x - 2.0))]),
         smooth_jac=lambda x: np.vstack([x, x - 2.0]),
-        grad_lipschitz=1.0,
     )
 
 
@@ -143,7 +141,7 @@ def test_checks_hold_on_convex_runs(variant):
 
 
 def _rate_check(trace, p, Z):
-    return rate_bound_check(trace, p, SolverConfig(), Z)
+    return rate_bound_check(trace, p, 1.0, SolverConfig(), Z)  # L_f of both squares
 
 
 # name: (check, problem, iterates, trace settings, points where every
@@ -226,13 +224,12 @@ def test_lyapunov_single_objective_run():
 
 
 def test_rate_bound_requires_lipschitz_constant():
-    p = ProblemInstance(n=1, m=1,
-                        smooth=lambda x: np.array([float(x @ x)]),
-                        smooth_jac=lambda x: 2.0 * x[None, :])
-    res = run_solver(p, np.array([1.0]), SolverConfig(eps=1e-6, max_iter=5))
-    ref = ReferenceSet(np.array([[0.0]]))
+    p, desc = builtin_problem("FF1")
+    assert desc.L_true is None
+    res = run_solver(p, np.array([0.5, 0.5]), SolverConfig(eps=1e-6, max_iter=5))
+    ref = ReferenceSet(np.array([[0.0, 0.0]]))
     with pytest.raises(ValueError, match="Lipschitz"):
-        rate_bound_check(res.trace, p, SolverConfig(), ref)
+        rate_bound_check(res.trace, p, desc.L_true, SolverConfig(), ref)
 
 
 def test_rate_bound_holds_on_accelerated_run():
@@ -242,7 +239,7 @@ def test_rate_bound_holds_on_accelerated_run():
         x0 = sample_initial_points(desc, 1, seed)[0]
         res = run_solver(p, x0, cfg)
         ref = ReferenceSet(pareto_segment("BK1", 10))
-        assert rate_bound_check(res.trace, p, cfg, ref)
+        assert rate_bound_check(res.trace, p, desc.L_true, cfg, ref)
 
 
 # ---------------------------------------------------------------------------

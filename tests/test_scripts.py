@@ -91,6 +91,20 @@ def test_readme_public_api_is_all():
     assert len(mofista.__all__) == len(names)
 
 
+def test_readme_python_examples_run():
+    # The quick start, then the custom problem in the same namespace, so the
+    # second block may use the first block's imports as a reader would.
+    text = (ROOT / "README.md").read_text()
+    blocks = [b.split("```", 1)[0] for b in text.split("```python\n")[1:]]
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(block, namespace)
+    p = namespace["p"]
+    res = mofista.run_solver(p, np.array([2.0, -1.0]), mofista.SolverConfig(eps=1e-6))
+    assert res.status is mofista.Status.CONVERGED
+
+
 def test_readme_problem_file_example_loads(tmp_path):
     text = (ROOT / "README.md").read_text()
     section = text.split("## Problem files", 1)[1].split("\n## ", 1)[0]
@@ -99,11 +113,11 @@ def test_readme_problem_file_example_loads(tmp_path):
     path = tmp_path / "example.json"
     path.write_text(example)
     p, desc = mofista.load_problem_file(path)
-    assert (desc.name, desc.n, desc.m) == (spec["name"], spec["n"], spec["m"])
-    assert desc.l1_weight == spec["l1_weight"]
+    assert (desc.name, p.n, p.m) == (spec["name"], spec["n"], spec["m"])
+    assert p.nonsmooth.weight == spec["l1_weight"]
     # f_i(x) = x'Q_i x/2 + b_i'x + c_i, with b_i and c_i defaulting to zero.
     x = np.asarray(spec["upper"])
-    want = [0.5 * x @ np.asarray(o["quad"]) @ x + np.asarray(o.get("linear", [0.0] * desc.n)) @ x
+    want = [0.5 * x @ np.asarray(o["quad"]) @ x + np.asarray(o.get("linear", [0.0] * p.n)) @ x
             + o.get("constant", 0.0) for o in spec["objectives"]]
     assert np.allclose(p.smooth(x), want, rtol=1e-15, atol=0.0)
 

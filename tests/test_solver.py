@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mofista import (Backtracking, BacktrackingError, CustomNonsmooth,
                      EvaluationError, FixedStep, PlainProxGrad,
-                     ProblemInstance, SolverConfig, Status, SubproblemConfig,
+                     ProblemInstance, SolverConfig, Status, SubproblemConfig, Zero,
                      accepted_L_bound_check, available_problems, builtin_problem,
                      run_solver, sample_initial_points)
 from mofista import solver as solver_module
@@ -22,8 +22,7 @@ GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
 def single_quadratic():
     return ProblemInstance(n=1, m=1, smooth=lambda x: np.array([0.5 * x[0] ** 2]),
-                           smooth_jac=lambda x: np.array([[x[0]]]),
-                           grad_lipschitz=1.0)
+                           smooth_jac=lambda x: np.array([[x[0]]]))
 
 
 # ------------------------------------------------------------- momentum step
@@ -136,8 +135,7 @@ def test_start_on_pareto_point_stops_immediately():
     p = ProblemInstance(
         n=1, m=2,
         smooth=lambda x: np.array([x[0] ** 2, (x[0] - 2.0) ** 2]),
-        smooth_jac=lambda x: np.array([[2.0 * x[0]], [2.0 * (x[0] - 2.0)]]),
-        grad_lipschitz=2.0)
+        smooth_jac=lambda x: np.array([[2.0 * x[0]], [2.0 * (x[0] - 2.0)]]))
     res = run_solver(p, np.array([1.0]), SolverConfig(eps=1e-3))
     assert res.status is Status.CONVERGED
     assert len(res.trace.records) == 1
@@ -363,7 +361,7 @@ def test_reversed_objectives_keep_status_and_count(name):
 
 
 @pytest.mark.parametrize("name", [n for n in available_problems()
-                                  if builtin_problem(n)[1].l1_weight == 0.0])
+                                  if builtin_problem(n)[0].nonsmooth == Zero()])
 def test_scaling_f_and_L_init_by_four_keeps_iterates(name):
     # The quarter-power grid of beta = 2 scales exactly under powers of 2.
     p, desc = builtin_problem(name)

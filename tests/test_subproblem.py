@@ -15,7 +15,8 @@ from reference import (dual_value, inner_primal_step, kkt_residual, model_evalua
 
 
 def quad_instance(centers, scales, weight=0.0):
-    """f_i(x) = scale_i ||x - center_i||^2 with an optional shared l1 term."""
+    """f_i(x) = scale_i ||x - center_i||^2 with an optional shared l1 term,
+    and the Lipschitz constant 2 max(scale_i) of its gradients."""
     centers = np.asarray(centers, dtype=float)
     scales = np.asarray(scales, dtype=float)
     m, n = centers.shape
@@ -28,13 +29,12 @@ def quad_instance(centers, scales, weight=0.0):
         return 2.0 * scales[:, None] * (x[None, :] - centers)
 
     part = WeightedL1(weight) if weight > 0.0 else Zero()
-    return ProblemInstance(n=n, m=m, smooth=smooth, smooth_jac=smooth_jac,
-                           nonsmooth=part,
-                           grad_lipschitz=2.0 * float(np.max(scales)))
+    return (ProblemInstance(n=n, m=m, smooth=smooth, smooth_jac=smooth_jac, nonsmooth=part),
+            2.0 * float(np.max(scales)))
 
 
 # f1 = x^2, f2 = (x - 2)^2 on the line: saddle examples work out by hand.
-TWO_PARABOLAS = quad_instance([[0.0], [2.0]], [1.0, 1.0])
+TWO_PARABOLAS = quad_instance([[0.0], [2.0]], [1.0, 1.0])[0]
 
 
 def random_instance(rng):
@@ -43,10 +43,10 @@ def random_instance(rng):
     centers = rng.uniform(-1.0, 1.0, (m, n))
     scales = rng.uniform(0.25, 1.5, m)
     weight = float(rng.choice([0.0, rng.uniform(0.05, 0.6)]))
-    p = quad_instance(centers, scales, weight)
+    p, L_f = quad_instance(centers, scales, weight)
     x = rng.uniform(-1.0, 1.0, n)
     y = rng.uniform(-1.0, 1.0, n)
-    L = float(rng.uniform(1.0, 4.0) * p.grad_lipschitz)
+    L = float(rng.uniform(1.0, 4.0) * L_f)
     return p, x, y, L
 
 
@@ -99,7 +99,7 @@ def test_phi_rejects_nonpositive_L():
 
 
 def test_inner_step_single_objective_is_prox_gradient():
-    p = quad_instance([[0.0, 0.0]], [1.0], weight=0.5)
+    p, _ = quad_instance([[0.0, 0.0]], [1.0], weight=0.5)
     y = np.array([1.0, -0.2])
     L = 4.0
     got = inner_primal_step(np.array([1.0]), y, L, p)
@@ -114,7 +114,7 @@ def test_inner_step_balanced_gradients_cancel():
 
 def test_inner_step_zero_nonsmooth_closed_form():
     rng = np.random.default_rng(5)
-    p = quad_instance(rng.uniform(-1, 1, (3, 2)), [1.0, 0.5, 2.0])
+    p, _ = quad_instance(rng.uniform(-1, 1, (3, 2)), [1.0, 0.5, 2.0])
     lam = project_simplex(rng.uniform(0, 1, 3))
     y = rng.uniform(-1, 1, 2)
     want = y - (p.smooth_jac(y).T @ lam) / 3.0
@@ -139,7 +139,7 @@ def test_dual_closed_form_boundary_saddle():
 
 
 def test_dual_single_objective_equals_phi_at_step():
-    p = quad_instance([[0.3, -0.7]], [1.2], weight=0.2)
+    p, _ = quad_instance([[0.3, -0.7]], [1.2], weight=0.2)
     x = np.array([0.5, 0.5])
     y = np.array([-0.25, 1.0])
     z = inner_primal_step(np.array([1.0]), y, 3.0, p)
@@ -157,9 +157,9 @@ def test_model_evaluation_matches_reference_bit_for_bit(m, l1):
     for _ in range(10):
         n = int(rng.integers(1, 6))
         weight = float(rng.uniform(0.05, 2.0)) if l1 else 0.0
-        p = quad_instance(rng.uniform(-1, 1, (m, n)), rng.uniform(0.25, 1.5, m), weight)
+        p, L_f = quad_instance(rng.uniform(-1, 1, (m, n)), rng.uniform(0.25, 1.5, m), weight)
         x, y = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
-        L = float(rng.uniform(0.2, 4.0) * p.grad_lipschitz)
+        L = float(rng.uniform(0.2, 4.0) * L_f)
         model = _linearize(y, L, p, evaluate_objectives(p, x))
         cases = list(np.eye(m)) + [rng.dirichlet(np.ones(m)) for _ in range(5)]
         for w in cases:
@@ -189,7 +189,7 @@ def test_solve_boundary_saddle():
 
 
 def test_single_objective_exact_gradient_step():
-    p = quad_instance([[0.4, -0.9]], [1.0])
+    p, _ = quad_instance([[0.4, -0.9]], [1.0])
     y = np.array([1.0, 2.0])
     sol = solve_subproblem(np.zeros(2), y, 5.0, p)
     np.testing.assert_allclose(sol.z, y - p.smooth_jac(y)[0] / 5.0, atol=1e-10)
@@ -231,9 +231,9 @@ def test_scaling_consistency_smooth_case():
     rng = np.random.default_rng(17)
     for _ in range(10):
         n, m = int(rng.integers(1, 3)), int(rng.integers(1, 4))
-        p = quad_instance(rng.uniform(-1, 1, (m, n)), rng.uniform(0.25, 1.5, m))
+        p, L_f = quad_instance(rng.uniform(-1, 1, (m, n)), rng.uniform(0.25, 1.5, m))
         x, y = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
-        L = float(rng.uniform(1.0, 4.0) * p.grad_lipschitz)
+        L = float(rng.uniform(1.0, 4.0) * L_f)
         c = float(rng.uniform(0.5, 8.0))
         scaled = ProblemInstance(
             n=p.n, m=p.m,
@@ -291,9 +291,9 @@ def test_many_objectives_certify_tight_gap(m, n, l1):
     cfg = SubproblemConfig(tol=1e-12)
     for _ in range(5):
         weight = float(rng.uniform(0.05, 0.6)) if l1 else 0.0
-        p = quad_instance(rng.uniform(-1, 1, (m, n)), rng.uniform(0.25, 1.5, m), weight)
+        p, L_f = quad_instance(rng.uniform(-1, 1, (m, n)), rng.uniform(0.25, 1.5, m), weight)
         x, y = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
-        L = float(rng.uniform(1.0, 4.0) * p.grad_lipschitz)
+        L = float(rng.uniform(1.0, 4.0) * L_f)
         sol = solve_subproblem(x, y, L, p, cfg)
         assert sol.dual_gap <= cfg.tol * (1.0 + abs(sol.value))
 
@@ -301,7 +301,7 @@ def test_many_objectives_certify_tight_gap(m, n, l1):
 def test_inner_budget_exhaustion_raises(monkeypatch):
     monkeypatch.setattr("mofista.subproblem._MAX_EVALS", 1)
     cfg = SubproblemConfig(tol=1e-14)
-    p = quad_instance([[0.0, 1.0], [0.0, -1.0], [1.0, 0.0]], [1.0, 1.0, 1.0])
+    p, _ = quad_instance([[0.0, 1.0], [0.0, -1.0], [1.0, 0.0]], [1.0, 1.0, 1.0])
     with pytest.raises(SubproblemError, match=r"dual gap .* above tolerance"):
         solve_subproblem(np.array([0.9, 1.7]), np.array([0.9, 1.7]), 2.0, p, cfg)
 
@@ -549,7 +549,7 @@ def test_reported_solution_is_exact_inner_step():
         return WeightedL1(0.3).prox(t, v)
 
     part = CustomNonsmooth(value_fn=WeightedL1(0.3).value, prox_fn=prox)
-    p = replace(quad_instance([[0.4, -0.9]], [1.0]), nonsmooth=part)
+    p = replace(quad_instance([[0.4, -0.9]], [1.0])[0], nonsmooth=part)
     solve_subproblem(np.zeros(2), np.array([1.0, 2.0]), 3.0, p)
     assert len(calls) == 1
     rng = np.random.default_rng(53)

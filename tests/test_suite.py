@@ -62,10 +62,11 @@ def test_register_problem_roundtrip():
 
 
 def test_descriptor_fields():
+    # n and m are the instance's; every other field is the descriptor's
     cases = {
         "BK1": dict(n=2, m=2, lower=(-5.0, -5.0), upper=(10.0, 10.0),
-                    l1_weight=0.0, convex=True, L_true=2.0),
-        "BK1_l1": dict(n=2, m=2, l1_weight=1.0, convex=True, L_true=2.0),
+                    convex=True, L_true=2.0),
+        "BK1_l1": dict(n=2, m=2, convex=True, L_true=2.0),
         "JOS1": dict(n=2, m=2, convex=True, L_true=1.0),
         "SP1": dict(n=2, m=2, lower=(2.0, -2.0), upper=(3.0, 3.0),
                     convex=True, L_true=3.0 + np.sqrt(5.0)),
@@ -78,37 +79,34 @@ def test_descriptor_fields():
     for name, expected in cases.items():
         p, desc = builtin_problem(name)
         assert desc.name == name
-        assert p.n == desc.n and p.m == desc.m
+        assert len(desc.lower) == len(desc.upper) == p.n
         for field, value in expected.items():
-            got = getattr(desc, field)
+            got = getattr(p if field in ("n", "m") else desc, field)
             if isinstance(value, float):
                 assert got == pytest.approx(value, abs=1e-12), (name, field)
             else:
                 assert got == value, (name, field)
+    # a box that sampling would broadcast or fill with NaN is refused
+    for lower, upper in (((), ()), ((0.0, 0.0, 0.0), (1.0,)),
+                         ((0.0, float("nan")), (1.0, 1.0))):
+        with pytest.raises(ValueError, match="box"):
+            ProblemDescriptor(name="x", lower=lower, upper=upper)
 
 
 def test_l1_variants_carry_weighted_l1():
     for name in ["BK1_l1", "JOS1_l1", "SP1_l1"]:
-        p, desc = builtin_problem(name)
-        assert desc.l1_weight == 1.0
+        p, _ = builtin_problem(name)
+        assert p.nonsmooth == WeightedL1(1.0)
         assert p.nonsmooth.value(np.ones(p.n)) == pytest.approx(p.n)
     p, _ = builtin_problem("BK1")
     assert isinstance(p.nonsmooth, Zero)
 
 
-def assert_descriptor_states_instance(p, desc):
-    assert (desc.n, desc.m) == (p.n, p.m)
-    assert desc.L_true == p.grad_lipschitz
-    if desc.l1_weight == 0.0:
-        assert isinstance(p.nonsmooth, Zero)
-    else:
-        assert type(p.nonsmooth) is WeightedL1
-        assert desc.l1_weight == p.nonsmooth.weight
-
-
 @pytest.mark.parametrize("name", available_problems())
 def test_descriptor_states_its_instance_facts(name):
-    assert_descriptor_states_instance(*builtin_problem(name))
+    p, _ = builtin_problem(name)
+    # an l1 twin's shared term is WeightedL1(1.0); every other built-in's is Zero()
+    assert p.nonsmooth == (WeightedL1(1.0) if name.endswith("_l1") else Zero())
 
 
 @pytest.mark.parametrize("extra", [{}, {"l1_weight": 0.25}])
@@ -117,9 +115,9 @@ def test_loaded_descriptor_states_its_instance_facts(tmp_path, extra):
             "objectives": [{"quad": np.diag([1.0, 2.0, 3.0]).tolist()},
                            {"quad": np.eye(3).tolist(), "linear": [1.0, 0.0, -1.0]}]}
     p, desc = load_problem_file(_write_problem_file(tmp_path, dict(body, **extra)))
-    assert desc.l1_weight == extra.get("l1_weight", 0.0)
-    assert desc.L_true == 3.0
-    assert_descriptor_states_instance(p, desc)
+    assert (p.n, p.m) == (3, 2)
+    assert p.nonsmooth == (WeightedL1(0.25) if extra else Zero())  # weight 0 is Zero()
+    assert desc.L_true == 3.0  # the largest |eigenvalue| over both quads
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +228,13 @@ def test_segment_unknown_name():
 
 
 def test_sample_initial_points_deterministic_and_in_box():
-    _, desc = builtin_problem("SP1")
+    p, desc = builtin_problem("SP1")
     a = sample_initial_points(desc, 50, 123)
     b = sample_initial_points(desc, 50, 123)
     c = sample_initial_points(desc, 50, 124)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-    assert a.shape == (50, desc.n)
+    assert a.shape == (50, p.n)
     assert np.all(a >= np.asarray(desc.lower)) and np.all(a <= np.asarray(desc.upper))
 
 
@@ -275,8 +273,8 @@ def test_load_problem_file_quadratic(tmp_path):
     p, desc = load_problem_file(path)
 
     assert isinstance(desc, ProblemDescriptor)
-    assert (desc.n, desc.m) == (2, 2)
-    assert desc.l1_weight == 0.5
+    assert (p.n, p.m) == (2, 2)
+    assert p.nonsmooth == WeightedL1(0.5)
     assert desc.convex is True
     # spectra: first objective 2, 2; second 3 +- sqrt(5)
     assert desc.L_true == pytest.approx(3.0 + np.sqrt(5.0), rel=1e-12)
