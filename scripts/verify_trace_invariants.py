@@ -44,11 +44,7 @@ def main(argv=None) -> int:
         if not desc.convex:
             continue
         starts = sample_initial_points(desc, args.seeds, seed=(7, len(name)))
-        # one level-set reference per start, thinned so the replay stays quick
-        level_sets = []
-        for x0 in starts:
-            points = level_set_reference(p, desc, x0).points
-            level_sets.append(ReferenceSet(points[:: max(1, len(points) // 40)]))
+        level_sets = [level_set_reference(p, desc, x0) for x0 in starts]
         try:
             front = ReferenceSet(pareto_segment(name, 20))
         except KeyError:

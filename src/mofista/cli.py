@@ -157,7 +157,7 @@ def _resolve_problems(bc: BenchConfig) -> list[tuple[ProblemInstance, ProblemDes
     for name in names:
         try:
             p, desc = builtin_problem(name)
-        except KeyError as exc:
+        except (KeyError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
         if p.m < 2:
             raise ConfigError(f"problem {name!r} has {p.m} objective; "

@@ -31,13 +31,14 @@ modelling error (the inequalities hold exactly in reals).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 import numpy as np
 
 from .problems import Array, ProblemInstance, evaluate_objectives
 from .solver import Backtracking, RunTrace, SolverConfig
-from .suite import ProblemDescriptor
+from .suite import ProblemDescriptor, sample_initial_points
 
 __all__ = [
     "ReferenceSet",
@@ -51,6 +52,7 @@ __all__ = [
 
 _STEP_SLACK = 1e-8
 _ENERGY_SLACK = 1e-6
+_DRAW_BUDGET = 10_000  # box draws level_set_reference may test per set
 
 
 @dataclass(frozen=True)
@@ -143,6 +145,12 @@ def gap_step_bounds_check(trace: RunTrace, p: ProblemInstance,
     return True
 
 
+def _known(L_true: Optional[float]) -> float:
+    if L_true is None:
+        raise ValueError("the check needs the gradient Lipschitz constant L_true")
+    return L_true
+
+
 def rate_bound_check(trace: RunTrace, p: ProblemInstance, L_true: Optional[float],
                      cfg: SolverConfig, Z: ReferenceSet) -> bool:
     """Check the accelerated worst-component rate against every z in Z.
@@ -157,45 +165,34 @@ def rate_bound_check(trace: RunTrace, p: ProblemInstance, L_true: Optional[float
     instance started with ``L_init <= beta * L_f`` so that accepted
     estimates stay below the theoretical cap.
     """
-    if L_true is None:
-        raise ValueError("rate check needs the gradient Lipschitz constant L_true")
+    scale = 4.0 * cfg.beta * _known(L_true) * _sq_dists(trace, Z)
     sigma = _gaps(trace, p, Z)
-    scale = 4.0 * cfg.beta * L_true * _sq_dists(trace, Z)
     k = np.arange(1, len(sigma), dtype=float)[:, None]
     return bool(np.all(sigma[1:] <= scale / (k + 1.0) ** 2 + _STEP_SLACK))
 
 
-def accepted_L_bound_check(trace: RunTrace, L_true: float, cfg: SolverConfig) -> bool:
+def accepted_L_bound_check(trace: RunTrace, L_true: Optional[float], cfg: SolverConfig) -> bool:
     """Every accepted step constant stays below ``max(beta * L_true, L_init)``.
 
-    Vacuously true for the fixed-step variants, which never adapt ``L``.
+    Vacuously true for the fixed-step variants, which never adapt ``L``;
+    ``L_true=None`` raises ``ValueError`` for every variant.
     """
+    cap = max(cfg.beta * _known(L_true), cfg.L_init)
     if not isinstance(cfg.variant, Backtracking):
         return True
-    cap = max(cfg.beta * L_true, cfg.L_init)
     return all(r.L <= cap * (1.0 + 1e-12) for r in trace.records)
 
 
 def level_set_reference(p: ProblemInstance, desc: ProblemDescriptor, x0: Array,
-                        seed: int = 0, samples: int = 10_000) -> ReferenceSet:
+                        seed: int = 0, samples: int = 40) -> ReferenceSet:
     """Build a reference set inside the level set ``{z : F(z) <= F(x0)}``.
 
-    For n <= 2 the descriptor's box is swept by a grid with pitch 1e-2 of
-    the box width per axis; in higher dimension, up to ``samples`` uniform
-    draws are kept.  ``x0`` itself is always the first row, so the set is
-    nonempty.
+    Uniform draws from the descriptor's box (:func:`sample_initial_points`)
+    are kept when ``F(z) <= F(x0)``, the same way for every n; drawing stops
+    once ``samples`` are kept or after ``_DRAW_BUDGET`` (10,000) draws.
+    ``x0`` itself is always the first row, so the set is nonempty.
     """
-    x0 = np.asarray(x0, dtype=float)
-    lower = np.asarray(desc.lower, dtype=float)
-    upper = np.asarray(desc.upper, dtype=float)
-    if p.n <= 2:
-        axes = [np.linspace(lower[i], upper[i], 101) for i in range(p.n)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        candidates = np.column_stack([m.ravel() for m in mesh])
-    else:
-        rng = np.random.default_rng(seed)
-        candidates = lower + rng.random((10 * samples, p.n)) * (upper - lower)
     F_x0 = evaluate_objectives(p, x0)
-    kept = [z for z in candidates
-            if np.all(evaluate_objectives(p, z) <= F_x0 + 1e-12)]
-    return ReferenceSet(np.vstack([x0] + kept[:samples]))
+    inside = (z for z in sample_initial_points(desc, _DRAW_BUDGET, seed)
+              if np.all(evaluate_objectives(p, z) <= F_x0 + 1e-12))
+    return ReferenceSet(np.vstack([x0, *islice(inside, samples)]))

@@ -70,12 +70,16 @@ def available_problems() -> list[str]:
 
 
 def builtin_problem(name: str) -> Problem:
+    """Build a registered problem; raises ``ValueError`` if its box length is not its ``n``."""
     try:
         builder = _REGISTRY[name]
     except KeyError:
         known = ", ".join(available_problems())
         raise KeyError(f"unknown problem {name!r}; available: {known}") from None
-    return builder()
+    p, desc = builder()
+    if len(desc.lower) != p.n:
+        raise ValueError(f"problem {name!r} has box length {len(desc.lower)} but n = {p.n}")
+    return p, desc
 
 
 def sample_initial_points(desc: ProblemDescriptor, count: int,

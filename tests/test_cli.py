@@ -296,6 +296,22 @@ def test_fixed_step_on_flat_problem_fails_before_the_first_solve(tmp_path, monke
         suite._REGISTRY.pop("_tmp_flat2", None)
 
 
+def test_box_of_wrong_length_fails_before_the_first_solve(tmp_path, monkeypatch, capsys):
+    # DD1's instance (n = 5) with FF1's two-entry box cannot draw a start.
+    def no_solve(*args):
+        raise AssertionError("solved before the configuration was checked")
+
+    monkeypatch.setattr(cli, "run_solver", no_solve)
+    mismatch = (mofista.builtin_problem("DD1")[0], mofista.builtin_problem("FF1")[1])
+    monkeypatch.setitem(suite._REGISTRY, "_tmp_mismatch", lambda: mismatch)
+    with pytest.raises(ValueError, match="box length 2 but n = 5"):
+        mofista.builtin_problem("_tmp_mismatch")
+    out = tmp_path / "out"
+    assert main(["--problems", "_tmp_mismatch", "--runs", "1", "--out", str(out)]) == 2
+    assert "box length 2 but n = 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_reports_nonconverged(tmp_path, capsys):
     code = main(["--problems", "JOS1", "--runs", "2", "--eps", "1e-13",
                  "--max-iter", "1", "--out", str(tmp_path)])

@@ -14,6 +14,8 @@ from mofista import (
     RunTrace,
     SolverConfig,
     Status,
+    accepted_L_bound_check,
+    available_problems,
     builtin_problem,
     gap_step_bounds_check,
     level_set_reference,
@@ -135,9 +137,8 @@ def test_checks_hold_on_convex_runs(variant):
             x0 = sample_initial_points(desc, 1, seed)[0]
             res = run_solver(p, x0, cfg)
             refs = level_set_reference(p, desc, x0, seed=seed)
-            thin = ReferenceSet(refs.points[:: max(1, len(refs.points) // 25)])
-            assert lyapunov_monotone_check(res.trace, p, thin), (name, seed)
-            assert gap_step_bounds_check(res.trace, p, thin), (name, seed)
+            assert lyapunov_monotone_check(res.trace, p, refs), (name, seed)
+            assert gap_step_bounds_check(res.trace, p, refs), (name, seed)
 
 
 def _rate_check(trace, p, Z):
@@ -176,19 +177,58 @@ def test_check_fails_at_the_one_point_that_breaks_it(case):
     assert not check(trace, p, ReferenceSet([bad]))
 
 
+def _planted(trace, field, change):
+    """The trace with ``change`` applied to ``field`` of its middle record."""
+    mid = len(trace.records) // 2
+    rec = trace.records[mid]
+    bad = dataclasses.replace(rec, **{field: change(getattr(rec, field))})
+    return dataclasses.replace(trace, records=trace.records[:mid] + (bad,)
+                               + trace.records[mid + 1:])
+
+
 def test_gap_step_check_flags_planted_objective_error():
     p, desc = builtin_problem("JOS1")
     x0 = sample_initial_points(desc, 1, 0)[0]
     trace = run_solver(p, x0, SolverConfig(eps=1e-6)).trace
     refs = level_set_reference(p, desc, x0)
-    thin = ReferenceSet(refs.points[:: max(1, len(refs.points) // 25)])
-    assert gap_step_bounds_check(trace, p, thin)
-    mid = len(trace.records) // 2
-    rec = trace.records[mid]
-    bumped = dataclasses.replace(rec, objectives=rec.objectives + 1e-3)
-    records = trace.records[:mid] + (bumped,) + trace.records[mid + 1:]
-    planted = dataclasses.replace(trace, records=records)
-    assert not gap_step_bounds_check(planted, p, thin)
+    assert gap_step_bounds_check(trace, p, refs)
+    planted = _planted(trace, "objectives", lambda F: F + 1e-3)
+    assert not gap_step_bounds_check(planted, p, refs)
+
+
+def test_checks_flag_planted_defects_on_verify_script_runs():
+    # The runs of scripts/verify_trace_invariants.py: both variants on every
+    # convex built-in from its 5 starts.  A defect planted on the middle
+    # record of each trace of >= 3 records must be caught by the one-step and
+    # energy checks together; the unplanted traces must all pass.
+    changes = {"L": lambda L: 0.5 * L, "t": lambda t: 1.3 * t,
+               "objectives": lambda F: F + 1e-3}
+    flagged = dict.fromkeys(changes, 0)
+    planted = false_alarms = 0
+    for name in available_problems():
+        p, desc = builtin_problem(name)
+        if not desc.convex:
+            continue
+        for x0 in sample_initial_points(desc, 5, seed=(7, len(name))):
+            refs = level_set_reference(p, desc, x0)
+
+            def holds(trace):
+                return (gap_step_bounds_check(trace, p, refs)
+                        and lyapunov_monotone_check(trace, p, refs))
+
+            for variant in (Backtracking(), FixedStep(desc.L_true)):
+                cfg = SolverConfig(eps=1e-6, max_iter=500, variant=variant)
+                trace = run_solver(p, x0, cfg).trace
+                false_alarms += not holds(trace)
+                if len(trace.records) < 3:
+                    continue
+                planted += 1
+                for field, change in changes.items():
+                    flagged[field] += not holds(_planted(trace, field, change))
+    assert false_alarms == 0
+    assert planted == 20
+    assert flagged["L"] == flagged["t"] == 20
+    assert flagged["objectives"] >= 19
 
 
 def test_checks_hold_with_start_as_reference():
@@ -224,12 +264,16 @@ def test_lyapunov_single_objective_run():
 
 
 def test_rate_bound_requires_lipschitz_constant():
+    # so does the accepted-L cap, here on a backtracking run
     p, desc = builtin_problem("FF1")
     assert desc.L_true is None
-    res = run_solver(p, np.array([0.5, 0.5]), SolverConfig(eps=1e-6, max_iter=5))
+    cfg = SolverConfig(eps=1e-6, max_iter=3)
+    res = run_solver(p, np.array([0.5, 0.5]), cfg)
     ref = ReferenceSet(np.array([[0.0, 0.0]]))
-    with pytest.raises(ValueError, match="Lipschitz"):
-        rate_bound_check(res.trace, p, desc.L_true, SolverConfig(), ref)
+    with pytest.raises(ValueError, match="Lipschitz constant L_true"):
+        rate_bound_check(res.trace, p, desc.L_true, cfg, ref)
+    with pytest.raises(ValueError, match="Lipschitz constant L_true"):
+        accepted_L_bound_check(res.trace, desc.L_true, cfg)
 
 
 def test_rate_bound_holds_on_accelerated_run():
@@ -246,25 +290,25 @@ def test_rate_bound_holds_on_accelerated_run():
 # level-set reference construction
 
 
-def test_level_set_reference_grid_path():
-    p, desc = builtin_problem("JOS1")
-    x0 = np.array([3.0, 3.0])
-    refs = level_set_reference(p, desc, x0)
+@pytest.mark.parametrize("name, x0, seed", [("JOS1", [3.0, 3.0], 0),
+                                           ("DD1", [10.0] * 5, 1)], ids=["JOS1", "DD1"])
+def test_level_set_reference(name, x0, seed):
+    p, desc = builtin_problem(name)
+    x0 = np.array(x0)
+    evaluated = []
+
+    def counted_smooth(x):
+        evaluated.append(x)
+        return p.smooth(x)
+
+    counted = dataclasses.replace(p, smooth=counted_smooth)
+    refs = level_set_reference(counted, desc, x0, seed=seed)
     assert np.allclose(refs.points[0], x0)
-    # the Pareto-optimal (1, 1) is a grid node inside the level set
-    assert any(np.allclose(z, [1.0, 1.0]) for z in refs.points)
+    assert refs.points.shape == (41, p.n)  # x0 and the default 40 samples
+    # drawing stopped at the draw that filled the set, long before the budget
+    assert np.array_equal(evaluated[-1], refs.points[-1])
+    assert len(evaluated) < 1_000
     F_x0 = p.smooth(x0)
     # every kept candidate (all rows except x0) is in the level set
-    for z in refs.points[1:]:
-        assert np.all(p.smooth(z) <= F_x0 + 1e-9)
-
-
-def test_level_set_reference_sampling_path():
-    p, desc = builtin_problem("DD1")
-    x0 = np.full(5, 10.0)
-    refs = level_set_reference(p, desc, x0, seed=1, samples=40)
-    assert refs.points.shape[1] == 5
-    assert len(refs.points) <= 41
-    F_x0 = p.smooth(x0)
     for z in refs.points[1:]:
         assert np.all(p.smooth(z) <= F_x0 + 1e-9)
