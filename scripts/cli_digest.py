@@ -31,13 +31,12 @@ import tempfile
 from pathlib import Path
 
 from mofista import BenchConfig, run_benchmark
-
-ALL_SOLVERS = ("backtracking", "fixed", "pgm")
+from mofista.cli import SOLVER_NAMES
 
 CONFIGS = {
-    "mixed": dict(problems=("SP1_l1", "VFM1"), solvers=ALL_SOLVERS, runs=4, seed=3,
+    "mixed": dict(problems=("SP1_l1", "VFM1"), solvers=SOLVER_NAMES, runs=4, seed=3,
                   eps=1e-6),
-    "capped": dict(problems=("BK1", "SP1", "MHHM2"), solvers=ALL_SOLVERS, max_iter=3,
+    "capped": dict(problems=("BK1", "SP1", "MHHM2"), solvers=SOLVER_NAMES, max_iter=3,
                    runs=3),
     "diverging": dict(problems=("VFM1",), solvers=("fixed",), fixed_L=1e-3, runs=2),
 }

@@ -6,12 +6,13 @@
 Runs four variants from 20 starts per problem, ``sample_initial_points(desc,
 20, 0)``, with ``eps=1e-6`` and ``max_iter=1000``:
 
-- ``backtracking``: ``Backtracking`` with the default ``sigma = 2``, which
-  lets ``L`` go down between iterations;
-- ``monotone``: ``Backtracking`` with ``sigma = 1 + 1e-12``, the classical
-  rule under which ``L`` only grows (``SolverConfig`` requires ``sigma > 1``);
-- ``fixed``: ``FixedStep(L_true)``;
-- ``pgm``: ``PlainProxGrad(L_true)``.
+- ``backtracking``: ``Variant.BACKTRACKING`` with the default ``sigma = 2``,
+  which lets ``L`` go down between iterations;
+- ``monotone``: ``Variant.BACKTRACKING`` with ``sigma = 1 + 1e-12``, the
+  classical rule under which ``L`` only grows (``SolverConfig`` requires
+  ``sigma > 1``);
+- ``fixed``: ``Variant.FIXED`` with ``L_init = L_true``;
+- ``pgm``: ``Variant.PGM`` with ``L_init = L_true``.
 
 The fixed-step rows are ``n/a`` for problems without ``L_true`` (DD1, FF1).
 Without ``--problems`` the run covers every built-in and then the generated
@@ -36,9 +37,9 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
-from mofista import (Backtracking, BacktrackingError, EvaluationError, FixedStep,
-                     PlainProxGrad, SolverConfig, available_problems, builtin_problem,
-                     load_problem_file, run_solver, sample_initial_points)
+from mofista import (BacktrackingError, EvaluationError, SolverConfig,
+                     available_problems, builtin_problem, load_problem_file,
+                     run_solver, sample_initial_points)
 
 STARTS = 20
 EPS = 1e-6
@@ -53,9 +54,9 @@ ROOT = Path(__file__).resolve().parent.parent
 def configs(L_true):
     """The ``SolverConfig`` of each variant, ``None`` where it needs ``L_true``."""
     base = dict(eps=EPS, max_iter=MAX_ITER)
-    fixed = {label: None if L_true is None else SolverConfig(variant=kind(L_true), **base)
-             for label, kind in (("fixed", FixedStep), ("pgm", PlainProxGrad))}
-    return {"backtracking": SolverConfig(variant=Backtracking(), **base),
+    fixed = {label: None if L_true is None else SolverConfig(L_init=L_true, variant=label, **base)
+             for label in ("fixed", "pgm")}
+    return {"backtracking": SolverConfig(**base),
             "monotone": SolverConfig(sigma=MONOTONE_SIGMA, **base), **fixed}
 
 

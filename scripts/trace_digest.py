@@ -27,10 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
-from mofista import (Backtracking, BacktrackingError, EvaluationError, FixedStep,
-                     PlainProxGrad, SolverConfig, available_problems,
-                     builtin_problem, load_problem_file, run_solver,
-                     sample_initial_points)
+from mofista import (BacktrackingError, EvaluationError, SolverConfig,
+                     available_problems, builtin_problem, load_problem_file,
+                     run_solver, sample_initial_points)
 
 STARTS = 12
 
@@ -77,13 +76,12 @@ def main(argv=None) -> int:
         problems += loaded_problems()
     for p, desc in problems:
         name = desc.name
-        variants = [("backtracking", Backtracking())]
+        step_constants = {"backtracking": SolverConfig.L_init}
         if desc.L_true is not None:
-            variants += [("fixed", FixedStep(desc.L_true)),
-                         ("pgm", PlainProxGrad(desc.L_true))]
+            step_constants |= {"fixed": desc.L_true, "pgm": desc.L_true}
         starts = sample_initial_points(desc, STARTS, 0)
-        for label, variant in variants:
-            cfg = SolverConfig(eps=1e-6, max_iter=500, variant=variant)
+        for label, L_init in step_constants.items():
+            cfg = SolverConfig(L_init=L_init, eps=1e-6, max_iter=500, variant=label)
             for i, x0 in enumerate(starts):
                 try:
                     res = run_solver(p, x0, cfg)

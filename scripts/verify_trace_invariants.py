@@ -24,11 +24,10 @@ import sys
 
 import numpy as np
 
-from mofista import (Backtracking, FixedStep, ReferenceSet, SolverConfig,
-                     accepted_L_bound_check, available_problems, builtin_problem,
-                     gap_step_bounds_check, level_set_reference,
-                     lyapunov_monotone_check, pareto_segment, rate_bound_check,
-                     run_solver, sample_initial_points)
+from mofista import (ReferenceSet, SolverConfig, accepted_L_bound_check,
+                     available_problems, builtin_problem, gap_step_bounds_check,
+                     level_set_reference, lyapunov_monotone_check, pareto_segment,
+                     rate_bound_check, run_solver, sample_initial_points)
 
 
 def main(argv=None) -> int:
@@ -49,10 +48,10 @@ def main(argv=None) -> int:
             front = ReferenceSet(pareto_segment(name, 20))
         except KeyError:
             front = None
-        variants = [("backtracking", Backtracking()),
-                    ("fixed", FixedStep(desc.L_true))]
-        for label, variant in variants:
-            cfg = SolverConfig(eps=args.eps, max_iter=args.max_iter, variant=variant)
+        step_constants = {"backtracking": SolverConfig.L_init, "fixed": desc.L_true}
+        for label, L_init in step_constants.items():
+            cfg = SolverConfig(L_init=L_init, eps=args.eps, max_iter=args.max_iter,
+                               variant=label)
             for x0, Z in zip(starts, level_sets):
                 res = run_solver(p, x0, cfg)
                 ok = gap_step_bounds_check(res.trace, p, Z)

@@ -23,14 +23,14 @@ import numpy as np
 from .metrics import Front, nondominated_filter, performance_profile, purity
 from .plots import emit_svg_scatter
 from .problems import Array, EvaluationError, ProblemInstance
-from .solver import (BacktrackingError, Backtracking, FixedStep, PlainProxGrad,
-                     SolverConfig, Status, Variant, run_solver)
+from .solver import (BacktrackingError, SolverConfig, Status, Variant, _is_int,
+                     run_solver)
 from .suite import ProblemDescriptor, available_problems, builtin_problem, \
     sample_initial_points
 
 __all__ = ["BenchConfig", "BenchReport", "ConfigError", "run_benchmark", "main"]
 
-SOLVER_NAMES = ("backtracking", "fixed", "pgm")
+SOLVER_NAMES = tuple(v.value for v in Variant)
 
 
 class ConfigError(ValueError):
@@ -53,34 +53,32 @@ class BenchConfig:
     fixed_L_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "problems", tuple(self.problems))
-        object.__setattr__(self, "solvers", tuple(self.solvers))
+        for key in ("problems", "solvers"):
+            given = getattr(self, key)
+            names = tuple(given)
+            if isinstance(given, str) or not names or len(set(names)) < len(names):
+                raise ConfigError(f"{key} must be one or more distinct names, got {given!r}")
+            object.__setattr__(self, key, names)
         object.__setattr__(self, "out_dir", Path(self.out_dir))
-        if self.runs < 1:
-            raise ConfigError("runs must be at least 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
-        if not self.problems:
-            raise ConfigError("at least one problem required")
-        if not self.solvers:
-            raise ConfigError("at least one solver required")
-        for names in (self.problems, self.solvers):
-            if len(set(names)) < len(names):
-                raise ConfigError(f"repeated name in {list(names)}")
+        if not _is_int(self.runs) or self.runs < 1:
+            raise ConfigError("runs must be an integer of at least 1")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ConfigError("seed must be a nonnegative integer")
         unknown = [s for s in self.solvers if s not in SOLVER_NAMES]
         if unknown:
             raise ConfigError(f"unknown solver(s) {unknown}; choose from {SOLVER_NAMES}")
         if not 0.0 < self.fixed_L_scale < np.inf:
             raise ConfigError("fixed_L_scale must be positive and finite")
+        if self.fixed_L is not None and not 0.0 < self.fixed_L < np.inf:
+            raise ConfigError(f"fixed_L must be positive and finite, got {self.fixed_L}")
         _base_solver_config(self)
 
 
 def _base_solver_config(bc: BenchConfig) -> SolverConfig:
-    """Shared run settings, a set fixed_L checked as a fixed step; bad ones raise ConfigError."""
-    variant = Backtracking() if bc.fixed_L is None else FixedStep(bc.fixed_L)
+    """Shared run settings, backtracking's; bad ones raise ConfigError."""
     try:
         return SolverConfig(L_init=bc.L_init, beta=bc.beta, sigma=bc.sigma,
-                            eps=bc.eps, max_iter=bc.max_iter, variant=variant)
+                            eps=bc.eps, max_iter=bc.max_iter)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -112,17 +110,17 @@ def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
-def _variant_for(name: str, desc: ProblemDescriptor, bc: BenchConfig) -> Variant:
-    if name == "backtracking":
-        return Backtracking()
-    L = bc.fixed_L
-    if L is None:
-        if desc.L_true is None:
-            raise ConfigError(
-                f"solver {name!r} on {desc.name!r} needs --fixed-l: the instance "
-                "has no known gradient Lipschitz constant to scale")
-        L = desc.L_true * bc.fixed_L_scale
-    return FixedStep(L) if name == "fixed" else PlainProxGrad(L)
+def _step_constant(name: str, desc: ProblemDescriptor, bc: BenchConfig) -> float:
+    """Solver ``name``'s ``L_init`` on ``desc``: backtracking's first trial, else the held step."""
+    if name == Variant.BACKTRACKING.value:
+        return bc.L_init
+    if bc.fixed_L is not None:
+        return bc.fixed_L
+    if desc.L_true is None:
+        raise ConfigError(
+            f"solver {name!r} on {desc.name!r} needs --fixed-l: the instance "
+            "has no known gradient Lipschitz constant to scale")
+    return desc.L_true * bc.fixed_L_scale
 
 
 def _single_run(p: ProblemInstance, cfg: SolverConfig, x0: Array,
@@ -162,10 +160,10 @@ def _resolve_problems(bc: BenchConfig) -> list[tuple[ProblemInstance, ProblemDes
         if p.m < 2:
             raise ConfigError(f"problem {name!r} has {p.m} objective; "
                               "the benchmark's fronts need at least 2")
-        variants = {solver: _variant_for(solver, desc, bc) for solver in bc.solvers}
+        steps = {solver: _step_constant(solver, desc, bc) for solver in bc.solvers}
         try:
-            out.append((p, desc, {solver: replace(base, variant=variant)
-                                  for solver, variant in variants.items()}))
+            out.append((p, desc, {solver: replace(base, variant=solver, L_init=L)
+                                  for solver, L in steps.items()}))
         except ValueError as exc:
             raise ConfigError(f"problem {name!r}: {exc}") from None
     return out

@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .problems import Array, ProblemInstance, evaluate_objectives
-from .solver import Backtracking, RunTrace, SolverConfig
+from .solver import RunTrace, SolverConfig, Variant
 from .suite import ProblemDescriptor, sample_initial_points
 
 __all__ = [
@@ -53,6 +53,7 @@ __all__ = [
 _STEP_SLACK = 1e-8
 _ENERGY_SLACK = 1e-6
 _DRAW_BUDGET = 10_000  # box draws level_set_reference may test per set
+_SAMPLES = 40  # points level_set_reference keeps after x0
 
 
 @dataclass(frozen=True)
@@ -178,21 +179,21 @@ def accepted_L_bound_check(trace: RunTrace, L_true: Optional[float], cfg: Solver
     ``L_true=None`` raises ``ValueError`` for every variant.
     """
     cap = max(cfg.beta * _known(L_true), cfg.L_init)
-    if not isinstance(cfg.variant, Backtracking):
+    if cfg.variant is not Variant.BACKTRACKING:
         return True
     return all(r.L <= cap * (1.0 + 1e-12) for r in trace.records)
 
 
 def level_set_reference(p: ProblemInstance, desc: ProblemDescriptor, x0: Array,
-                        seed: int = 0, samples: int = 40) -> ReferenceSet:
+                        seed: int = 0) -> ReferenceSet:
     """Build a reference set inside the level set ``{z : F(z) <= F(x0)}``.
 
     Uniform draws from the descriptor's box (:func:`sample_initial_points`)
     are kept when ``F(z) <= F(x0)``, the same way for every n; drawing stops
-    once ``samples`` are kept or after ``_DRAW_BUDGET`` (10,000) draws.
+    once ``_SAMPLES`` (40) are kept or after ``_DRAW_BUDGET`` (10,000) draws.
     ``x0`` itself is always the first row, so the set is nonempty.
     """
     F_x0 = evaluate_objectives(p, x0)
     inside = (z for z in sample_initial_points(desc, _DRAW_BUDGET, seed)
               if np.all(evaluate_objectives(p, z) <= F_x0 + 1e-12))
-    return ReferenceSet(np.vstack([x0, *islice(inside, samples)]))
+    return ReferenceSet(np.vstack([x0, *islice(inside, _SAMPLES)]))

@@ -22,11 +22,11 @@ Seeding ``t_prev = 0`` makes the first iteration use ``t = 1`` and
 ``y = x0`` regardless of retries, so backtracking at the start only adjusts
 ``L``.
 
-All variants run one trial loop and differ in two flags: ``L`` deflates
-then inflates (:class:`Backtracking`), and momentum extrapolates (all but
-:class:`PlainProxGrad`).  No oracle is called twice at one point.  ``f(x)``
-carries over with ``F(x)``.  An iteration where ``y`` equals ``x`` (each one
-of :class:`PlainProxGrad`, the first two of the others) makes one ``grad f``
+All variants start from ``L = L_init``, run one trial loop and differ in two
+flags: ``L`` deflates then inflates (``BACKTRACKING``), and momentum
+extrapolates (all but ``PGM``).  No oracle is called twice at one point.
+``f(x)`` carries over with ``F(x)``.  An iteration where ``y`` equals ``x``
+(each one of ``PGM``, the first two of the others) makes one ``grad f``
 call for all its trials and takes ``f(y) = f(x)``; other trials call both
 at ``y``.  Each trial calls ``f(z)`` unless its step is exactly zero.
 """
@@ -35,9 +35,10 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -46,9 +47,6 @@ from .subproblem import (SubproblemConfig, SubproblemError, _linearize, _solve_d
                          project_simplex)
 
 __all__ = [
-    "Backtracking",
-    "FixedStep",
-    "PlainProxGrad",
     "Variant",
     "SolverConfig",
     "IterationRecord",
@@ -63,60 +61,53 @@ __all__ = [
 _MAX_BACKTRACKS = 100
 
 
+def _is_int(value) -> bool:
+    """An integer of Python or NumPy; a bool does not count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 class BacktrackingError(RuntimeError):
     """Line search exceeded the inflation cap; the instance is likely
     inconsistent with the smoothness assumptions."""
 
 
-@dataclass(frozen=True)
-class Backtracking:
-    """Adaptive step constants: deflate by at most ``1/sigma`` toward the
-    curvature the last step saw on a quarter-power grid, inflate by ``beta``."""
+class Variant(enum.Enum):
+    """The step rule, valued by its CLI solver name.  ``BACKTRACKING`` deflates
+    ``L`` by at most ``1/sigma`` toward the curvature the last step saw on a
+    quarter-power grid and inflates it by ``beta``; ``FIXED`` holds it with full
+    momentum (``omega = 1``); ``PGM`` holds it with none (``y = x``, ``t = 1``)."""
 
-
-@dataclass(frozen=True)
-class FixedStep:
-    """Constant step ``L`` with the full momentum recurrence (``omega = 1``)."""
-
-    L: float
-
-
-@dataclass(frozen=True)
-class PlainProxGrad:
-    """Constant step ``L``, no momentum: ``y = x`` and ``t = 1`` throughout."""
-
-    L: float
-
-
-Variant = Union[Backtracking, FixedStep, PlainProxGrad]
+    BACKTRACKING = "backtracking"
+    FIXED = "fixed"
+    PGM = "pgm"
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """``L_init`` is the first trial constant of :class:`Backtracking`,
-    ``beta`` its inflation factor and ``sigma`` its largest deflation."""
+    """``L_init`` is the step constant, backtracking's first trial or the held
+    step of the others; ``beta`` and ``sigma`` are backtracking's inflation
+    factor and largest deflation.  ``variant`` takes a :class:`Variant` or its name."""
 
     L_init: float = 1.0
     beta: float = 2.0
     sigma: float = 2.0
     eps: float = 1e-3
     max_iter: int = 1000
-    variant: Variant = field(default_factory=Backtracking)
+    variant: Variant = Variant.BACKTRACKING
     subproblem: SubproblemConfig = field(default_factory=SubproblemConfig)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "variant", Variant(self.variant))
         if not 0.0 < self.L_init < np.inf:
-            raise ValueError("L_init must be positive and finite")
-        if not isinstance(self.variant, Backtracking) and not 0.0 < self.variant.L < np.inf:
-            raise ValueError(f"a fixed step's L must be positive and finite, got {self.variant.L}")
+            raise ValueError(f"L_init must be positive and finite, got {self.L_init}")
         if not 1.0 < self.beta < np.inf:
             raise ValueError("beta must be finite and exceed 1")
         if not 1.0 < self.sigma < np.inf:
             raise ValueError("sigma must be finite and exceed 1")
-        if not self.eps > 0.0:
-            raise ValueError("eps must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if not 0.0 < self.eps < np.inf:
+            raise ValueError("eps must be positive and finite")
+        if not _is_int(self.max_iter) or self.max_iter < 1:
+            raise ValueError("max_iter must be an integer of at least 1")
 
 
 @dataclass(frozen=True)
@@ -207,9 +198,9 @@ def run_solver(p: ProblemInstance, x0: Array, cfg: Optional[SolverConfig] = None
     fx, objectives0 = _evaluate(p, x0)
 
     # The variants differ only in these two flags.
-    adaptive = isinstance(cfg.variant, Backtracking)
-    momentum = not isinstance(cfg.variant, PlainProxGrad)
-    L_prev = cfg.L_init if adaptive else cfg.variant.L
+    adaptive = cfg.variant is Variant.BACKTRACKING
+    momentum = cfg.variant is not Variant.PGM
+    L_prev = cfg.L_init
     x, x_prev, t_prev, Fx = x0, x0, 0.0, objectives0
     records: list[IterationRecord] = []
     status = Status.MAX_ITER

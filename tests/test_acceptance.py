@@ -12,11 +12,8 @@ import numpy as np
 import pytest
 
 from mofista import (
-    Backtracking,
     BenchConfig,
-    FixedStep,
     Front,
-    PlainProxGrad,
     ProblemInstance,
     ReferenceSet,
     SolverConfig,
@@ -207,15 +204,15 @@ def test_04_single_objective_reduction():
 def test_05_monotone_cap_all_variants():
     for name in CONVEX_BUILTINS:
         p, desc = builtin_problem(name)
-        variants = [Backtracking(), FixedStep(desc.L_true),
-                    PlainProxGrad(desc.L_true)]
-        for variant in variants:
-            cfg = SolverConfig(eps=1e-6, variant=variant)
+        cfgs = [SolverConfig(eps=1e-6),
+                SolverConfig(eps=1e-6, L_init=desc.L_true, variant="fixed"),
+                SolverConfig(eps=1e-6, L_init=desc.L_true, variant="pgm")]
+        for cfg in cfgs:
             for seed in range(10):
                 x0 = sample_initial_points(desc, 1, seed)[0]
                 res = run_solver(p, x0, cfg)
                 rows = res.trace.objective_rows()
-                assert np.all(rows <= rows[0] + 1e-8), (name, variant, seed)
+                assert np.all(rows <= rows[0] + 1e-8), (name, cfg.variant, seed)
     print("ACCEPTANCE 05 monotone-cap: PASS")
 
 
@@ -316,11 +313,12 @@ def test_09_stationarity_detection():
     eps = 1e-5
     for name, x0 in starts.items():
         p, desc = builtin_problem(name)
-        for variant in [Backtracking(), FixedStep(desc.L_true),
-                        PlainProxGrad(desc.L_true)]:
-            res = run_solver(p, x0, SolverConfig(eps=eps, variant=variant))
-            assert res.status is Status.CONVERGED, (name, variant)
-            assert len(res.trace.records) == 1, (name, variant)
+        for cfg in [SolverConfig(eps=eps),
+                    SolverConfig(eps=eps, L_init=desc.L_true, variant="fixed"),
+                    SolverConfig(eps=eps, L_init=desc.L_true, variant="pgm")]:
+            res = run_solver(p, x0, cfg)
+            assert res.status is Status.CONVERGED, (name, cfg.variant)
+            assert len(res.trace.records) == 1, (name, cfg.variant)
             assert res.trace.records[0].residual < eps
     print("ACCEPTANCE 09 stationarity-detection: PASS")
 
@@ -348,9 +346,9 @@ def test_11_backtracking_beats_overestimated_fixed_step():
         p, desc = builtin_problem(name)
         starts = sample_initial_points(desc, 50, 2024)
         iter_counts = {}
-        for label, variant in [("backtracking", Backtracking()),
-                               ("fixed", FixedStep(10.0 * desc.L_true))]:
-            cfg = SolverConfig(eps=1e-5, max_iter=2000, variant=variant)
+        for label, L_init in [("backtracking", SolverConfig.L_init),
+                              ("fixed", 10.0 * desc.L_true)]:
+            cfg = SolverConfig(eps=1e-5, max_iter=2000, L_init=L_init, variant=label)
             counts = []
             for x0 in starts:
                 res = run_solver(p, x0, cfg)

@@ -17,6 +17,7 @@ from mofista import (
     BenchReport,
     ConfigError,
     Front,
+    Variant,
     nondominated_filter,
     run_benchmark,
 )
@@ -61,9 +62,21 @@ def test_bench_config_rejects_bad_values():
             BenchConfig(**repeated)
     for bad in ({"beta": 0.5}, {"sigma": 1.0}, {"eps": 0.0}, {"max_iter": 0},
                 {"L_init": -1.0}, {"L_init": np.inf}, {"beta": np.inf},
-                {"sigma": np.inf}, {"sigma": np.nan}):
+                {"sigma": np.inf}, {"sigma": np.nan},
+                # A float runs or seed raised TypeError inside run_benchmark
+                # after out_dir existed; a bare string was split into letters.
+                {"runs": 1.5}, {"seed": 1.5}, {"runs": True}, {"problems": "BK1"},
+                {"solvers": "backtracking"}, {"max_iter": 2.5}, {"eps": np.inf}):
         with pytest.raises(ConfigError):
             BenchConfig(**bad)
+    bc = BenchConfig(runs=np.int64(2), seed=np.int64(1), max_iter=np.int64(3))
+    assert (bc.runs, bc.seed, bc.max_iter) == (2, 1, 3)
+    with pytest.raises(ConfigError, match="fixed_L must be positive and finite"):
+        BenchConfig(fixed_L=-1.0)
+
+
+def test_solver_names_are_the_variants():
+    assert [v.value for v in Variant] == list(cli.SOLVER_NAMES)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from mofista import (
-    Backtracking,
-    FixedStep,
     IterationRecord,
     ProblemInstance,
     ReferenceSet,
@@ -131,8 +129,8 @@ def test_sample_count_matches_records():
 def test_checks_hold_on_convex_runs(variant):
     for name in ["JOS1", "BK1_l1", "MHHM2"]:
         p, desc = builtin_problem(name)
-        v = Backtracking() if variant == "backtracking" else FixedStep(desc.L_true)
-        cfg = SolverConfig(eps=1e-6, variant=v)
+        cfg = (SolverConfig(eps=1e-6) if variant == "backtracking"
+               else SolverConfig(eps=1e-6, L_init=desc.L_true, variant="fixed"))
         for seed in range(2):
             x0 = sample_initial_points(desc, 1, seed)[0]
             res = run_solver(p, x0, cfg)
@@ -216,8 +214,8 @@ def test_checks_flag_planted_defects_on_verify_script_runs():
                 return (gap_step_bounds_check(trace, p, refs)
                         and lyapunov_monotone_check(trace, p, refs))
 
-            for variant in (Backtracking(), FixedStep(desc.L_true)):
-                cfg = SolverConfig(eps=1e-6, max_iter=500, variant=variant)
+            for cfg in (SolverConfig(eps=1e-6, max_iter=500),
+                        SolverConfig(eps=1e-6, max_iter=500, L_init=desc.L_true, variant="fixed")):
                 trace = run_solver(p, x0, cfg).trace
                 false_alarms += not holds(trace)
                 if len(trace.records) < 3:
@@ -242,7 +240,7 @@ def test_checks_hold_with_start_as_reference():
 def test_stationary_start_keeps_energy_at_zero():
     p, desc = builtin_problem("BK1")
     x0 = np.array([2.0, 2.0])  # on the Pareto segment
-    res = run_solver(p, x0, SolverConfig(eps=1e-6, variant=FixedStep(desc.L_true)))
+    res = run_solver(p, x0, SolverConfig(eps=1e-6, L_init=desc.L_true, variant="fixed"))
     assert res.status is Status.CONVERGED
     energies = lyapunov_energies(res.trace, p, ReferenceSet(x0))
     # steps are certified-gap-sized, so energies sit at ~1e-6, not at zero
@@ -252,7 +250,7 @@ def test_stationary_start_keeps_energy_at_zero():
 
 def test_lyapunov_single_objective_run():
     p = _half_square()
-    res = run_solver(p, np.array([3.0]), SolverConfig(eps=1e-10, variant=FixedStep(1.0)))
+    res = run_solver(p, np.array([3.0]), SolverConfig(eps=1e-10, L_init=1.0, variant="fixed"))
     z = ReferenceSet([0.0])
     assert lyapunov_monotone_check(res.trace, p, z)
     energies = lyapunov_energies(res.trace, p, z)
@@ -304,7 +302,7 @@ def test_level_set_reference(name, x0, seed):
     counted = dataclasses.replace(p, smooth=counted_smooth)
     refs = level_set_reference(counted, desc, x0, seed=seed)
     assert np.allclose(refs.points[0], x0)
-    assert refs.points.shape == (41, p.n)  # x0 and the default 40 samples
+    assert refs.points.shape == (41, p.n)  # x0 and the 40 kept draws
     # drawing stopped at the draw that filled the set, long before the budget
     assert np.array_equal(evaluated[-1], refs.points[-1])
     assert len(evaluated) < 1_000

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mofista import (Backtracking, BacktrackingError, CustomNonsmooth,
-                     EvaluationError, FixedStep, PlainProxGrad,
-                     ProblemInstance, SolverConfig, Status, SubproblemConfig, Zero,
-                     accepted_L_bound_check, available_problems, builtin_problem,
+from mofista import (BacktrackingError, CustomNonsmooth, EvaluationError,
+                     ProblemInstance, SolverConfig, Status, SubproblemConfig, Variant,
+                     Zero, accepted_L_bound_check, available_problems, builtin_problem,
                      run_solver, sample_initial_points)
 from mofista import solver as solver_module
 from mofista.problems import evaluate_objectives
@@ -120,7 +119,7 @@ def test_line_search_bound_test_matches_reference():
 
 def test_single_objective_one_step_convergence():
     res = run_solver(single_quadratic(), np.array([1.0]),
-                     SolverConfig(variant=FixedStep(1.0)))
+                     SolverConfig(L_init=1.0, variant="fixed"))
     assert res.status is Status.CONVERGED
     assert len(res.trace.records) <= 2
     np.testing.assert_allclose(res.x, [0.0], atol=1e-12)
@@ -168,8 +167,8 @@ def test_t_identity_and_bracket_across_trace(name):
 def test_momentum_growth_lower_bound(kind):
     p, desc = builtin_problem("SP1")
     L_f = desc.L_true
-    variant = Backtracking() if kind == "backtracking" else FixedStep(L_f)
-    cfg = SolverConfig(eps=1e-6, variant=variant)
+    cfg = (SolverConfig(eps=1e-6) if kind == "backtracking"
+           else SolverConfig(eps=1e-6, L_init=L_f, variant="fixed"))
     for x0 in sample_initial_points(desc, 3, seed=6):
         recs = run_solver(p, x0, cfg).trace.records
         for j, rec in enumerate(recs, start=1):
@@ -211,8 +210,8 @@ def test_trace_does_not_depend_on_inner_tol(name):
 
 def test_objectives_never_rise_above_start():
     cfgs = [SolverConfig(eps=1e-6),
-            SolverConfig(eps=1e-6, variant=FixedStep(2.0)),
-            SolverConfig(eps=1e-6, variant=PlainProxGrad(2.0))]
+            SolverConfig(eps=1e-6, L_init=2.0, variant="fixed"),
+            SolverConfig(eps=1e-6, L_init=2.0, variant="pgm")]
     p, desc = builtin_problem("BK1_l1")
     for cfg in cfgs:
         for x0 in sample_initial_points(desc, 3, seed=8):
@@ -223,7 +222,7 @@ def test_objectives_never_rise_above_start():
 
 def test_plain_prox_grad_descends_every_component():
     p, desc = builtin_problem("JOS1_l1")
-    cfg = SolverConfig(eps=1e-6, variant=PlainProxGrad(desc.L_true))
+    cfg = SolverConfig(eps=1e-6, L_init=desc.L_true, variant="pgm")
     for x0 in sample_initial_points(desc, 5, seed=10):
         rows = run_solver(p, x0, cfg).trace.objective_rows()
         assert np.all(rows[1:] <= rows[:-1] + 1e-8)
@@ -265,7 +264,7 @@ def test_deflation_stops_at_the_curvature_seen():
 
 def test_accepted_L_check_vacuous_for_fixed_step():
     p, desc = builtin_problem("BK1")
-    cfg = SolverConfig(variant=FixedStep(1000.0))
+    cfg = SolverConfig(L_init=1000.0, variant="fixed")
     trace = run_solver(p, np.array([4.0, 4.0]), cfg).trace
     assert accepted_L_bound_check(trace, desc.L_true, cfg)
 
@@ -299,11 +298,23 @@ def test_config_validation():
     for bad in (dict(L_init=0.0), dict(beta=1.0), dict(sigma=0.5),
                 dict(eps=0.0), dict(max_iter=0), dict(L_init=np.inf),
                 dict(L_init=np.nan), dict(beta=np.inf), dict(sigma=np.inf),
-                dict(sigma=np.nan), dict(variant=FixedStep(0.0)),
-                dict(variant=PlainProxGrad(-1.0)), dict(variant=FixedStep(np.nan)),
-                dict(variant=FixedStep(np.inf))):
+                dict(sigma=np.nan), dict(L_init=0.0, variant="fixed"),
+                dict(L_init=np.nan, variant="pgm"),
+                # A float cap raised TypeError inside run_solver, True ran one
+                # iteration, and eps = inf called SP1 converged at residual 1.23.
+                dict(max_iter=2.5), dict(max_iter=True), dict(eps=np.inf)):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
+    assert SolverConfig(max_iter=np.int64(5)).max_iter == 5
+
+
+def test_variant_is_a_name():
+    for variant in Variant:
+        assert SolverConfig(variant=variant.value) == SolverConfig(variant=variant)
+        assert SolverConfig(variant=variant.value).variant is variant
+    assert SolverConfig().variant is Variant.BACKTRACKING
+    with pytest.raises(ValueError):
+        SolverConfig(variant="newton")
 
 
 def test_x0_shape_checked():
@@ -402,7 +413,10 @@ def counting_copy(p):
     return replace(p, smooth=smooth, smooth_jac=smooth_jac), calls
 
 
-VARIANTS = {"backtracking": lambda L: Backtracking(), "fixed": FixedStep, "pgm": PlainProxGrad}
+def config_of(kind: str, L_true) -> SolverConfig:
+    """``eps=1e-6`` settings of solver ``kind``; the fixed variants hold ``L_true``."""
+    L_init = SolverConfig.L_init if kind == "backtracking" else L_true
+    return SolverConfig(eps=1e-6, L_init=L_init, variant=kind)
 
 
 @pytest.mark.parametrize("name", ["SP1_l1", "VFM1"])
@@ -416,7 +430,7 @@ def test_one_oracle_call_per_point(name, kind):
     p, desc = builtin_problem(name)
     counted, calls = counting_copy(p)
     x0 = sample_initial_points(desc, 1, seed=18)[0]
-    res = run_solver(counted, x0, SolverConfig(eps=1e-6, variant=VARIANTS[kind](desc.L_true)))
+    res = run_solver(counted, x0, config_of(kind, desc.L_true))
     assert res.status is Status.CONVERGED
     records = res.trace.records
     trials = len(records) + sum(r.backtracks for r in records)
@@ -441,12 +455,12 @@ def test_no_oracle_called_twice_at_one_point(name):
         return oracle
 
     watched = replace(p, smooth=logged("smooth"), smooth_jac=logged("smooth_jac"))
-    kinds = ["backtracking"] if desc.L_true is None else list(VARIANTS)
+    kinds = ["backtracking"] if desc.L_true is None else [v.value for v in Variant]
     for kind in kinds:
         for x0 in sample_initial_points(desc, 5, seed=2):
             for points in seen.values():
                 points.clear()
-            run_solver(watched, x0, SolverConfig(eps=1e-6, variant=VARIANTS[kind](desc.L_true)))
+            run_solver(watched, x0, config_of(kind, desc.L_true))
             for attr, points in seen.items():
                 assert len(set(points)) == len(points), (kind, attr)
 
@@ -560,13 +574,13 @@ def test_exact_and_difference_curvature_agree(name):
         np.testing.assert_allclose(exact.x, approx.x, rtol=0.0, atol=1e-9)
 
 
-@pytest.mark.parametrize("variant", [FixedStep(1e-3), PlainProxGrad(1e-3)])
+@pytest.mark.parametrize("variant", ["fixed", "pgm"])
 def test_divergent_step_raises_at_overflowed_iterate(variant):
     # A step constant far below the curvature makes SP1 diverge until f
     # overflows; the error must carry the iterate whose objectives did.
     p, desc = builtin_problem("SP1")
     x0 = sample_initial_points(desc, 1, seed=0)[0]
-    cfg = SolverConfig(variant=variant)
+    cfg = SolverConfig(L_init=1e-3, variant=variant)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(EvaluationError) as info:
             run_solver(p, x0, cfg)
@@ -584,7 +598,7 @@ def test_divergent_step_raises_at_overflowed_iterate(variant):
             k += 1
         assert len(recs) == k - 1
         x = recs[-1].x
-        if isinstance(variant, FixedStep):
+        if variant == "fixed":
             _, _, y = fista_step(x, recs[-2].x, recs[-1].t, 1.0)
         else:
             y = x
@@ -593,11 +607,11 @@ def test_divergent_step_raises_at_overflowed_iterate(variant):
         # weights over the records as the solver does.
         x_prev, warm = x0, None
         for rec in recs:
-            sol = solve_subproblem(x_prev, rec.y, variant.L, p, warm_weights=warm)
+            sol = solve_subproblem(x_prev, rec.y, cfg.L_init, p, warm_weights=warm)
             np.testing.assert_array_equal(sol.z, rec.x)
             x_prev, warm = rec.x, sol.weights
         np.testing.assert_array_equal(
-            solve_subproblem(x, y, variant.L, p, warm_weights=warm).z, bad)
+            solve_subproblem(x, y, cfg.L_init, p, warm_weights=warm).z, bad)
 
 
 def test_public_solve_replays_every_accepted_step_bit_for_bit():
