@@ -23,8 +23,8 @@ import numpy as np
 from .metrics import Front, nondominated_filter, performance_profile, purity
 from .plots import emit_svg_scatter
 from .problems import Array, EvaluationError, ProblemInstance
-from .solver import (BacktrackingError, SolverConfig, Status, Variant, _is_int,
-                     run_solver)
+from .solver import (BacktrackingError, SolverConfig, Status, Variant, _check_real,
+                     _is_number, run_solver)
 from .suite import ProblemDescriptor, available_problems, builtin_problem, \
     sample_initial_points
 
@@ -55,22 +55,21 @@ class BenchConfig:
     def __post_init__(self) -> None:
         for key in ("problems", "solvers"):
             given = getattr(self, key)
-            names = tuple(given)
-            if isinstance(given, str) or not names or len(set(names)) < len(names):
+            names = tuple(given) if isinstance(given, Sequence) and not isinstance(given, str) else ()
+            if not names or len(set(names)) < len(names):
                 raise ConfigError(f"{key} must be one or more distinct names, got {given!r}")
             object.__setattr__(self, key, names)
         object.__setattr__(self, "out_dir", Path(self.out_dir))
-        if not _is_int(self.runs) or self.runs < 1:
+        if not _is_number(self.runs) or self.runs < 1:
             raise ConfigError("runs must be an integer of at least 1")
-        if not _is_int(self.seed) or self.seed < 0:
+        if not _is_number(self.seed) or self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         unknown = [s for s in self.solvers if s not in SOLVER_NAMES]
         if unknown:
             raise ConfigError(f"unknown solver(s) {unknown}; choose from {SOLVER_NAMES}")
-        if not 0.0 < self.fixed_L_scale < np.inf:
-            raise ConfigError("fixed_L_scale must be positive and finite")
-        if self.fixed_L is not None and not 0.0 < self.fixed_L < np.inf:
-            raise ConfigError(f"fixed_L must be positive and finite, got {self.fixed_L}")
+        _check_real(self.fixed_L_scale, "fixed_L_scale", error=ConfigError)
+        if self.fixed_L is not None:
+            _check_real(self.fixed_L, "fixed_L", error=ConfigError)
         _base_solver_config(self)
 
 

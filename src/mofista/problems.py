@@ -12,6 +12,7 @@ threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -94,7 +95,7 @@ class WeightedL1(NonsmoothPart):
             raise ValueError("l1 weight must be finite and nonnegative")
 
     def value(self, x: Array) -> float:
-        return self.weight * float(np.abs(x).sum())
+        return self.weight * float(np.add.reduce(np.abs(x), axis=None))
 
     def prox(self, t: float, v: Array) -> Array:
         _check_step(t)
@@ -160,16 +161,17 @@ def evaluate_objectives(p: ProblemInstance, x: Array) -> Array:
     return _evaluate(p, x)[1]
 
 
-def _evaluate(p: ProblemInstance, x: Array, fx: Optional[Array] = None) -> tuple[Array, Array]:
+def _evaluate(p: ProblemInstance, x: Array, fx: Optional[Array] = None,
+              gx: Optional[float] = None) -> tuple[Array, Array]:
     """``(f(x), F(x))``, checked as in :func:`evaluate_objectives`, from one
-    ``f`` call or from ``fx = f(x)`` when the caller already holds it."""
+    ``f`` and one ``g`` call, or from ``fx = f(x)`` and ``gx = g(x)`` if given."""
     x = np.asarray(x, dtype=float)
     if x.shape != (p.n,):
         raise ValueError(f"x has shape {x.shape}, expected {(p.n,)}")
     fx = np.asarray(p.smooth(x) if fx is None else fx, dtype=float)
     if fx.shape != (p.m,):
         raise ValueError(f"smooth eval returned shape {fx.shape}, expected ({p.m},)")
-    total = fx + p.nonsmooth.value(x)
-    if not np.isfinite(total).all():
+    total = fx + (p.nonsmooth.value(x) if gx is None else gx)
+    if not all(map(math.isfinite, total.tolist())):
         raise EvaluationError("objective evaluation produced a non-finite value", x)
     return fx, total

@@ -9,13 +9,14 @@ step-constant ratio ``omega = L_new / L_old``:
           y_{+} = x + \\theta_{+} (x - x_{-}) .
 
 One trial at ``(t, y, L)`` solves the subproblem from the last iteration's
-weights for ``z`` and tests the quadratic upper bound on the smooth parts at
-the step ``d = z - y``, with residual ``||d||_inf`` and curvature ``L_seen =
-max_i 2 (f_i(z) - f_i(y) - <grad f_i(y), d>) / ||d||^2`` (0 if ``d = 0``).
-The line search first deflates ``L`` by at most ``1/sigma``, to the last
-``L_seen`` rounded up to a quarter power of ``beta``, off the bound where
-rounding decides the test, then inflates by ``beta`` until a trial passes;
-each inflation rescales ``omega`` and rebuilds ``(t, y)``, so accepted
+weights; the dual solve returns ``z`` with the step ``d = z - y``, ``||d||^2``,
+``grad f(y) d`` and ``g(z)`` it computed.  The trial tests the quadratic upper
+bound on the smooth parts at ``d``, with residual ``||d||_inf`` and curvature
+``L_seen = max_i 2 (f_i(z) - f_i(y) - <grad f_i(y), d>) / ||d||^2`` (0 if
+``d = 0``).  The line search first deflates ``L`` by at most ``1/sigma``, to
+the last ``L_seen`` rounded up to a quarter power of ``beta``, off the bound
+where rounding decides the test, then inflates by ``beta`` until a trial
+passes; each inflation rescales ``omega`` and rebuilds ``(t, y)``, so accepted
 iterations keep ``t (t - 1) / L = t_prev^2 / L_prev`` exactly.
 
 Seeding ``t_prev = 0`` makes the first iteration use ``t = 1`` and
@@ -37,7 +38,7 @@ import enum
 import math
 import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -61,9 +62,16 @@ __all__ = [
 _MAX_BACKTRACKS = 100
 
 
-def _is_int(value) -> bool:
-    """An integer of Python or NumPy; a bool does not count."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def _is_number(value, kind: type = numbers.Integral) -> bool:
+    """A number of ``kind``, Python's or NumPy's; a bool does not count."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _check_real(value, name: str, low: float = 0.0, error: type = ValueError) -> None:
+    """Raise ``error`` unless ``value`` is a real number above ``low`` and finite."""
+    if not (_is_number(value, numbers.Real) and low < value < np.inf):
+        bound = "positive" if low == 0.0 else f"above {low:g}"
+        raise error(f"{name} must be {bound} and finite, got {value!r}")
 
 
 class BacktrackingError(RuntimeError):
@@ -98,15 +106,9 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "variant", Variant(self.variant))
-        if not 0.0 < self.L_init < np.inf:
-            raise ValueError(f"L_init must be positive and finite, got {self.L_init}")
-        if not 1.0 < self.beta < np.inf:
-            raise ValueError("beta must be finite and exceed 1")
-        if not 1.0 < self.sigma < np.inf:
-            raise ValueError("sigma must be finite and exceed 1")
-        if not 0.0 < self.eps < np.inf:
-            raise ValueError("eps must be positive and finite")
-        if not _is_int(self.max_iter) or self.max_iter < 1:
+        for name, low in (("L_init", 0.0), ("beta", 1.0), ("sigma", 1.0), ("eps", 0.0)):
+            _check_real(getattr(self, name), name, low)
+        if not _is_number(self.max_iter) or self.max_iter < 1:
             raise ValueError("max_iter must be an integer of at least 1")
 
 
@@ -218,15 +220,13 @@ def run_solver(p: ProblemInstance, x0: Array, cfg: Optional[SolverConfig] = None
                 L = omega * L_prev
                 t, _, y = fista_step(x, x_prev, t_prev, omega) if momentum else (1.0, None, x)
                 # Anchored trials share one model, built at y: x's zeros may differ in sign.
-                model = (replace(model, L=L) if anchored and model is not None
+                model = (model._replace(L=L) if anchored and model is not None
                          else _linearize(y, L, p, Fx, fx if anchored else None))
-                sol = _solve_dual(model, cfg.subproblem, warm)
-                d = sol.z - y
-                dd = float(d @ d)
+                sol, (d, dd, gd, gz) = _solve_dual(model, cfg.subproblem, warm)
                 # An exactly zero step has f(z) = f(y) without a call.
                 fz = np.asarray(p.smooth(sol.z), dtype=float) if dd > 0.0 or d.any() else model.fy
-                gd = model.grads @ d
-                seen = 2.0 * float((fz - model.fy - gd).max()) / dd if dd > 0.0 else 0.0
+                # A NaN max() drops is never read: the trial fails or _evaluate raises.
+                seen = 2.0 * max((fz - model.fy - gd).tolist()) / dd if dd > 0.0 else 0.0
                 if _upper_bound_holds(model.fy, gd, dd, fz, L) or not adaptive:
                     break
                 backtracks += 1
@@ -239,18 +239,15 @@ def run_solver(p: ProblemInstance, x0: Array, cfg: Optional[SolverConfig] = None
             status = Status.SUBPROBLEM_FAILURE
             break
 
-        residual = float(abs(d).max())
-        fx, Fx = _evaluate(p, sol.z, fz)
+        residual = float(np.maximum.reduce(abs(d)))
+        fx, Fx = _evaluate(p, sol.z, fz, gz)
         records.append(IterationRecord(
-            k=k, L=L, backtracks=backtracks, residual=residual, t=t,
-            y=y, x=sol.z, objectives=Fx,
-            dual_gap=sol.dual_gap, wall_ms=(time.perf_counter() - tick) * 1e3,
-        ))
+            k=k, L=L, backtracks=backtracks, residual=residual, t=t, y=y, x=sol.z, objectives=Fx,
+            dual_gap=sol.dual_gap, wall_ms=(time.perf_counter() - tick) * 1e3))
         warm = project_simplex(sol.weights)  # once for every trial of the next iteration
         x_prev, x, t_prev, L_prev = x, sol.z, t, L
         if residual < cfg.eps:
             status = Status.CONVERGED
             break
 
-    trace = RunTrace(x0=x0, objectives0=objectives0, records=tuple(records))
-    return SolveResult(x=x, status=status, trace=trace)
+    return SolveResult(x=x, status=status, trace=RunTrace(x0, objectives0, tuple(records)))

@@ -25,9 +25,10 @@ Everything here is stateless; warm starts are passed in by the caller.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -102,13 +103,14 @@ def project_simplex(v: Array) -> Array:
     not do: it can be 1 where the descending one is not.
     """
     v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    cumulative = np.cumsum(u) - 1.0
-    # Non-finite input never exits here: its sum is not 1.
-    if u[-1] >= 0.0 and cumulative[-1] == 0.0:
+    # The sum is np.cumsum's last entry, bit for bit; a NaN or inf never sums to 1.
+    descending = sorted(v.tolist(), reverse=True)
+    if descending[-1] >= 0.0 and functools.reduce(float.__add__, descending) == 1.0:
         return v + 0.0
     if not np.isfinite(v).all():
         raise ValueError("cannot project non-finite weights onto the simplex")
+    u = np.sort(v)[::-1]
+    cumulative = np.cumsum(u) - 1.0
     ranks = np.arange(1, v.size + 1)
     feasible = u - cumulative / ranks > 0.0
     rho = ranks[feasible][-1]
@@ -116,8 +118,7 @@ def project_simplex(v: Array) -> Array:
     return np.maximum(v - shift, 0.0)
 
 
-@dataclass(frozen=True)
-class _Model:
+class _Model(NamedTuple):
     """Data of one subproblem, precomputed at (x, y, L)."""
 
     grads: Array    # (m, n) rows grad f_i(y)
@@ -127,23 +128,27 @@ class _Model:
     L: float
     g: NonsmoothPart
 
-    def evaluate(self, weights: Array) -> tuple[float, float, float, Array, Array, Array]:
+    def evaluate(self, weights: Array) -> tuple[float, float, float, Array, Array, Array, tuple]:
         """Dual value, primal value and certified gap at ``weights``.
 
-        Returns ``(dual, primal, gap, z, linear, v)``: ``z = prox(v)`` is the
-        inner minimizer at the prox argument ``v``, and ``linear`` holds the
-        inner terms ``b_i(z) - g(z)``; the gap ``max(b) - weights . b``
-        equals the primal-dual difference exactly because the shared ``g``
-        and the quadratic cancel.
+        Returns ``(dual, primal, gap, z, linear, v, step)``: ``z = prox(v)``
+        is the inner minimizer at the prox argument ``v``, ``linear`` holds the
+        inner terms ``b_i(z) - g(z)``, built from ``step = (d, ||d||^2, G d,
+        g(z))`` with ``d = z - y``; the gap ``max(b) - weights . b`` equals the
+        primal-dual difference exactly: the shared ``g`` and quadratic cancel.
         """
         v = self.y - (self.grads.T @ weights) / self.L
         z = self.g.prox(1.0 / self.L, v)
         d = z - self.y
-        linear = self.grads @ d + self.offsets
-        rest = self.g.value(z) + 0.5 * self.L * float(d @ d)
-        top = float(linear.max())
+        gd = self.grads @ d
+        linear = gd + self.offsets
+        dd, gz = float(d @ d), self.g.value(z)
+        rest = gz + 0.5 * self.L * dd
         avg = float(weights @ linear)
-        return avg + rest, top + rest, top - avg, z, linear, v
+        top = max(linear.tolist())
+        if avg != avg or not top:  # NumPy's max keeps any NaN and the last of tied zeros
+            top = float(linear.max())
+        return avg + rest, top + rest, top - avg, z, linear, v, (d, dd, gd, gz)
 
 
 def _linearize(y: Array, L: float, p: ProblemInstance, Fx: Array,
@@ -214,7 +219,7 @@ def _simplex_qp(c: Array, Q: Array, w: Array) -> Array:
                  + Q[i0, i0])
             step = np.linalg.lstsq(q, g, rcond=_QP_CUTOFF)[0]
             flat = g - q @ step
-            ridge = float(np.linalg.norm(flat)) > _QP_CUTOFF * float(np.linalg.norm(g))
+            ridge = math.sqrt(flat.dot(flat)) > _QP_CUTOFF * math.sqrt(g.dot(g))
             d = np.zeros(w.size)
             d[rest] = flat if ridge else step
             d[i0] = -d[rest].sum()
@@ -228,21 +233,21 @@ def _simplex_qp(c: Array, Q: Array, w: Array) -> Array:
                 free[shrink[k]] = False
                 continue
             w = np.maximum(w + d, 0.0)
-        if free.all():
+        if all(free.tolist()):
             break
         if face.size > 1:
             grad = c - Q @ w
-        # Stationary on the face: price the objectives outside it.
+        # Stationary on the face: price the others (NaN in grad makes w @ grad NaN).
         out = (~free).nonzero()[0]
         priced = grad[out]
-        if priced.max() <= w @ grad:
+        if max(priced.tolist()) <= w @ grad:
             break
         free[out[priced.argmax()]] = True
     return w
 
 
 def _solve_dual(model: _Model, cfg: SubproblemConfig,
-                warm: Optional[Array]) -> SubproblemSolution:
+                warm: Optional[Array]) -> tuple[SubproblemSolution, tuple]:
     """Newton ascent on the concave, piecewise quadratic dual from the simplex
     weights ``warm`` (uniform when ``None``), to a certified gap or a
     :class:`SubproblemError`.
@@ -261,23 +266,22 @@ def _solve_dual(model: _Model, cfg: SubproblemConfig,
     the step of the last improving round, down to a thousandth; a non-finite
     gap or curvature and the evaluation budget ``_MAX_EVALS`` also end the
     solve.  The solution is built from the best evaluation, ``(weights, z,
-    primal, gap)`` with the least gap; a gap there above both the floor and
-    ``cfg.tol * (1 + |primal|)`` raises.
+    primal, gap)`` with the least gap, and returned with its ``step``; a gap
+    there above both the floor and ``cfg.tol * (1 + |primal|)`` raises.
     """
-    m = model.grads.shape[0]
     # np.vdot: np.linalg.norm is several times slower at small n, math.hypot at large n.
     gg = math.sqrt(np.vdot(model.grads, model.grads))
     floor = _ROUNDING * (3.0 * gg * (math.sqrt(np.vdot(model.y, model.y)) + gg / model.L)
                          + max(map(abs, model.offsets.tolist())))
 
-    w = warm if warm is not None else np.full(m, 1.0 / m)
-    top_q, primal, gap, z, b, v = model.evaluate(w)
-    best, evals, stale, alpha = (w, z, primal, gap), 1, 0, 1.0
+    w = warm if warm is not None else np.full(model.fy.size, 1.0 / model.fy.size)
+    top_q, primal, gap, z, b, v, step = model.evaluate(w)
+    best, evals, stale, alpha = (w, z, primal, gap, step), 1, 0, 1.0
     while floor < best[3] < math.inf and evals < _MAX_EVALS:
         if stale < 2:
             # Newton round: maximize the quadratic model at the last evaluation.
             jac = model.grads @ model.g.prox_jvp(1.0 / model.L, v, z, model.grads.T / -model.L)
-            if not np.isfinite(jac).all():
+            if not all(map(math.isfinite, jac.ravel().tolist())):
                 break
             curv = -0.5 * (jac + jac.T)
             target = _simplex_qp(b + curv @ w, curv, w)
@@ -290,16 +294,16 @@ def _solve_dual(model: _Model, cfg: SubproblemConfig,
         else:
             break
         w = target
-        q, primal, gap, z, b, v = model.evaluate(w)
+        q, primal, gap, z, b, v, step = model.evaluate(w)
         evals += 1
         stale, alpha = (0, 1.0) if q > top_q or gap < best[3] else (stale + 1, alpha)
         top_q = max(top_q, q)
         if gap < best[3]:
-            best = (w, z, primal, gap)
-    weights, z, primal, gap = best
+            best = (w, z, primal, gap, step)
+    weights, z, primal, gap, step = best
     if gap > max(floor, cfg.tol * (1.0 + abs(primal))):
         raise SubproblemError(f"dual gap {gap:.3e} above tolerance")
-    return SubproblemSolution(z, primal, weights, gap)
+    return SubproblemSolution(z, primal, weights, gap), step
 
 
 def solve_subproblem(x: Array, y: Array, L: float, p: ProblemInstance,
@@ -314,7 +318,7 @@ def solve_subproblem(x: Array, y: Array, L: float, p: ProblemInstance,
     warm = project_simplex(warm_weights) if warm_weights is not None else None
     fx, Fx = _evaluate(p, x)
     model = _linearize(y, L, p, Fx, fx if np.array_equal(x, y) else None)
-    return _solve_dual(model, cfg or SubproblemConfig(), warm)
+    return _solve_dual(model, cfg or SubproblemConfig(), warm)[0]
 
 
 def weak_pareto_residual(x: Array, y: Array, L: float, p: ProblemInstance,

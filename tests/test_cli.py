@@ -66,11 +66,18 @@ def test_bench_config_rejects_bad_values():
                 # A float runs or seed raised TypeError inside run_benchmark
                 # after out_dir existed; a bare string was split into letters.
                 {"runs": 1.5}, {"seed": 1.5}, {"runs": True}, {"problems": "BK1"},
-                {"solvers": "backtracking"}, {"max_iter": 2.5}, {"eps": np.inf}):
+                {"solvers": "backtracking"}, {"max_iter": 2.5}, {"eps": np.inf},
+                # Strings and non-sequences raised TypeError; True passed as 1.0.
+                {"L_init": "1"}, {"eps": "1e-3"}, {"problems": 5}, {"solvers": 5},
+                {"problems": None}, {"fixed_L": "2"}, {"fixed_L_scale": "1"},
+                {"fixed_L_scale": True}, {"fixed_L": True}, {"L_init": True}):
         with pytest.raises(ConfigError):
             BenchConfig(**bad)
     bc = BenchConfig(runs=np.int64(2), seed=np.int64(1), max_iter=np.int64(3))
     assert (bc.runs, bc.seed, bc.max_iter) == (2, 1, 3)
+    bc = BenchConfig(problems=["SP1"], L_init=np.float64(2.0), fixed_L=np.float32(3.0),
+                     fixed_L_scale=np.float64(0.5))
+    assert (bc.problems, bc.L_init, bc.fixed_L, bc.fixed_L_scale) == (("SP1",), 2.0, 3.0, 0.5)
     with pytest.raises(ConfigError, match="fixed_L must be positive and finite"):
         BenchConfig(fixed_L=-1.0)
 

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -199,3 +200,19 @@ def test_paper_table_repeats_and_matches_the_committed_rows(tmp_path, capsys):
     committed = json.loads((ROOT / "paper_table.json").read_text())
     assert committed["settings"] == doc["settings"]
     assert all(committed["rows"][name] == doc["rows"][name] for name in ("BK1", "FF1"))
+
+
+def test_call_counts_repeat_on_a_small_slice(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    counts = load_script("call_counts")
+    argv = ["--solves", "3", "--workloads", "builtin_m2", "generated_m3"]
+    outputs = []
+    for _ in range(2):
+        assert counts.main(argv) == 0
+        outputs.append(json.loads(capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    for name in ("builtin_m2", "generated_m3"):
+        got = outputs[0]["workloads"][name]
+        assert got["solves"] == 3 and got["trials"] >= 3
+        outer, inner = got["totals"]["run_solver"], got["totals"]["_solve_dual"]
+        assert outer["python"] > inner["python"] > 0 and outer["c"] > inner["c"] > 0

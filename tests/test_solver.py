@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 from dataclasses import fields, replace
 from functools import lru_cache
 
@@ -13,7 +15,8 @@ from mofista import (BacktrackingError, CustomNonsmooth, EvaluationError,
 from mofista import solver as solver_module
 from mofista.problems import evaluate_objectives
 from mofista.solver import _upper_bound_holds, fista_step
-from mofista.subproblem import solve_subproblem, weak_pareto_residual
+from mofista.subproblem import (_linearize, _solve_dual, project_simplex, solve_subproblem,
+                                weak_pareto_residual)
 from reference import sufficient_decrease_check
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -302,10 +305,15 @@ def test_config_validation():
                 dict(L_init=np.nan, variant="pgm"),
                 # A float cap raised TypeError inside run_solver, True ran one
                 # iteration, and eps = inf called SP1 converged at residual 1.23.
-                dict(max_iter=2.5), dict(max_iter=True), dict(eps=np.inf)):
+                dict(max_iter=2.5), dict(max_iter=True), dict(eps=np.inf),
+                # A string raised TypeError from the bound test; True passed as 1.0.
+                dict(L_init="1"), dict(eps="1e-3"), dict(beta="3"), dict(sigma=None),
+                dict(L_init=True), dict(eps=True), dict(L_init=True, variant="fixed")):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
     assert SolverConfig(max_iter=np.int64(5)).max_iter == 5
+    cfg = SolverConfig(L_init=np.float32(2.0), beta=np.float64(3.0), sigma=3, eps=np.float64(1e-4))
+    assert (cfg.L_init, cfg.beta, cfg.sigma, cfg.eps) == (2.0, 3.0, 3, 1e-4)
 
 
 def test_variant_is_a_name():
@@ -614,9 +622,12 @@ def test_divergent_step_raises_at_overflowed_iterate(variant):
             solve_subproblem(x, y, cfg.L_init, p, warm_weights=warm).z, bad)
 
 
-def test_public_solve_replays_every_accepted_step_bit_for_bit():
-    # The adaptive solver's accepted trial at (x_{k-1}, y_k, L_k), warm-started
-    # from the previous accepted weights, is what solve_subproblem returns there.
+def replayed_steps():
+    """``(name, p, x_prev, rec, warm, sol)`` for every accepted record of the
+    adaptive solver from 4 starts on every built-in: the previous iterate,
+    the weights the solver warm-starts that record's solve from, and what
+    solve_subproblem returns there, chained over the records as the solver
+    chains its weights."""
     cfg = SolverConfig(eps=1e-6, max_iter=300)
     for name in available_problems():
         p, desc = builtin_problem(name)
@@ -624,5 +635,78 @@ def test_public_solve_replays_every_accepted_step_bit_for_bit():
             x_prev, warm = np.asarray(x0, dtype=float), None
             for rec in run_solver(p, x0, cfg).trace.records:
                 sol = solve_subproblem(x_prev, rec.y, rec.L, p, warm_weights=warm)
-                assert sol.z.tobytes() == rec.x.tobytes(), (name, rec.k)
+                yield name, p, x_prev, rec, warm, sol
                 x_prev, warm = rec.x, sol.weights
+
+
+def test_public_solve_replays_every_accepted_step_bit_for_bit():
+    # The adaptive solver's accepted trial at (x_{k-1}, y_k, L_k), warm-started
+    # from the previous accepted weights, is what solve_subproblem returns there.
+    for name, p, x_prev, rec, warm, sol in replayed_steps():
+        assert sol.z.tobytes() == rec.x.tobytes(), (name, rec.k)
+
+
+def test_dual_solve_hands_back_its_step_bit_for_bit():
+    # The step the line search takes from the dual solve is z - y, ||z - y||^2,
+    # grad f(y) (z - y) and g(z), recomputed here from the record.
+    for name, p, x_prev, rec, warm, _ in replayed_steps():
+        model = _linearize(rec.y, rec.L, p, evaluate_objectives(p, x_prev))
+        sol, (d, dd, gd, gz) = _solve_dual(
+            model, SubproblemConfig(), None if warm is None else project_simplex(warm))
+        assert sol.z.tobytes() == rec.x.tobytes(), (name, rec.k)
+        want = rec.x - rec.y
+        assert d.tobytes() == want.tobytes(), (name, rec.k)
+        assert np.float64(dd).tobytes() == np.float64(want @ want).tobytes(), (name, rec.k)
+        grads = np.asarray(p.smooth_jac(rec.y), dtype=float)
+        assert gd.tobytes() == (grads @ want).tobytes(), (name, rec.k)
+        assert np.float64(gz).tobytes() == np.float64(p.nonsmooth.value(rec.x)).tobytes(), name
+
+
+def nan_planted(p, source, pos, call):
+    """``p`` whose ``call``-th call (from 0) of ``f`` or ``grad f`` returns
+    a NaN in entry or row ``pos``."""
+    count = [0]
+    oracle = p.smooth if source == "f" else p.smooth_jac
+
+    def planted(x):
+        out = np.array(oracle(x), dtype=float)
+        if count[0] == call:
+            out[pos] = np.nan
+        count[0] += 1
+        return out
+
+    return replace(p, **{"smooth" if source == "f" else "smooth_jac": planted})
+
+
+def test_planted_nan_runs_end_as_before_wherever_it_sits():
+    # One NaN, first or last among the objectives, in f(x0), f(y), f(z) or
+    # grad f at one of the first points: each run ends as it did when every
+    # maximum over the objectives was taken by NumPy.  Each line names the
+    # run and its outcome: the exception with its message and point, or the
+    # status, the iteration count and a digest of the records; the digest of
+    # all lines was taken from that code.
+    lines = []
+    for name in ("SP1_l1", "MHHM2"):
+        base, desc = builtin_problem(name)
+        x0 = sample_initial_points(desc, 1, seed=2)[0]
+        for source, pos, call, variant in itertools.product(
+                ("f", "jac"), (0, -1), (0, 1, 2, 4, 9), ("backtracking", "pgm")):
+            cfg = SolverConfig(L_init=1.0 if variant == "backtracking" else desc.L_true,
+                               eps=1e-6, max_iter=200, variant=variant)
+            try:
+                res = run_solver(nan_planted(base, source, pos, call), x0, cfg)
+            except (BacktrackingError, EvaluationError) as exc:
+                point = getattr(exc, "x", np.empty(0)).tobytes().hex()
+                out = f"{type(exc).__name__}: {exc} {point}"
+            else:
+                recs = res.trace.records
+                parts = (np.asarray(v, dtype=float).tobytes() for r in recs
+                           for v in (r.L, r.x, r.objectives, r.dual_gap, r.residual))
+                digest = hashlib.sha256(b"".join(parts)).hexdigest()[:16]
+                out = f"{res.status.value} {len(recs)} {digest}"
+            lines.append(f"{name} {source} {pos} {call} {variant}: {out}")
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == NAN_RUNS_DIGEST, text
+
+
+NAN_RUNS_DIGEST = "15c4584981ae3a207ecc4d5c5123601beed0d9a1ec1c0a4a997e01c7b4545414"

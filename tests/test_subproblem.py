@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -167,6 +169,42 @@ def test_model_evaluation_matches_reference_bit_for_bit(m, l1):
             want = model_evaluation(w, x, y, L, p)
             for a, b in zip(got, want):
                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (w, x, y, L)
+
+
+def nan_at_y(p, y, source, pos):
+    """``p`` with a NaN at ``y`` only: in entry ``pos`` of ``f(y)``, or in row
+    ``pos`` of ``grad f(y)``."""
+    def smooth(x):
+        out = np.array(p.smooth(x), dtype=float)
+        if source == "f" and np.array_equal(x, y):
+            out[pos] = np.nan
+        return out
+
+    def smooth_jac(x):
+        out = np.array(p.smooth_jac(x), dtype=float)
+        if source == "jac" and np.array_equal(x, y):
+            out[pos, 0] = np.nan
+        return out
+
+    return replace(p, smooth=smooth, smooth_jac=smooth_jac)
+
+
+@pytest.mark.parametrize("pos", [0, -1])
+@pytest.mark.parametrize("source", ["f", "jac"])
+@pytest.mark.parametrize("m", [2, 3])
+def test_nan_at_y_gives_numpys_bits_wherever_it_sits(m, source, pos):
+    # A NaN in f(y) or a row of grad f(y) makes the first gap NaN, which ends
+    # the solve there: value, gap and z are that evaluation's, with NumPy's
+    # max of the inner terms, first NaN or last.
+    rng = np.random.default_rng(71 + m)
+    base, L_f = quad_instance(rng.uniform(-1, 1, (m, 2)), rng.uniform(0.25, 1.5, m), 0.3)
+    x, y = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
+    p = nan_at_y(base, y, source, pos)
+    sol = solve_subproblem(x, y, 2.0 * L_f, p)
+    _, primal, gap, z, _ = model_evaluation(np.full(m, 1.0 / m), x, y, 2.0 * L_f, p)
+    assert np.isnan(sol.value) and np.isnan(sol.dual_gap)
+    for got, want in ((sol.value, primal), (sol.dual_gap, gap), (sol.z, z)):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 # ----------------------------------------------------------------- the solver
@@ -438,6 +476,33 @@ def test_non_finite_curvature_ends_the_solve():
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("pos", [0, -1])
+def test_one_nan_in_the_curvature_ends_the_solve(pos):
+    # One NaN entry of the prox derivative, first or last, spoils one column
+    # of the curvature: as with an all-NaN one above, the solve ends after
+    # its first evaluation and raises with that evaluation's gap.
+    p, _ = builtin_problem("SP1_l1")
+    calls = []
+
+    class OneNanL1(WeightedL1):
+        def prox(self, t, v):
+            calls.append(t)
+            return super().prox(t, v)
+
+        def prox_jvp(self, t, v, z, dirs):
+            out = np.array(super().prox_jvp(t, v, z, dirs))
+            out.flat[pos] = np.nan
+            return out
+
+    x, y = np.array([2.5, 0.5]), np.array([2.4, 0.7])
+    q = replace(p, nonsmooth=OneNanL1(1.0))
+    gap = model_evaluation(np.full(2, 0.5), x, y, 3.0, q)[2]
+    calls.clear()
+    with pytest.raises(SubproblemError, match=re.escape(f"dual gap {gap:.3e} above")):
+        solve_subproblem(x, y, 3.0, q, SubproblemConfig(tol=1e-12))
+    assert len(calls) == 1
+
+
 def simplex_qp_lstsq(c, Q, w):
     """Reference for ``_simplex_qp``: the same active-set method with the
     least-squares cutoff solve on every face, one-dimensional ones too."""
@@ -503,6 +568,19 @@ def test_simplex_qp_matches_lstsq_bit_for_bit():
         assert got.tobytes() == want.tobytes(), (c, Q, w)
         faces += int(np.count_nonzero(w) == 2)
     assert faces > 500
+
+
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("pos", [0, -1])
+def test_simplex_qp_prices_a_nan_as_numpy_does(m, pos):
+    # A NaN in c reaches the pricing from a vertex (a face of one weight) and
+    # the faces of two and of three or more weights from the other starts;
+    # the reference prices with NumPy's max and argmax.
+    c = np.linspace(0.3, 0.1, m)
+    c[pos] = np.nan
+    Q = np.eye(m) + 0.1
+    for w in (np.eye(m)[1], np.full(m, 1.0 / m), np.r_[0.5, 0.5, np.zeros(m - 2)]):
+        np.testing.assert_array_equal(_simplex_qp(c, Q, w), simplex_qp_lstsq(c, Q, w))
 
 
 # -------------------------------------------------------- value-bound checks
@@ -638,6 +716,7 @@ def test_project_simplex_exit_keeps_the_bits():
     pytest.param([0.2, -np.inf, 0.5], id="-inf"),
     # The rest sums to 1, which must not pass for weights on the simplex.
     pytest.param([np.nan, 0.5, 0.5], id="nan-beside-sum-one"),
+    pytest.param([0.5, 0.5, np.nan], id="sum-one-beside-nan"),
     pytest.param([0.0, np.inf, 1.0], id="inf-beside-one"),
 ])
 def test_project_simplex_rejects_non_finite(bad):
