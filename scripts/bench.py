@@ -11,9 +11,15 @@ once, so a slow phase of the host spreads over all of them.  For each
 workload, mode and metric the output holds the median, the quartiles and
 the number of runs; ``correct`` is true only if every run was.  The summary
 goes under ``--label`` in the ``--out`` JSON file, which keeps the other
-labels it already holds, so two checkouts can fill one file:
+labels it already holds.
 
-    (cd ../parent && python3 ../repo/scripts/bench.py --label parent --out ../repo/BENCH.json)
+``--parent DIR`` names a second checkout to compare against.  Each round
+then runs every workload in each mode in ``DIR`` first and then in this
+checkout, and the first summary goes under the label ``parent``, so drift
+of the host over the run reaches both sides alike:
+
+    mkdir ../base && git archive HEAD~1 | tar -x -C ../base
+    python3 scripts/bench.py --parent ../base --label change --out BENCH.json
 """
 
 import argparse
@@ -53,10 +59,11 @@ def summarise(results: list) -> dict:
             "failed": max(r["failed"] for r in results), "metrics": metrics}
 
 
-def run_once(workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_once(workload: str, seed: int, seconds: float, trace: int, root: Path) -> dict:
+    """One run of the benchmark of the checkout at ``root``."""
     cmd = [sys.executable, str(RUNNER), "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    done = subprocess.run(cmd, capture_output=True, text=True, check=True)
+    done = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
     return parse_result(done.stdout)
 
 
@@ -66,28 +73,36 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True, type=Path)
     ap.add_argument("--runs", type=int, default=5)
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--parent", type=Path, metavar="DIR",
+                    help="checkout run first in every round, summarised under 'parent'")
     args = ap.parse_args(argv)
     if args.runs < 1:
         ap.error("--runs must be at least 1")
-    if not (RUNNER.is_file() and DECLARATION.is_file()):
-        print(f"bench: no {RUNNER} or {DECLARATION} here; run from the root of a checkout",
-              file=sys.stderr)
-        return 2
+    roots = {args.label: Path(".")}
+    if args.parent is not None:
+        if args.label == "parent":
+            ap.error("--label must not be 'parent' when --parent is given")
+        roots = {"parent": args.parent, **roots}
+    for root in roots.values():
+        if not ((root / RUNNER).is_file() and (root / DECLARATION).is_file()):
+            print(f"bench: no {RUNNER} or {DECLARATION} in {root}; name the root of a checkout",
+                  file=sys.stderr)
+            return 2
     declared = json.loads(DECLARATION.read_text())
     workloads = [w["name"] for w in declared["workloads"]]
     seconds = declared["run_seconds"]
 
-    raw: dict = {(w, t): [] for w in workloads for t in (0, 1)}
+    raw: dict = {(label, w, t): [] for label in roots for w in workloads for t in (0, 1)}
     for k in range(args.runs):
-        for (workload, trace), results in raw.items():
-            results.append(run_once(workload, args.seed, seconds, trace))
-            print(f"round {k + 1}/{args.runs}: {workload} trace {trace}", flush=True)
+        for (label, workload, trace), results in raw.items():
+            results.append(run_once(workload, args.seed, seconds, trace, roots[label]))
+            print(f"round {k + 1}/{args.runs}: {label} {workload} trace {trace}", flush=True)
 
-    summary = {"seed": args.seed, "seconds": seconds, "runs": args.runs,
-               "workloads": {w: {f"trace{t}": summarise(raw[w, t]) for t in (0, 1)}
-                             for w in workloads}}
     doc = json.loads(args.out.read_text()) if args.out.is_file() else {}
-    doc[args.label] = summary
+    for label in roots:
+        doc[label] = {"seed": args.seed, "seconds": seconds, "runs": args.runs,
+                      "workloads": {w: {f"trace{t}": summarise(raw[label, w, t]) for t in (0, 1)}
+                                    for w in workloads}}
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
 

@@ -8,9 +8,11 @@ Runs four variants from 20 starts per problem, ``sample_initial_points(desc,
 
 - ``backtracking``: ``Variant.BACKTRACKING`` with the default ``sigma = 2``,
   which lets ``L`` go down between iterations;
-- ``monotone``: ``Variant.BACKTRACKING`` with ``sigma = 1 + 1e-12``, the
-  classical rule under which ``L`` only grows (``SolverConfig`` requires
-  ``sigma > 1``);
+- ``monotone``: ``Variant.BACKTRACKING`` with ``sigma`` the next float
+  above 1, ``1 + 2^-52``, the classical rule under which ``L`` only grows
+  (``SolverConfig`` requires ``sigma > 1``).  Its one-ulp deflation stays
+  within the bound test's rounding slack, so a trial at an exact curvature
+  passes as it does under ``sigma = 1``;
 - ``fixed``: ``Variant.FIXED`` with ``L_init = L_true``;
 - ``pgm``: ``Variant.PGM`` with ``L_init = L_true``.
 
@@ -31,6 +33,7 @@ markdown summary goes to stdout.
 import argparse
 import importlib
 import json
+import math
 import sys
 import tempfile
 from collections import Counter
@@ -44,7 +47,7 @@ from mofista import (BacktrackingError, EvaluationError, SolverConfig,
 STARTS = 20
 EPS = 1e-6
 MAX_ITER = 1000
-MONOTONE_SIGMA = 1.0 + 1e-12
+MONOTONE_SIGMA = math.nextafter(1.0, 2.0)
 GENERATED_SEED = 1
 VARIANTS = ("backtracking", "monotone", "fixed", "pgm")
 COUNTS = ("runs", "iterations", "trials", "f_calls", "jac_calls")

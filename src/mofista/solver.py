@@ -14,10 +14,11 @@ weights; the dual solve returns ``z`` with the step ``d = z - y``, ``||d||^2``,
 bound on the smooth parts at ``d``, with residual ``||d||_inf`` and curvature
 ``L_seen = max_i 2 (f_i(z) - f_i(y) - <grad f_i(y), d>) / ||d||^2`` (0 if
 ``d = 0``).  The line search first deflates ``L`` by at most ``1/sigma``, to
-the last ``L_seen`` rounded up to a quarter power of ``beta``, off the bound
-where rounding decides the test, then inflates by ``beta`` until a trial
-passes; each inflation rescales ``omega`` and rebuilds ``(t, y)``, so accepted
-iterations keep ``t (t - 1) / L = t_prev^2 / L_prev`` exactly.
+the largest ``L_seen`` of the last six accepted iterations rounded up to a
+quarter power of ``beta`` (a ratio within 1e-6 of one stays on it), off the
+bound where rounding decides the test, then inflates by ``beta`` until a
+trial passes; each inflation rescales ``omega`` and rebuilds ``(t, y)``, so
+accepted iterations keep ``t (t - 1) / L = t_prev^2 / L_prev`` exactly.
 
 Seeding ``t_prev = 0`` makes the first iteration use ``t = 1`` and
 ``y = x0`` regardless of retries, so backtracking at the start only adjusts
@@ -38,14 +39,15 @@ import enum
 import math
 import numbers
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .problems import Array, ProblemInstance, _evaluate
-from .subproblem import (SubproblemConfig, SubproblemError, _linearize, _solve_dual,
-                         project_simplex)
+from .subproblem import (_ROUNDING, SubproblemConfig, SubproblemError, _linearize,
+                         _solve_dual, project_simplex)
 
 __all__ = [
     "Variant",
@@ -60,6 +62,7 @@ __all__ = [
 ]
 
 _MAX_BACKTRACKS = 100
+_WINDOW = 6  # accepted iterations whose largest L_seen the first trial aims at
 
 
 def _is_number(value, kind: type = numbers.Integral) -> bool:
@@ -81,9 +84,9 @@ class BacktrackingError(RuntimeError):
 
 class Variant(enum.Enum):
     """The step rule, valued by its CLI solver name.  ``BACKTRACKING`` deflates
-    ``L`` by at most ``1/sigma`` toward the curvature the last step saw on a
-    quarter-power grid and inflates it by ``beta``; ``FIXED`` holds it with full
-    momentum (``omega = 1``); ``PGM`` holds it with none (``y = x``, ``t = 1``)."""
+    ``L`` by at most ``1/sigma`` toward the largest curvature of the last six
+    steps on a quarter-power grid and inflates it by ``beta``; ``FIXED`` holds
+    it with full momentum (``omega = 1``); ``PGM`` with none (``y = x``, ``t = 1``)."""
 
     BACKTRACKING = "backtracking"
     FIXED = "fixed"
@@ -172,16 +175,15 @@ def _upper_bound_holds(fy: Array, gd: Array, dd: float, fz: Array, L: float) -> 
     """Quadratic upper bound on the smooth parts at the trial step ``d``:
     ``f(y + d) <= f(y) + gd + (L/2) dd`` componentwise, from ``fy = f(y)``,
     ``fz = f(y + d)``, ``gd = grad f(y) @ d`` and ``dd = ||d||^2``; the shared
-    nonsmooth term cancels.  The slack ``1e-12 (1 + |f(y)|)`` keeps a bound
-    that holds in exact arithmetic from failing on cancellation noise near
-    convergence, which would inflate ``L`` past its provable cap.  It is
-    thousands of ulp, not a rounding bound, and stays: on top of the first
-    trial's grid, a rounding-scaled slack kept status and count under +1e4 in
-    only 1-2 more runs of 20, and would change the rule the test-only
-    ``sufficient_decrease_check`` states.  The ``m`` components are compared
-    as Python floats, the same IEEE operations as numpy's without its calls."""
+    nonsmooth term cancels.  The slack ``16 eps (|f(z)| + |f(y)| + |gd| +
+    (L/2) dd)`` bounds the rounding of both sides, so a bound that holds in
+    exact arithmetic does not fail on cancellation noise near convergence,
+    which would inflate ``L`` past its provable cap; a fixed ``1e-12 (1 +
+    |f(y)|)`` grew with a constant added to ``f``, so shifted runs accepted
+    trials that overshot by more than rounding.  The ``m`` components are
+    compared as Python floats, the same IEEE operations as numpy's without its calls."""
     c = 0.5 * L * dd
-    return all(a <= b + g + c + 1e-12 * (1.0 + abs(b))
+    return all(a <= b + g + c + 4.0 * _ROUNDING * (abs(a) + abs(b) + abs(g) + c)
                for a, b, g in zip(fz.tolist(), fy.tolist(), gd.tolist()))
 
 
@@ -207,12 +209,13 @@ def run_solver(p: ProblemInstance, x0: Array, cfg: Optional[SolverConfig] = None
     records: list[IterationRecord] = []
     status = Status.MAX_ITER
     warm: Optional[Array] = None
-    seen = 0.0
+    window: deque = deque(maxlen=_WINDOW)  # L_seen of the last accepted iterations
 
     for k in range(1, cfg.max_iter + 1):
         tick = time.perf_counter()
-        ratio = min(1.0, seen / L_prev)  # a trial under L_seen would likely fail
-        omega = (max(1.0 / cfg.sigma, cfg.beta ** (math.ceil(4.0 * math.log(ratio, cfg.beta)) / 4.0))
+        ratio = min(1.0, max(window, default=0.0) / L_prev)  # a trial under it would likely fail
+        omega = (max(1.0 / cfg.sigma,
+                     cfg.beta ** (math.ceil(4.0 * math.log(ratio, cfg.beta) - 1e-6) / 4.0))
                  if ratio > 0.0 else 1.0 / cfg.sigma) if adaptive else 1.0
         backtracks, anchored, model = 0, not momentum or k <= 2, None
         try:
@@ -245,6 +248,7 @@ def run_solver(p: ProblemInstance, x0: Array, cfg: Optional[SolverConfig] = None
             k=k, L=L, backtracks=backtracks, residual=residual, t=t, y=y, x=sol.z, objectives=Fx,
             dual_gap=sol.dual_gap, wall_ms=(time.perf_counter() - tick) * 1e3))
         warm = project_simplex(sol.weights)  # once for every trial of the next iteration
+        window.append(seen)
         x_prev, x, t_prev, L_prev = x, sol.z, t, L
         if residual < cfg.eps:
             status = Status.CONVERGED

@@ -78,13 +78,17 @@ def kkt_residual(sol, x, y, L, p):
 
 def sufficient_decrease_check(p, y, z, L):
     """Quadratic upper bound on the smooth parts at the trial step: true iff
-    ``f_i(z) <= f_i(y) + <grad f_i(y), z - y> + (L/2) ||z - y||^2 + 1e-12 (1 + |f_i(y)|)``
-    for every objective, the slack the solver's line search allows."""
+    ``f_i(z) <= f_i(y) + <grad f_i(y), z - y> + (L/2) ||z - y||^2 + s_i``
+    for every objective, with the slack the solver's line search allows, a
+    rounding bound on the terms compared:
+    ``s_i = 16 eps (|f_i(z)| + |f_i(y)| + |<grad f_i(y), z - y>| + (L/2) ||z - y||^2)``."""
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     fy = np.asarray(p.smooth(y), dtype=float)
     fz = np.asarray(p.smooth(z), dtype=float)
     grads = np.asarray(p.smooth_jac(y), dtype=float)
     d = z - y
-    bound = fy + grads @ d + 0.5 * L * float(d @ d)
-    return bool(np.all(fz <= bound + 1e-12 * (1.0 + np.abs(fy))))
+    gd = grads @ d
+    c = 0.5 * L * float(d @ d)
+    slack = 16.0 * np.finfo(float).eps * (np.abs(fz) + np.abs(fy) + np.abs(gd) + c)
+    return bool(np.all(fz <= fy + gd + c + slack))

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import mofista
 from mofista.problems import evaluate_objectives
@@ -160,19 +161,42 @@ def test_bench_interleaves_modes_and_keeps_other_labels(tmp_path, monkeypatch):
     out.write_text(json.dumps({"parent": {"runs": 3}}))
     calls = []
 
-    def fake(workload, seed, seconds, trace):
-        calls.append((workload, trace))
+    def fake(workload, seed, seconds, trace, root):
+        calls.append((root, workload, trace))
         assert seconds == 3
         return bench.parse_result(canned_run(float(len(calls))))
 
     monkeypatch.setattr(bench, "run_once", fake)
     assert bench.main(["--label", "change", "--out", str(out), "--runs", "2"]) == 0
-    rounds = [("builtin_m2", 0), ("builtin_m2", 1), ("cli_suite", 0), ("cli_suite", 1)]
+    here = Path(".")
+    rounds = [(here, "builtin_m2", 0), (here, "builtin_m2", 1),
+              (here, "cli_suite", 0), (here, "cli_suite", 1)]
     assert calls == rounds * 2
     doc = json.loads(out.read_text())
     assert doc["parent"] == {"runs": 3}
     p50 = doc["change"]["workloads"]["cli_suite"]["trace1"]["metrics"]["solve_ms_p50"]
     assert (p50["median"], p50["n"]) == (6.0, 2)
+
+    # With --parent every round runs the parent checkout's passes, then this one's.
+    parent = tmp_path / "parent"
+    argv = ["--parent", str(parent), "--label", "change", "--out", str(out), "--runs", "3"]
+    assert bench.main(argv) == 2
+    (parent / "perfbench").mkdir(parents=True)
+    (parent / "perfbench" / "run.py").write_text("")
+    (parent / "BENCHMARK.json").write_text(json.dumps(declared))
+    with pytest.raises(SystemExit):
+        bench.main(["--parent", str(parent), "--label", "parent", "--out", str(out)])
+    calls.clear()
+    assert bench.main(argv) == 0
+    passes = [(w, t) for _, w, t in rounds]
+    assert calls == ([(parent, w, t) for w, t in passes]
+                     + [(here, w, t) for w, t in passes]) * 3
+    doc = json.loads(out.read_text())
+    assert set(doc) == {"parent", "change"}
+    for label, values in (("parent", [1.0, 9.0, 17.0]), ("change", [5.0, 13.0, 21.0])):
+        p50 = doc[label]["workloads"]["builtin_m2"]["trace0"]["metrics"]["solve_ms_p50"]
+        assert (p50["q1"], p50["median"], p50["q3"], p50["n"]) == (
+            (values[0] + values[1]) / 2, values[1], (values[1] + values[2]) / 2, 3)
 
 
 def test_paper_table_repeats_and_matches_the_committed_rows(tmp_path, capsys):

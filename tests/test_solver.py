@@ -106,7 +106,10 @@ def test_line_search_bound_test_matches_reference():
         fy, fz = p.smooth(y), p.smooth(z)
         gd = p.smooth_jac(y) @ d
         dd = float(d @ d)
-        edge = float((2.0 * (fz - fy - gd - 1e-12 * (1.0 + np.abs(fy))) / dd).max())
+        # The slack grows with L: (L/2) dd enters it with weight 16 eps.
+        tiny = 16.0 * np.finfo(float).eps
+        edge = float((2.0 * (fz - fy - gd - tiny * (np.abs(fz) + np.abs(fy) + np.abs(gd)))
+                      / (dd * (1.0 + tiny))).max())
         ulps = 1.0 + np.arange(-4, 5) * 2.0 ** -52
         for L in np.concatenate([curv * np.array([0.5, 1.0, 2.0]), edge * ulps]):
             if not L > 0.0:
@@ -253,8 +256,8 @@ def test_nonconvex_builtins_converge(name):
 def test_deflation_stops_at_the_curvature_seen():
     # Deflating by the full 1/sigma every iteration is rejected about once
     # per iteration (about 1.08 backtracks per iteration on SP1); deflating
-    # no further than the curvature the last step saw avoids most of those
-    # (about 0.45 per iteration).
+    # no further than the curvature the last six steps saw avoids most of
+    # those (0.31 per iteration; 0.45 with the last step's alone).
     p, desc = builtin_problem("SP1")
     cfg = SolverConfig(eps=1e-6)
     iterations = backtracks = 0
@@ -263,6 +266,28 @@ def test_deflation_stops_at_the_curvature_seen():
         iterations += len(recs)
         backtracks += sum(r.backtracks for r in recs)
     assert backtracks <= 0.7 * iterations
+
+
+def test_first_trial_never_deflates_below_window_curvature():
+    # Each iteration's first trial, L / beta^backtracks, deflates L_prev by at
+    # most 1/sigma and not below the largest curvature the last six records
+    # saw, L_seen = max_i 2 (f_i(x) - f_i(y) - grad f_i(y) (x - y)) / ||x - y||^2,
+    # but for the 1e-6 that keeps a ratio on a quarter-power grid point.
+    cfg = INVARIANCE_CFG
+    for name in available_problems():
+        p, _ = builtin_problem(name)
+        for run in plain_runs(name):
+            seen, L_prev = [], cfg.L_init
+            for rec in run.trace.records:
+                first = rec.L / cfg.beta ** rec.backtracks
+                window = max(seen[-6:], default=0.0)
+                floor = max(L_prev / cfg.sigma, min(L_prev, window) * (1.0 - 1e-6))
+                assert first >= floor, (name, rec.k)
+                d = rec.x - rec.y
+                dd = float(d @ d)
+                gap = p.smooth(rec.x) - p.smooth(rec.y) - p.smooth_jac(rec.y) @ d
+                seen.append(2.0 * float(gap.max()) / dd if dd > 0.0 else 0.0)
+                L_prev = rec.L
 
 
 def test_accepted_L_check_vacuous_for_fixed_step():
@@ -342,9 +367,11 @@ def test_converged_means_small_final_residual():
 # ------------------------------------------------------------ invariances
 #
 # Over 20 starts per built-in with eps=1e-6; the floors are the measured
-# counts.  A first trial exactly at the curvature the last step saw puts f(z)
-# on the bound, where rounding that grows with |f| decides the test; that
-# fails these on FF1, SP1, SP1_l1 and DD1.
+# counts.  A first trial exactly at a curvature a step saw puts f(z) on the
+# bound, where rounding that grows with |f| decides the test.  The quarter-
+# power grid, the 1e-6 that keeps a ratio on its grid point and a slack that
+# bounds the rounding of the terms compared keep every built-in at 20 of 20
+# under +100, and under +1e4 all but SP1, which keeps 18.
 
 INVARIANCE_CFG = SolverConfig(eps=1e-6)
 
@@ -363,12 +390,19 @@ def same_status_and_count(name, runs):
                for a, b in zip(plain_runs(name), runs))
 
 
-@pytest.mark.parametrize("name", available_problems())
-@pytest.mark.parametrize("shift, floor", [(100.0, 19), (1e4, 15)])
-def test_added_constant_keeps_status_and_count(name, shift, floor):
+@lru_cache(maxsize=None)
+def shifted_count(name, shift):
     p, desc = builtin_problem(name)
     shifted = replace(p, smooth=lambda x: p.smooth(x) + shift)
-    assert same_status_and_count(name, invariance_runs(shifted, desc)) >= floor
+    return same_status_and_count(name, invariance_runs(shifted, desc))
+
+
+@pytest.mark.parametrize("name", available_problems())
+# The first two pairs are the floors of the last-step rule, kept so that
+# their test ids stay; the last two are the floors the window keeps.
+@pytest.mark.parametrize("shift, floor", [(100.0, 19), (1e4, 15), (100.0, 20), (1e4, 18)])
+def test_added_constant_keeps_status_and_count(name, shift, floor):
+    assert shifted_count(name, shift) >= floor
 
 
 @pytest.mark.parametrize("name", available_problems())
@@ -683,8 +717,9 @@ def test_planted_nan_runs_end_as_before_wherever_it_sits():
     # grad f at one of the first points: each run ends as it did when every
     # maximum over the objectives was taken by NumPy.  Each line names the
     # run and its outcome: the exception with its message and point, or the
-    # status, the iteration count and a digest of the records; the digest of
-    # all lines was taken from that code.
+    # status, the iteration count and a digest of the records.  The exception
+    # and pgm lines are those that code gave; the first trial's window moved
+    # only the 14 converging SP1_l1 backtracking lines.
     lines = []
     for name in ("SP1_l1", "MHHM2"):
         base, desc = builtin_problem(name)
@@ -709,4 +744,4 @@ def test_planted_nan_runs_end_as_before_wherever_it_sits():
     assert hashlib.sha256(text.encode()).hexdigest() == NAN_RUNS_DIGEST, text
 
 
-NAN_RUNS_DIGEST = "15c4584981ae3a207ecc4d5c5123601beed0d9a1ec1c0a4a997e01c7b4545414"
+NAN_RUNS_DIGEST = "df3bbd778931dbb1d4ce0f22bd3386ba2ca161b3b72ef9d492176811d6c1f5dd"
