@@ -14,9 +14,13 @@ goes under ``--label`` in the ``--out`` JSON file, which keeps the other
 labels it already holds.
 
 ``--parent DIR`` names a second checkout to compare against.  Each round
-then runs every workload in each mode in ``DIR`` first and then in this
-checkout, and the first summary goes under the label ``parent``, so drift
-of the host over the run reaches both sides alike:
+then runs every workload in each mode in both checkouts, ``DIR`` first in
+odd rounds and this checkout first in even ones, and the first summary goes
+under the label ``parent``, so drift of the host over the run and the order
+within a round reach both sides alike.  Every workload and mode of this
+checkout's summary then also holds ``pairs``: for each metric, the rounds
+this checkout won, lost and tied against the parent's run of the same
+round, by the direction ``BENCHMARK.json`` declares for it:
 
     mkdir ../base && git archive HEAD~1 | tar -x -C ../base
     python3 scripts/bench.py --parent ../base --label change --out BENCH.json
@@ -59,6 +63,19 @@ def summarise(results: list) -> dict:
             "failed": max(r["failed"] for r in results), "metrics": metrics}
 
 
+def count_pairs(mine: list, theirs: list, better: dict) -> dict:
+    """Rounds in which ``mine`` won, lost and tied against ``theirs``, run
+    for run, on each metric that ``better`` maps to ``"higher"`` or ``"lower"``."""
+    pairs = {}
+    for name in mine[0]["metrics"].keys() & better.keys():
+        sign = 1.0 if better[name] == "higher" else -1.0
+        gains = [sign * (a["metrics"][name]["value"] - b["metrics"][name]["value"])
+                 for a, b in zip(mine, theirs)]
+        won, lost = sum(g > 0.0 for g in gains), sum(g < 0.0 for g in gains)
+        pairs[name] = {"won": won, "lost": lost, "tied": len(gains) - won - lost}
+    return pairs
+
+
 def run_once(workload: str, seed: int, seconds: float, trace: int, root: Path) -> dict:
     """One run of the benchmark of the checkout at ``root``."""
     cmd = [sys.executable, str(RUNNER), "--workload", workload, "--seed", str(seed),
@@ -74,7 +91,7 @@ def main(argv=None) -> int:
     ap.add_argument("--runs", type=int, default=5)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--parent", type=Path, metavar="DIR",
-                    help="checkout run first in every round, summarised under 'parent'")
+                    help="checkout to alternate with in every round, summarised under 'parent'")
     args = ap.parse_args(argv)
     if args.runs < 1:
         ap.error("--runs must be at least 1")
@@ -91,18 +108,28 @@ def main(argv=None) -> int:
     declared = json.loads(DECLARATION.read_text())
     workloads = [w["name"] for w in declared["workloads"]]
     seconds = declared["run_seconds"]
+    better = {m["name"]: m["better"]
+              for m in declared.get("end_to_end", []) + declared.get("per_layer", [])}
 
-    raw: dict = {(label, w, t): [] for label in roots for w in workloads for t in (0, 1)}
+    labels = list(roots)
+    raw: dict = {(label, w, t): [] for label in labels for w in workloads for t in (0, 1)}
     for k in range(args.runs):
-        for (label, workload, trace), results in raw.items():
-            results.append(run_once(workload, args.seed, seconds, trace, roots[label]))
-            print(f"round {k + 1}/{args.runs}: {label} {workload} trace {trace}", flush=True)
+        for label in labels if k % 2 == 0 else labels[::-1]:
+            for workload, trace in ((w, t) for w in workloads for t in (0, 1)):
+                raw[label, workload, trace].append(
+                    run_once(workload, args.seed, seconds, trace, roots[label]))
+                print(f"round {k + 1}/{args.runs}: {label} {workload} trace {trace}", flush=True)
 
     doc = json.loads(args.out.read_text()) if args.out.is_file() else {}
     for label in roots:
         doc[label] = {"seed": args.seed, "seconds": seconds, "runs": args.runs,
                       "workloads": {w: {f"trace{t}": summarise(raw[label, w, t]) for t in (0, 1)}
                                     for w in workloads}}
+    if "parent" in roots:
+        for (label, w, t), results in raw.items():
+            if label == args.label:
+                doc[label]["workloads"][w][f"trace{t}"]["pairs"] = count_pairs(
+                    results, raw["parent", w, t], better)
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
 

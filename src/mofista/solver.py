@@ -159,16 +159,14 @@ class SolveResult:
 
 
 def fista_step(x_prev: Array, x_prev2: Array, t_prev: float, omega: float):
-    """Momentum update producing the triple for the next iteration.
+    """Momentum update producing ``(t, y)`` for the next iteration.
 
     ``x_prev`` is the most recent accepted iterate, ``x_prev2`` the one
-    before it.  With ``t_prev = 0`` this yields ``t = 1`` and ``theta = -1``,
-    i.e. ``y = x_prev2``, which seeds the very first iteration.
+    before it.  With ``t_prev = 0`` this yields ``t = 1`` and ``(t_prev - 1) /
+    t = -1``, i.e. ``y = x_prev2``, which seeds the very first iteration.
     """
     t = (1.0 + np.sqrt(1.0 + 4.0 * omega * t_prev * t_prev)) / 2.0
-    theta = (t_prev - 1.0) / t
-    y = x_prev + theta * (x_prev - x_prev2)
-    return t, theta, y
+    return t, x_prev + (t_prev - 1.0) / t * (x_prev - x_prev2)
 
 
 def _upper_bound_holds(fy: Array, gd: Array, dd: float, fz: Array, L: float) -> bool:
@@ -221,7 +219,7 @@ def run_solver(p: ProblemInstance, x0: Array, cfg: Optional[SolverConfig] = None
         try:
             while True:
                 L = omega * L_prev
-                t, _, y = fista_step(x, x_prev, t_prev, omega) if momentum else (1.0, None, x)
+                t, y = fista_step(x, x_prev, t_prev, omega) if momentum else (1.0, x)
                 # Anchored trials share one model, built at y: x's zeros may differ in sign.
                 model = (model._replace(L=L) if anchored and model is not None
                          else _linearize(y, L, p, Fx, fx if anchored else None))

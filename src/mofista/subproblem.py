@@ -25,7 +25,6 @@ Everything here is stateless; warm starts are passed in by the caller.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -94,27 +93,18 @@ class SubproblemSolution:
 
 
 def project_simplex(v: Array) -> Array:
-    """Euclidean projection onto the probability simplex.
-
-    Weights already on it, nonnegative and summing to exactly 1 in
-    descending order, are returned as a copy without the rest of the
-    projection: its shift would be exactly 0, so the result has the same
-    bits (``-0.0`` becomes ``+0.0`` either way).  The index-order sum would
-    not do: it can be 1 where the descending one is not.
-    """
+    """Euclidean projection onto the probability simplex (Duchi et al., 2008) in one
+    pass on Python floats: the descending running sum adds in ``np.cumsum``'s order,
+    so the bits are NumPy's; on the simplex the shift is exactly 0, and ``-0.0``
+    becomes ``+0.0``.  Raises ``ValueError`` on an empty or non-finite input."""
     v = np.asarray(v, dtype=float)
-    # The sum is np.cumsum's last entry, bit for bit; a NaN or inf never sums to 1.
-    descending = sorted(v.tolist(), reverse=True)
-    if descending[-1] >= 0.0 and functools.reduce(float.__add__, descending) == 1.0:
-        return v + 0.0
-    if not np.isfinite(v).all():
-        raise ValueError("cannot project non-finite weights onto the simplex")
-    u = np.sort(v)[::-1]
-    cumulative = np.cumsum(u) - 1.0
-    ranks = np.arange(1, v.size + 1)
-    feasible = u - cumulative / ranks > 0.0
-    rho = ranks[feasible][-1]
-    shift = cumulative[rho - 1] / rho
+    total, descending = 0.0, sorted(v.tolist(), reverse=True)
+    if not descending or not all(map(math.isfinite, descending)):
+        raise ValueError(f"cannot project {descending}: weights must be finite and non-empty")
+    for rank, u in enumerate(descending, 1):
+        total += u
+        if u - (total - 1.0) / rank > 0.0:  # the last such rank sets the shift
+            shift = (total - 1.0) / rank
     return np.maximum(v - shift, 0.0)
 
 
@@ -311,10 +301,12 @@ def solve_subproblem(x: Array, y: Array, L: float, p: ProblemInstance,
                      warm_weights: Optional[Array] = None) -> SubproblemSolution:
     """Solve one worst-case prox-linear step to a certified dual gap.
 
-    ``warm_weights``, when given, are projected onto the simplex and seed
-    the dual solve; the solver itself keeps no state between calls.  When
-    ``y`` equals ``x`` in value one ``f`` call serves both points.
+    ``warm_weights``, when given, of shape ``(p.m,)``, are projected onto the
+    simplex and seed the dual solve; the solver keeps no state between calls.
+    When ``y`` equals ``x`` in value one ``f`` call serves both points.
     """
+    if warm_weights is not None and np.shape(warm_weights) != (p.m,):
+        raise ValueError(f"warm weights shape {np.shape(warm_weights)}, expected {(p.m,)}")
     warm = project_simplex(warm_weights) if warm_weights is not None else None
     fx, Fx = _evaluate(p, x)
     model = _linearize(y, L, p, Fx, fx if np.array_equal(x, y) else None)

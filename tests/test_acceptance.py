@@ -54,7 +54,7 @@ def _momentum_chains():
     transitions = []
     for _ in range(steps):
         omega = rng.uniform(0.1, 10.0, size=chains)
-        t_next, _, _ = fista_step(zeros, zeros, t, omega)
+        t_next, _ = fista_step(zeros, zeros, t, omega)
         L_next = omega * L
         transitions.append((t, L, omega, t_next, L_next))
         t, L = t_next, L_next
@@ -150,6 +150,7 @@ def _classical_fista_iterates(x0, L_init, beta, sigma, steps):
     x_old = x_curr
     t_prev = 0.0
     L_prev = L_init
+    eps = np.finfo(float).eps
     out = []
     for _ in range(steps):
         omega = 1.0 / sigma
@@ -162,8 +163,9 @@ def _classical_fista_iterates(x0, L_init, beta, sigma, steps):
             d = z - y
             fy = 0.5 * float(y @ y)
             fz = 0.5 * float(z @ z)
-            bound = fy + float(y @ d) + 0.5 * L * float(d @ d)
-            if fz <= bound + 1e-12 * (1.0 + abs(fy)):
+            gd, c = float(y @ d), 0.5 * L * float(d @ d)
+            # The solver's bound test, with its slack for the rounding of the terms.
+            if fz <= fy + gd + c + 16.0 * eps * (abs(fz) + abs(fy) + abs(gd) + c):
                 break
             omega *= beta
         x_old, x_curr = x_curr, z

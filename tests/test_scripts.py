@@ -156,7 +156,9 @@ def test_bench_interleaves_modes_and_keeps_other_labels(tmp_path, monkeypatch):
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "run.py").write_text("")
     assert bench.main(["--label", "change", "--out", str(out)]) == 2
-    declared = {"run_seconds": 3, "workloads": [{"name": "builtin_m2"}, {"name": "cli_suite"}]}
+    declared = {"run_seconds": 3, "workloads": [{"name": "builtin_m2"}, {"name": "cli_suite"}],
+                "end_to_end": [{"name": "solve_ms_p50", "better": "lower"},
+                               {"name": "iterations_total", "better": "lower"}]}
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(declared))
     out.write_text(json.dumps({"parent": {"runs": 3}}))
     calls = []
@@ -177,7 +179,8 @@ def test_bench_interleaves_modes_and_keeps_other_labels(tmp_path, monkeypatch):
     p50 = doc["change"]["workloads"]["cli_suite"]["trace1"]["metrics"]["solve_ms_p50"]
     assert (p50["median"], p50["n"]) == (6.0, 2)
 
-    # With --parent every round runs the parent checkout's passes, then this one's.
+    # With --parent the parent checkout's passes come first in odd rounds and
+    # this one's first in even rounds.
     parent = tmp_path / "parent"
     argv = ["--parent", str(parent), "--label", "change", "--out", str(out), "--runs", "3"]
     assert bench.main(argv) == 2
@@ -188,15 +191,22 @@ def test_bench_interleaves_modes_and_keeps_other_labels(tmp_path, monkeypatch):
         bench.main(["--parent", str(parent), "--label", "parent", "--out", str(out)])
     calls.clear()
     assert bench.main(argv) == 0
-    passes = [(w, t) for _, w, t in rounds]
-    assert calls == ([(parent, w, t) for w, t in passes]
-                     + [(here, w, t) for w, t in passes]) * 3
+    first, second = ([(root, w, t) for _, w, t in rounds] for root in (parent, here))
+    assert calls == first + second + second + first + first + second
     doc = json.loads(out.read_text())
     assert set(doc) == {"parent", "change"}
-    for label, values in (("parent", [1.0, 9.0, 17.0]), ("change", [5.0, 13.0, 21.0])):
+    # builtin_m2 trace 0 is each label's first pass: runs 1, 13, 17 of the
+    # parent against 5, 9, 21 here, so this checkout wins round 2 only.
+    for label, values in (("parent", [1.0, 13.0, 17.0]), ("change", [5.0, 9.0, 21.0])):
         p50 = doc[label]["workloads"]["builtin_m2"]["trace0"]["metrics"]["solve_ms_p50"]
         assert (p50["q1"], p50["median"], p50["q3"], p50["n"]) == (
             (values[0] + values[1]) / 2, values[1], (values[1] + values[2]) / 2, 3)
+    assert "pairs" not in doc["parent"]["workloads"]["builtin_m2"]["trace0"]
+    for workload in ("builtin_m2", "cli_suite"):
+        for trace in ("trace0", "trace1"):
+            assert doc["change"]["workloads"][workload][trace]["pairs"] == {
+                "solve_ms_p50": {"won": 1, "lost": 2, "tied": 0},
+                "iterations_total": {"won": 0, "lost": 0, "tied": 3}}
 
 
 def test_paper_table_repeats_and_matches_the_committed_rows(tmp_path, capsys):

@@ -32,21 +32,20 @@ def single_quadratic():
 
 def test_fista_step_stationary_momentum():
     x, x2 = np.array([3.0, 1.0]), np.array([0.0, 0.0])
-    t, theta, y = fista_step(x, x2, 1.0, 1.0)
+    t, y = fista_step(x, x2, 1.0, 1.0)
     assert t == pytest.approx(GOLDEN, abs=1e-12)
-    assert theta == 0.0
     np.testing.assert_array_equal(y, x)
 
 
 def test_fista_step_seeding():
     x, x2 = np.array([3.0]), np.array([7.0])
-    t, theta, y = fista_step(x, x2, 0.0, 1.0)
-    assert t == 1.0 and theta == -1.0
+    t, y = fista_step(x, x2, 0.0, 1.0)
+    assert t == 1.0
     np.testing.assert_array_equal(y, x2)
 
 
 def test_fista_step_quarter_ratio():
-    t, _, _ = fista_step(np.zeros(1), np.zeros(1), 2.0, 0.25)
+    t, _ = fista_step(np.zeros(1), np.zeros(1), 2.0, 0.25)
     assert t == pytest.approx(GOLDEN, abs=1e-12)
     assert 0.5 + np.sqrt(0.25) * 2.0 <= t <= (1.0 + np.sqrt(0.25)) * 2.0
 
@@ -55,7 +54,7 @@ def test_fista_step_quarter_ratio():
 def test_fista_step_bracket(t_prev, omega):
     # The upper half of the bracket needs t_prev >= 1, which the recursion
     # maintains from its seed t = 1.
-    t, _, _ = fista_step(np.zeros(1), np.zeros(1), t_prev, omega)
+    t, _ = fista_step(np.zeros(1), np.zeros(1), t_prev, omega)
     root = np.sqrt(omega)
     assert 0.5 + root * t_prev <= t * (1.0 + 1e-12)
     assert t <= (1.0 + root) * t_prev * (1.0 + 1e-12) + 1e-12
@@ -641,7 +640,7 @@ def test_divergent_step_raises_at_overflowed_iterate(variant):
         assert len(recs) == k - 1
         x = recs[-1].x
         if variant == "fixed":
-            _, _, y = fista_step(x, recs[-2].x, recs[-1].t, 1.0)
+            _, y = fista_step(x, recs[-2].x, recs[-1].t, 1.0)
         else:
             y = x
         # The solver hands its subproblem config to every solve unchanged, so

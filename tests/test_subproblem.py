@@ -6,8 +6,9 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mofista import (CustomNonsmooth, ProblemInstance, SubproblemConfig,
-                     WeightedL1, Zero, builtin_problem, sample_initial_points)
+from mofista import (CustomNonsmooth, ProblemInstance, SolverConfig, SubproblemConfig,
+                     WeightedL1, Zero, available_problems, builtin_problem, run_solver,
+                     sample_initial_points)
 from mofista.problems import evaluate_objectives
 from mofista.subproblem import (_QP_CUTOFF, SubproblemError, _Model, _linearize,
                                 _simplex_qp, project_simplex, solve_subproblem,
@@ -450,6 +451,14 @@ def test_solve_rejects_jacobian_of_wrong_shape():
         solve_subproblem(np.array([2.5, 0.5]), np.array([2.4, 0.7]), 3.0, tall)
 
 
+def test_solve_rejects_warm_weights_of_wrong_length():
+    p, _ = builtin_problem("SP1_l1")
+    x, y = np.array([2.5, 0.5]), np.array([2.4, 0.7])
+    for warm in (np.ones(3) / 3, np.ones((2, 1)) / 2, np.array([])):
+        with pytest.raises(ValueError, match=re.escape(f"{warm.shape}, expected (2,)")):
+            solve_subproblem(x, y, 3.0, p, warm_weights=warm)
+
+
 def test_non_finite_curvature_ends_the_solve():
     # SP1_l1's own prox derivative certifies this subproblem in 2 evaluations;
     # a nan one leaves no Newton round, so the solve ends after the first.
@@ -680,8 +689,8 @@ def test_project_simplex_examples():
 
 
 def project_simplex_full(v):
-    """Reference for ``project_simplex``: the projection without the exit
-    for weights already on the simplex."""
+    """Reference for ``project_simplex``: the sort-based projection in
+    NumPy's vectorized form."""
     u = np.sort(v)[::-1]
     cumulative = np.cumsum(u) - 1.0
     ranks = np.arange(1, v.size + 1)
@@ -689,22 +698,47 @@ def project_simplex_full(v):
     return np.maximum(v - cumulative[rho - 1] / rho, 0.0)
 
 
+def descending_sum(v):
+    return float(np.cumsum(np.sort(v)[::-1])[-1])
+
+
 def test_project_simplex_exit_keeps_the_bits():
     rng = np.random.default_rng(43)
     a = rng.uniform(0.0, 1.0, 200)
     cases = [np.array([x, 1.0 - x]) for x in a] + [np.array([1.0 - x, x]) for x in a]
-    cases += [project_simplex_full(rng.uniform(-1.0, 1.0, m)) for m in (2, 3, 5)
-              for _ in range(100)]
+    raw = [rng.uniform(-1.0, 1.0, m) for m in (1, 2, 3, 5, 12) for _ in range(100)]
+    on = [project_simplex_full(v) for v in raw]
+    # One entry moved by one ulp, up or down, so the descending sum misses 1.
+    nudged = []
+    for v in on:
+        w, j = v.copy(), int(rng.integers(v.size))
+        w[j] = np.nextafter(w[j], 2.0 if rng.random() < 0.5 else -1.0)
+        nudged.append(w)
+    signed_zeros = [np.where(v == 0.0, -0.0, v) for v in on if not v.all()]
+    # A negative entry beside entries that sum to 1.
+    negative = [np.append(v, -rng.uniform(0.0, 1.0)) for v in on]
+    # The weights each solve of a run returns, chained as the solver chains them.
+    weights = []
+    for name in available_problems():
+        p, desc = builtin_problem(name)
+        for x0 in sample_initial_points(desc, 3, 0):
+            x_prev, warm = x0, None
+            for rec in run_solver(p, x0, SolverConfig(max_iter=20)).trace.records:
+                warm = solve_subproblem(x_prev, rec.y, rec.L, p, warm_weights=warm).weights
+                weights.append(warm)
+                x_prev = rec.x
     # Sums to exactly 1 in index order, not in descending order: the
     # projection changes it.
     trap = np.array([0.37416094895688495, 0.1925800303480084, 0.4332590206951066])
-    cases += [trap, np.array([-0.0, 1.0]), np.array([1.0, 0.0, -0.0]),
-              np.array([1.5, -0.5]), np.array([0.75, -0.5, 0.75])]
-    on_simplex = 0
+    cases += raw + on + nudged + signed_zeros + negative + weights + [
+        trap, np.array([-0.0, 1.0]), np.array([1.0, 0.0, -0.0]),
+        np.array([1.5, -0.5]), np.array([0.75, -0.5, 0.75])]
     for v in cases:
         assert project_simplex(v).tobytes() == project_simplex_full(v).tobytes(), v
-        on_simplex += float(np.cumsum(np.sort(v)[::-1])[-1]) == 1.0 and v.min() >= 0.0
-    assert on_simplex > 100
+    assert sum(descending_sum(v) == 1.0 for v in on) > 100
+    assert sum(descending_sum(v) != 1.0 for v in nudged) > 100
+    assert len(signed_zeros) > 100
+    assert any(descending_sum(w) != 1.0 for w in weights)
     assert float(trap[0] + trap[1] + trap[2]) == 1.0
     assert project_simplex(trap).tobytes() != trap.tobytes()
     assert not np.signbit(project_simplex(np.array([-0.0, 1.0]))).any()
@@ -718,6 +752,7 @@ def test_project_simplex_exit_keeps_the_bits():
     pytest.param([np.nan, 0.5, 0.5], id="nan-beside-sum-one"),
     pytest.param([0.5, 0.5, np.nan], id="sum-one-beside-nan"),
     pytest.param([0.0, np.inf, 1.0], id="inf-beside-one"),
+    pytest.param([], id="empty"),
 ])
 def test_project_simplex_rejects_non_finite(bad):
     with pytest.raises(ValueError):
