@@ -20,7 +20,9 @@ under the label ``parent``, so drift of the host over the run and the order
 within a round reach both sides alike.  Every workload and mode of this
 checkout's summary then also holds ``pairs``: for each metric, the rounds
 this checkout won, lost and tied against the parent's run of the same
-round, by the direction ``BENCHMARK.json`` declares for it:
+round, by the direction ``BENCHMARK.json`` declares for it.  Both sides
+must run one benchmark: ``BENCHMARK.json`` and every file under
+``perfbench/`` (caches aside) must match byte for byte, or nothing runs:
 
     mkdir ../base && git archive HEAD~1 | tar -x -C ../base
     python3 scripts/bench.py --parent ../base --label change --out BENCH.json
@@ -76,6 +78,14 @@ def count_pairs(mine: list, theirs: list, better: dict) -> dict:
     return pairs
 
 
+def benchmark_files(root: Path) -> dict:
+    """The bytes of ``BENCHMARK.json`` and of every file under ``perfbench/``
+    but ``__pycache__``, by path relative to the checkout ``root``."""
+    paths = [DECLARATION] + [p.relative_to(root) for p in (root / RUNNER.parent).rglob("*")
+                             if p.is_file() and "__pycache__" not in p.parts]
+    return {str(p): (root / p).read_bytes() for p in paths}
+
+
 def run_once(workload: str, seed: int, seconds: float, trace: int, root: Path) -> dict:
     """One run of the benchmark of the checkout at ``root``."""
     cmd = [sys.executable, str(RUNNER), "--workload", workload, "--seed", str(seed),
@@ -105,6 +115,13 @@ def main(argv=None) -> int:
             print(f"bench: no {RUNNER} or {DECLARATION} in {root}; name the root of a checkout",
                   file=sys.stderr)
             return 2
+    if args.parent is not None:
+        mine, theirs = benchmark_files(Path(".")), benchmark_files(args.parent)
+        for name in sorted(mine.keys() | theirs.keys()):
+            if mine.get(name) != theirs.get(name):
+                print(f"bench: {name} differs between . and {args.parent}; "
+                      "both sides must run one benchmark", file=sys.stderr)
+                return 2
     declared = json.loads(DECLARATION.read_text())
     workloads = [w["name"] for w in declared["workloads"]]
     seconds = declared["run_seconds"]

@@ -223,9 +223,9 @@ def run_solver(p: ProblemInstance, x0: Array, cfg: Optional[SolverConfig] = None
                 # Anchored trials share one model, built at y: x's zeros may differ in sign.
                 model = (model._replace(L=L) if anchored and model is not None
                          else _linearize(y, L, p, Fx, fx if anchored else None))
-                sol, (d, dd, gd, gz) = _solve_dual(model, cfg.subproblem, warm)
+                weights, z, _, gap, (d, dd, gd, gz) = _solve_dual(model, cfg.subproblem, warm)
                 # An exactly zero step has f(z) = f(y) without a call.
-                fz = np.asarray(p.smooth(sol.z), dtype=float) if dd > 0.0 or d.any() else model.fy
+                fz = np.asarray(p.smooth(z), dtype=float) if dd > 0.0 or d.any() else model.fy
                 # A NaN max() drops is never read: the trial fails or _evaluate raises.
                 seen = 2.0 * max((fz - model.fy - gd).tolist()) / dd if dd > 0.0 else 0.0
                 if _upper_bound_holds(model.fy, gd, dd, fz, L) or not adaptive:
@@ -241,13 +241,13 @@ def run_solver(p: ProblemInstance, x0: Array, cfg: Optional[SolverConfig] = None
             break
 
         residual = float(np.maximum.reduce(abs(d)))
-        fx, Fx = _evaluate(p, sol.z, fz, gz)
+        fx, Fx = _evaluate(p, z, fz, gz)
         records.append(IterationRecord(
-            k=k, L=L, backtracks=backtracks, residual=residual, t=t, y=y, x=sol.z, objectives=Fx,
-            dual_gap=sol.dual_gap, wall_ms=(time.perf_counter() - tick) * 1e3))
-        warm = project_simplex(sol.weights)  # once for every trial of the next iteration
+            k=k, L=L, backtracks=backtracks, residual=residual, t=t, y=y, x=z, objectives=Fx,
+            dual_gap=gap, wall_ms=(time.perf_counter() - tick) * 1e3))
+        warm = project_simplex(weights)  # once for every trial of the next iteration
         window.append(seen)
-        x_prev, x, t_prev, L_prev = x, sol.z, t, L
+        x_prev, x, t_prev, L_prev = x, z, t, L
         if residual < cfg.eps:
             status = Status.CONVERGED
             break

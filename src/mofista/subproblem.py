@@ -15,10 +15,11 @@ and the dual supergradient at ``lam`` is the vector ``b`` of inner linear
 terms at ``z(lam)``.  One routine serves every ``m``: Newton rounds on the
 dual, each maximizing over the simplex, exactly by an active-set method, the
 quadratic model at the last point evaluated, with curvature ``G D G^T / L``
-from the prox Jacobian ``D`` (``NonsmoothPart.prox_jvp``).  It stops on a
-certified primal-dual gap, for any weights ``max_i b_i(z) - lam . b(z)``,
-available at every evaluation for free and without cancellation, once that
-gap is within its rounding floor.
+from the prox Jacobian ``D`` (``NonsmoothPart.prox_jvp``).  Once two rounds in
+a row improve nothing, idle rounds 2-11 halve the last improving step down to
+``2**-10``, and the twelfth stops.  So does a certified gap ``max_i b_i(z) -
+lam . b(z)``, free and exact at any weights, within its rounding floor.  Only
+``solve_subproblem`` builds a ``SubproblemSolution``.
 
 Everything here is stateless; warm starts are passed in by the caller.
 """
@@ -96,11 +97,12 @@ def project_simplex(v: Array) -> Array:
     """Euclidean projection onto the probability simplex (Duchi et al., 2008) in one
     pass on Python floats: the descending running sum adds in ``np.cumsum``'s order,
     so the bits are NumPy's; on the simplex the shift is exactly 0, and ``-0.0``
-    becomes ``+0.0``.  Raises ``ValueError`` on an empty or non-finite input."""
+    becomes ``+0.0``.  Raises ``ValueError`` unless ``v`` is non-empty with
+    ``sum |v_i| < 2**52``, below which rank 1 always sets a shift."""
     v = np.asarray(v, dtype=float)
     total, descending = 0.0, sorted(v.tolist(), reverse=True)
-    if not descending or not all(map(math.isfinite, descending)):
-        raise ValueError(f"cannot project {descending}: weights must be finite and non-empty")
+    if not descending or not math.fsum(map(abs, descending)) < 2.0 ** 52:
+        raise ValueError(f"cannot project {descending}: empty, or sum |w_i| not below 2**52")
     for rank, u in enumerate(descending, 1):
         total += u
         if u - (total - 1.0) / rank > 0.0:  # the last such rank sets the shift
@@ -236,28 +238,26 @@ def _simplex_qp(c: Array, Q: Array, w: Array) -> Array:
     return w
 
 
-def _solve_dual(model: _Model, cfg: SubproblemConfig,
-                warm: Optional[Array]) -> tuple[SubproblemSolution, tuple]:
+def _solve_dual(model: _Model, cfg: SubproblemConfig, warm: Optional[Array]) -> tuple:
     """Newton ascent on the concave, piecewise quadratic dual from the simplex
     weights ``warm`` (uniform when ``None``), to a certified gap or a
     :class:`SubproblemError`.
 
-    The dual supergradient at ``lam`` is the vector ``b`` of inner linear
-    terms (envelope theorem), and its Jacobian ``G dz/dlam`` is the
-    generalized dual Hessian ``-G D G^T / L``, with ``D`` the prox's own
-    derivative: exact for the zero and l1 terms, where one or a few rounds
-    end the solve, and forward differences for other parts.  Each round
-    maximizes the resulting quadratic model over the simplex exactly, at the
-    last point evaluated whether or not it improved anything.  The solve
-    ends once the best gap is within its rounding floor, ``_ROUNDING`` times
-    the size ``3 ||G|| (||y|| + ||G|| / L) + max |f(y) - F(x)|`` of the terms
-    of ``b`` (``||G||^2 / L`` bounds the cancellation in ``G^T lam``).  Two
-    rounds in a row that neither raise the dual nor lower the best gap halve
-    the step of the last improving round, down to a thousandth; a non-finite
-    gap or curvature and the evaluation budget ``_MAX_EVALS`` also end the
-    solve.  The solution is built from the best evaluation, ``(weights, z,
-    primal, gap)`` with the least gap, and returned with its ``step``; a gap
-    there above both the floor and ``cfg.tol * (1 + |primal|)`` raises.
+    The dual supergradient at ``lam`` is ``b`` (envelope theorem), and its Jacobian
+    ``G dz/dlam`` is the generalized dual Hessian ``-G D G^T / L``, with ``D`` the
+    prox's own derivative: exact for the zero and l1 terms, where one or a few rounds
+    end the solve, and forward differences for other parts.  The solve ends once the
+    best gap is within its rounding floor, ``_ROUNDING`` times the size
+    ``3 ||G|| (||y|| + ||G|| / L) + max |f(y) - F(x)|`` of the terms of ``b``
+    (``||G||^2 / L`` bounds the cancellation in ``G^T lam``).  One count, ``stale``,
+    of idle rounds, which neither raise the dual nor lower the best gap, schedules
+    every round: after 0-1 idle rounds a Newton round maximizes the quadratic model at
+    the last point evaluated; after 2-11 the solve takes ``2**(1 - stale)`` of the
+    last improving step, a half down to ``2**-10``; the twelfth ends the solve, as do
+    a non-finite gap or curvature and ``_MAX_EVALS`` evaluations.  Returns the best
+    evaluation ``(weights, z, primal, gap, step)`` as a plain tuple: only
+    :func:`solve_subproblem` builds a :class:`SubproblemSolution`.  A gap there above
+    both the floor and ``cfg.tol * (1 + |primal|)`` raises.
     """
     # np.vdot: np.linalg.norm is several times slower at small n, math.hypot at large n.
     gg = math.sqrt(np.vdot(model.grads, model.grads))
@@ -266,8 +266,8 @@ def _solve_dual(model: _Model, cfg: SubproblemConfig,
 
     w = warm if warm is not None else np.full(model.fy.size, 1.0 / model.fy.size)
     top_q, primal, gap, z, b, v, step = model.evaluate(w)
-    best, evals, stale, alpha = (w, z, primal, gap, step), 1, 0, 1.0
-    while floor < best[3] < math.inf and evals < _MAX_EVALS:
+    best, evals, stale = (w, z, primal, gap, step), 1, 0
+    while floor < best[3] < math.inf and evals < _MAX_EVALS and stale < 12:
         if stale < 2:
             # Newton round: maximize the quadratic model at the last evaluation.
             jac = model.grads @ model.g.prox_jvp(1.0 / model.L, v, z, model.grads.T / -model.L)
@@ -277,23 +277,20 @@ def _solve_dual(model: _Model, cfg: SubproblemConfig,
             target = _simplex_qp(b + curv @ w, curv, w)
             if not stale:
                 lam, aim = w, target
-        elif alpha > 1e-3:
-            # Idle rounds: halve the last improving step.
-            alpha *= 0.5
-            target = (1.0 - alpha) * lam + alpha * aim
         else:
-            break
+            # Idle rounds: halve the last improving step, down to 2**-10.
+            alpha = 0.5 ** (stale - 1)
+            target = (1.0 - alpha) * lam + alpha * aim
         w = target
         q, primal, gap, z, b, v, step = model.evaluate(w)
         evals += 1
-        stale, alpha = (0, 1.0) if q > top_q or gap < best[3] else (stale + 1, alpha)
+        stale = 0 if q > top_q or gap < best[3] else stale + 1
         top_q = max(top_q, q)
         if gap < best[3]:
             best = (w, z, primal, gap, step)
-    weights, z, primal, gap, step = best
-    if gap > max(floor, cfg.tol * (1.0 + abs(primal))):
-        raise SubproblemError(f"dual gap {gap:.3e} above tolerance")
-    return SubproblemSolution(z, primal, weights, gap), step
+    if best[3] > max(floor, cfg.tol * (1.0 + abs(best[2]))):
+        raise SubproblemError(f"dual gap {best[3]:.3e} above tolerance")
+    return best
 
 
 def solve_subproblem(x: Array, y: Array, L: float, p: ProblemInstance,
@@ -310,7 +307,8 @@ def solve_subproblem(x: Array, y: Array, L: float, p: ProblemInstance,
     warm = project_simplex(warm_weights) if warm_weights is not None else None
     fx, Fx = _evaluate(p, x)
     model = _linearize(y, L, p, Fx, fx if np.array_equal(x, y) else None)
-    return _solve_dual(model, cfg or SubproblemConfig(), warm)[0]
+    weights, z, primal, gap, _ = _solve_dual(model, cfg or SubproblemConfig(), warm)
+    return SubproblemSolution(z, primal, weights, gap)
 
 
 def weak_pareto_residual(x: Array, y: Array, L: float, p: ProblemInstance,

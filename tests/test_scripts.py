@@ -186,6 +186,11 @@ def test_bench_interleaves_modes_and_keeps_other_labels(tmp_path, monkeypatch):
     assert bench.main(argv) == 2
     (parent / "perfbench").mkdir(parents=True)
     (parent / "perfbench" / "run.py").write_text("")
+    # A parent that declares another benchmark runs nothing.
+    (parent / "BENCHMARK.json").write_text(json.dumps({**declared, "run_seconds": 4}))
+    calls.clear()
+    assert bench.main(argv) == 2
+    assert calls == []
     (parent / "BENCHMARK.json").write_text(json.dumps(declared))
     with pytest.raises(SystemExit):
         bench.main(["--parent", str(parent), "--label", "parent", "--out", str(out)])

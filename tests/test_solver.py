@@ -681,12 +681,14 @@ def test_public_solve_replays_every_accepted_step_bit_for_bit():
 
 def test_dual_solve_hands_back_its_step_bit_for_bit():
     # The step the line search takes from the dual solve is z - y, ||z - y||^2,
-    # grad f(y) (z - y) and g(z), recomputed here from the record.
-    for name, p, x_prev, rec, warm, _ in replayed_steps():
+    # grad f(y) (z - y) and g(z), recomputed here from the record; its weights
+    # are those solve_subproblem returns.
+    for name, p, x_prev, rec, warm, sol in replayed_steps():
         model = _linearize(rec.y, rec.L, p, evaluate_objectives(p, x_prev))
-        sol, (d, dd, gd, gz) = _solve_dual(
+        weights, z, _, _, (d, dd, gd, gz) = _solve_dual(
             model, SubproblemConfig(), None if warm is None else project_simplex(warm))
-        assert sol.z.tobytes() == rec.x.tobytes(), (name, rec.k)
+        assert z.tobytes() == rec.x.tobytes(), (name, rec.k)
+        assert weights.tobytes() == sol.weights.tobytes(), (name, rec.k)
         want = rec.x - rec.y
         assert d.tobytes() == want.tobytes(), (name, rec.k)
         assert np.float64(dd).tobytes() == np.float64(want @ want).tobytes(), (name, rec.k)

@@ -436,6 +436,51 @@ def test_idle_rounds_short_of_tolerance_halve_the_step(monkeypatch):
     assert len(seen) <= 15
 
 
+def test_idle_solve_makes_two_newton_and_ten_halving_rounds(monkeypatch):
+    # Every evaluation after the first keeps its real point and step but
+    # reports a lower dual and a larger gap than the first, so no round
+    # improves anything: 1 evaluation, 2 Newton rounds and 10 halving rounds
+    # (2**-1 down to 2**-10), then the first evaluation's gap raises.
+    seen = []
+    evaluate = _Model.evaluate
+
+    def idle(self, weights):
+        out = evaluate(self, weights)
+        seen.append(out)
+        dual, primal, gap = seen[0][:3]
+        return out if len(seen) == 1 else (dual - 1.0, out[1], gap + 1.0) + out[3:]
+
+    monkeypatch.setattr(_Model, "evaluate", idle)
+    with pytest.raises(SubproblemError):
+        solve_subproblem(np.zeros(1), np.array([0.5]), 2.0, TWO_PARABOLAS)
+    assert len(seen) == 13
+
+
+def test_small_L_subproblems_certify_with_the_halving_rounds():
+    # Convex quadratics with L far below the curvature: the Newton rounds
+    # overshoot and the halving rounds recover.  Without them 10 of the 400
+    # fail for each kind of part; with them, 1 each (seed 0 as drawn).
+    rng = np.random.default_rng(0)
+    failures = {"part": 0, "custom": 0}
+    for _ in range(400):
+        m, n = int(rng.integers(3, 13)), int(rng.choice([1, 2, 5, 20]))
+        A = rng.standard_normal((m, n, n))
+        Q = A @ A.transpose(0, 2, 1) / n + 0.01 * np.eye(n)
+        b = 2.0 * rng.standard_normal((m, n))
+        part = WeightedL1(float(rng.uniform(0.05, 0.6))) if rng.random() < 0.5 else Zero()
+        x, y = rng.uniform(-1.0, 1.0, (2, n))
+        L = float(rng.uniform(0.0002, 0.002) * np.linalg.eigvalsh(Q).max())
+        for kind, g in (("part", part), ("custom", CustomNonsmooth(part.value, part.prox))):
+            p = ProblemInstance(n=n, m=m, nonsmooth=g,
+                                smooth=lambda z: 0.5 * np.einsum("i,kij,j->k", z, Q, z) + b @ z,
+                                smooth_jac=lambda z: Q @ z + b)
+            try:
+                solve_subproblem(x, y, L, p)
+            except SubproblemError:
+                failures[kind] += 1
+    assert failures["part"] <= 1 and failures["custom"] <= 1, failures
+
+
 def test_solve_rejects_nonpositive_L():
     p, _ = builtin_problem("SP1_l1")
     x, y = np.array([2.5, 0.5]), np.array([2.4, 0.7])
@@ -686,6 +731,7 @@ def test_project_simplex_examples():
     np.testing.assert_allclose(project_simplex(np.array([2.0, 0.0])), [1.0, 0.0])
     np.testing.assert_allclose(project_simplex(np.array([0.3, 0.3])), [0.5, 0.5])
     np.testing.assert_allclose(project_simplex(np.array([1.0])), [1.0])
+    assert project_simplex(np.array([3e15, 0.0])).tolist() == [1.0, 0.0]  # below 2**52
 
 
 def project_simplex_full(v):
@@ -753,9 +799,16 @@ def test_project_simplex_exit_keeps_the_bits():
     pytest.param([0.5, 0.5, np.nan], id="sum-one-beside-nan"),
     pytest.param([0.0, np.inf, 1.0], id="inf-beside-one"),
     pytest.param([], id="empty"),
+    # Absolute sums of 2**52 and above: u - (u - 1) rounds to 0, so no rank
+    # sets a shift (1e17), or to 2, off the simplex (2**53 + 2).
+    pytest.param([1e17], id="1e17"),
+    pytest.param([-1e17], id="-1e17"),
+    pytest.param([2.0 ** 53 + 2.0], id="2**53+2"),
+    pytest.param([2.0 ** 53 + 2.0, 2.0 ** 53 + 2.0], id="2**53+2-twice"),
+    pytest.param([-1e17, 0.0], id="-1e17-beside-zero"),
 ])
 def test_project_simplex_rejects_non_finite(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"2\*\*52"):
         project_simplex(np.array(bad))
 
 
