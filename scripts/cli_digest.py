@@ -14,7 +14,8 @@ configurations:
 - ``capped``: BK1, SP1 and MHHM2, all three solvers, ``max_iter=3``,
   3 runs: profile columns that every solver fails;
 - ``diverging``: VFM1 with ``fixed`` alone at ``fixed_L=1e-3``, 2 runs:
-  error rows with a ``reason`` and a ``tau``-only ``profiles.csv``.
+  ``non_finite`` and ``subproblem_failure`` rows, each with a ``reason``,
+  and a ``tau``-only ``profiles.csv``.
 
 Two commits write the same reports exactly when their outputs are
 identical:

@@ -23,8 +23,8 @@ convex quadratics of ``perfbench``'s ``generated_m3`` and
 ``load_problem_file``.  Each row holds the accepted iterations, the trials
 (iterations plus backtracks), the calls of ``f`` and of ``grad f``, counted
 by wrappers around the problem's oracles, and the count of each final
-status; a run that raises counts under the exception's name and adds
-nothing else.  ``totals`` sums the rows of each group for each variant.
+status, over every run however it stopped.  ``totals`` sums the rows of
+each group for each variant.
 
 The JSON holds no wall time, so reruns give byte-identical files.  A
 markdown summary goes to stdout.
@@ -40,8 +40,7 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
-from mofista import (BacktrackingError, EvaluationError, SolverConfig,
-                     available_problems, builtin_problem, load_problem_file,
+from mofista import (SolverConfig, available_problems, builtin_problem, load_problem_file,
                      run_solver, sample_initial_points)
 
 STARTS = 20
@@ -85,11 +84,7 @@ def row(p, starts, cfg) -> dict:
     for x0 in starts:
         out["runs"] += 1
         calls.clear()
-        try:
-            res = run_solver(p, x0, cfg)
-        except (BacktrackingError, EvaluationError) as exc:
-            statuses[type(exc).__name__] += 1
-            continue
+        res = run_solver(p, x0, cfg)
         records = res.trace.records
         out["iterations"] += len(records)
         out["trials"] += len(records) + sum(r.backtracks for r in records)

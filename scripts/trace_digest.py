@@ -9,8 +9,8 @@ problem, every variant (backtracking, fixed, pgm) and 12 starts from
 and ``max_iter=500``.  Each line holds the status, the iteration
 count and the sha256 of every record's ``L``, ``backtracks``, ``residual``,
 ``t``, ``y``, ``x``, ``objectives`` and ``dual_gap`` (``wall_ms`` is left
-out).  The fixed-step variants use the problem's ``L_true`` and are skipped
-when it has none.  Two commits produce byte-identical traces exactly when
+out), for every run however it stopped.  The fixed-step variants use the
+problem's ``L_true`` and are skipped when it has none.  Two commits produce byte-identical traces exactly when
 their outputs are identical:
 
     PYTHONPATH=src python3 scripts/trace_digest.py > before.txt  # one commit
@@ -27,8 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mofista import (BacktrackingError, EvaluationError, SolverConfig,
-                     available_problems, builtin_problem, load_problem_file,
+from mofista import (SolverConfig, available_problems, builtin_problem, load_problem_file,
                      run_solver, sample_initial_points)
 
 STARTS = 12
@@ -83,14 +82,9 @@ def main(argv=None) -> int:
         for label, L_init in step_constants.items():
             cfg = SolverConfig(L_init=L_init, eps=1e-6, max_iter=500, variant=label)
             for i, x0 in enumerate(starts):
-                try:
-                    res = run_solver(p, x0, cfg)
-                except (BacktrackingError, EvaluationError) as exc:
-                    line = f"error {type(exc).__name__}"
-                else:
-                    recs = res.trace.records
-                    line = f"{res.status.value} {len(recs)} {digest(recs)}"
-                print(f"{name} {label} {i} {line}")
+                res = run_solver(p, x0, cfg)
+                recs = res.trace.records
+                print(f"{name} {label} {i} {res.status.value} {len(recs)} {digest(recs)}")
     return 0
 
 

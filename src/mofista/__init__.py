@@ -10,8 +10,8 @@ descent/rate relations, a benchmark suite, front metrics, and a CLI.
 from .problems import (CustomNonsmooth, EvaluationError, NonsmoothPart,
                        ProblemInstance, WeightedL1, Zero)
 from .subproblem import SubproblemConfig
-from .solver import (BacktrackingError, IterationRecord, RunTrace, SolveResult,
-                     SolverConfig, Status, Variant, run_solver)
+from .solver import (IterationRecord, RunTrace, SolveResult, SolverConfig, Status,
+                     Variant, run_solver)
 from .suite import (ProblemDescriptor, available_problems, builtin_problem,
                     load_problem_file, pareto_segment, sample_initial_points)
 from .diagnostics import (ReferenceSet, accepted_L_bound_check, gap_step_bounds_check,
@@ -29,8 +29,8 @@ __all__ = [
     "CustomNonsmooth", "EvaluationError", "NonsmoothPart", "ProblemInstance",
     "WeightedL1", "Zero",
     "SubproblemConfig",
-    "BacktrackingError", "IterationRecord", "RunTrace", "SolveResult", "SolverConfig",
-    "Status", "Variant", "run_solver",
+    "IterationRecord", "RunTrace", "SolveResult", "SolverConfig", "Status", "Variant",
+    "run_solver",
     "ProblemDescriptor", "available_problems", "builtin_problem",
     "load_problem_file", "pareto_segment", "sample_initial_points",
     "ReferenceSet", "accepted_L_bound_check", "gap_step_bounds_check",

@@ -22,9 +22,8 @@ import numpy as np
 
 from .metrics import Front, nondominated_filter, performance_profile, purity
 from .plots import emit_svg_scatter
-from .problems import Array, EvaluationError, ProblemInstance
-from .solver import (BacktrackingError, SolverConfig, Status, Variant, _check_real,
-                     _is_number, run_solver)
+from .problems import Array, ProblemInstance
+from .solver import SolverConfig, Status, Variant, _check_real, _is_number, run_solver
 from .suite import ProblemDescriptor, available_problems, builtin_problem, \
     sample_initial_points
 
@@ -92,7 +91,7 @@ class RunRow:
     backtracks_total: int
     wall_ms: float
     final_residual: float
-    reason: str  # the error's message on rows with status "error", else empty
+    reason: str  # the run's stop reason, empty on rows with status "converged"
     objectives: Array
     x: Array
 
@@ -125,23 +124,17 @@ def _step_constant(name: str, desc: ProblemDescriptor, bc: BenchConfig) -> float
 def _single_run(p: ProblemInstance, cfg: SolverConfig, x0: Array,
                 problem: str, solver: str, run_id: int) -> RunRow:
     tick = time.perf_counter()
-    try:
-        # A diverging run ends as an error row that records why; numpy's
-        # overflow warnings on the way there would only repeat it on stderr.
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = run_solver(p, x0, cfg)
-    except (BacktrackingError, EvaluationError) as exc:
-        status, recs, reason = "error", (), str(exc)
-        objectives, x = np.full(p.m, np.nan), np.asarray(x0, float)
-    else:
-        status, recs, reason = res.status.value, res.trace.records, ""
-        objectives = recs[-1].objectives if recs else res.trace.objectives0
-        x = res.x
+    # A diverging run ends as a row whose reason says why; numpy's overflow
+    # warnings on the way there would only repeat it on stderr.
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = run_solver(p, x0, cfg)
     wall = (time.perf_counter() - tick) * 1e3
-    return RunRow(problem=problem, solver=solver, run_id=run_id, status=status,
+    recs = res.trace.records
+    return RunRow(problem=problem, solver=solver, run_id=run_id, status=res.status.value,
                   iterations=len(recs), backtracks_total=sum(r.backtracks for r in recs),
                   wall_ms=wall, final_residual=recs[-1].residual if recs else float("nan"),
-                  reason=reason, objectives=objectives, x=x)
+                  reason=res.reason, x=res.x,
+                  objectives=recs[-1].objectives if recs else res.trace.objectives0)
 
 
 def _resolve_problems(bc: BenchConfig) -> list[tuple[ProblemInstance, ProblemDescriptor,

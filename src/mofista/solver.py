@@ -31,6 +31,8 @@ extrapolates (all but ``PGM``).  No oracle is called twice at one point.
 (each one of ``PGM``, the first two of the others) makes one ``grad f``
 call for all its trials and takes ``f(y) = f(x)``; other trials call both
 at ``y``.  Each trial calls ``f(z)`` unless its step is exactly zero.
+
+Every stop returns a :class:`SolveResult` with its :class:`Status` and reason.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from .problems import Array, ProblemInstance, _evaluate
+from .problems import Array, EvaluationError, ProblemInstance, _evaluate
 from .subproblem import (_ROUNDING, SubproblemConfig, SubproblemError, _linearize,
                          _solve_dual, project_simplex)
 
@@ -56,7 +58,6 @@ __all__ = [
     "RunTrace",
     "Status",
     "SolveResult",
-    "BacktrackingError",
     "fista_step",
     "run_solver",
 ]
@@ -75,11 +76,6 @@ def _check_real(value, name: str, low: float = 0.0, error: type = ValueError) ->
     if not (_is_number(value, numbers.Real) and low < value < np.inf):
         bound = "positive" if low == 0.0 else f"above {low:g}"
         raise error(f"{name} must be {bound} and finite, got {value!r}")
-
-
-class BacktrackingError(RuntimeError):
-    """Line search exceeded the inflation cap; the instance is likely
-    inconsistent with the smoothness assumptions."""
 
 
 class Variant(enum.Enum):
@@ -148,7 +144,9 @@ class RunTrace:
 class Status(enum.Enum):
     CONVERGED = "converged"
     MAX_ITER = "max_iter"
-    SUBPROBLEM_FAILURE = "subproblem_failure"
+    SUBPROBLEM_FAILURE = "subproblem_failure"  # the dual solve did not certify its gap
+    BACKTRACK_LIMIT = "backtrack_limit"  # 100 inflations within one iteration
+    NON_FINITE = "non_finite"  # at x0 or at the trial an iteration accepted
 
 
 @dataclass(frozen=True)
@@ -156,6 +154,7 @@ class SolveResult:
     x: Array
     status: Status
     trace: RunTrace
+    reason: str  # empty on CONVERGED, why the run stopped otherwise
 
 
 def fista_step(x_prev: Array, x_prev2: Array, t_prev: float, omega: float):
@@ -187,17 +186,20 @@ def _upper_bound_holds(fy: Array, gd: Array, dd: float, fz: Array, L: float) -> 
 
 def run_solver(p: ProblemInstance, x0: Array, cfg: Optional[SolverConfig] = None) -> SolveResult:
     """Run one solver variant from ``x0`` until the weak-Pareto residual
-    drops below ``cfg.eps`` or ``cfg.max_iter`` iterations are accepted.
+    drops below ``cfg.eps`` or another :class:`Status` ends the run.
 
     Deterministic: identical ``(p, x0, cfg)`` reproduce the trace exactly
-    apart from wall-clock fields.  Raises :class:`BacktrackingError` after
-    100 inflations within one iteration; a subproblem failure ends the run
-    with ``Status.SUBPROBLEM_FAILURE``.  Raises ``ValueError`` unless ``x0``
-    has shape ``(p.n,)``.
+    apart from wall-clock fields.  Every stop returns the trace up to the last
+    accepted iterate ``x`` and, unless ``CONVERGED``, a ``reason``; a non-finite
+    ``F(x0)`` gives ``NON_FINITE``, ``x = x0``, no records and all-NaN
+    ``objectives0``.  Raises ``ValueError`` unless ``x0`` has shape ``(p.n,)``.
     """
     cfg = cfg or SolverConfig()
     x0 = np.asarray(x0, dtype=float)
-    fx, objectives0 = _evaluate(p, x0)
+    try:
+        fx, objectives0 = _evaluate(p, x0)
+    except EvaluationError as exc:
+        return SolveResult(x0, Status.NON_FINITE, RunTrace(x0, np.full(p.m, np.nan), ()), str(exc))
 
     # The variants differ only in these two flags.
     adaptive = cfg.variant is Variant.BACKTRACKING
@@ -205,7 +207,6 @@ def run_solver(p: ProblemInstance, x0: Array, cfg: Optional[SolverConfig] = None
     L_prev = cfg.L_init
     x, x_prev, t_prev, Fx = x0, x0, 0.0, objectives0
     records: list[IterationRecord] = []
-    status = Status.MAX_ITER
     warm: Optional[Array] = None
     window: deque = deque(maxlen=_WINDOW)  # L_seen of the last accepted iterations
 
@@ -217,7 +218,7 @@ def run_solver(p: ProblemInstance, x0: Array, cfg: Optional[SolverConfig] = None
                  if ratio > 0.0 else 1.0 / cfg.sigma) if adaptive else 1.0
         backtracks, anchored, model = 0, not momentum or k <= 2, None
         try:
-            while True:
+            while backtracks <= _MAX_BACKTRACKS:
                 L = omega * L_prev
                 t, y = fista_step(x, x_prev, t_prev, omega) if momentum else (1.0, x)
                 # Anchored trials share one model, built at y: x's zeros may differ in sign.
@@ -231,17 +232,19 @@ def run_solver(p: ProblemInstance, x0: Array, cfg: Optional[SolverConfig] = None
                 if _upper_bound_holds(model.fy, gd, dd, fz, L) or not adaptive:
                     break
                 backtracks += 1
-                if backtracks > _MAX_BACKTRACKS:
-                    raise BacktrackingError(
-                        f"line search exceeded {_MAX_BACKTRACKS} inflations at iteration"
-                        f" {k}; gradients are likely not Lipschitz on this region")
                 omega *= cfg.beta
-        except SubproblemError:
-            status = Status.SUBPROBLEM_FAILURE
+            else:
+                status, reason = Status.BACKTRACK_LIMIT, (
+                    f"line search exceeded {_MAX_BACKTRACKS} inflations at iteration"
+                    f" {k}; gradients are likely not Lipschitz on this region")
+                break
+            fx, Fx = _evaluate(p, z, fz, gz)
+        except (SubproblemError, EvaluationError) as exc:
+            in_dual = isinstance(exc, SubproblemError)
+            status, reason = Status.SUBPROBLEM_FAILURE if in_dual else Status.NON_FINITE, str(exc)
             break
 
         residual = float(np.maximum.reduce(abs(d)))
-        fx, Fx = _evaluate(p, z, fz, gz)
         records.append(IterationRecord(
             k=k, L=L, backtracks=backtracks, residual=residual, t=t, y=y, x=z, objectives=Fx,
             dual_gap=gap, wall_ms=(time.perf_counter() - tick) * 1e3))
@@ -249,7 +252,9 @@ def run_solver(p: ProblemInstance, x0: Array, cfg: Optional[SolverConfig] = None
         window.append(seen)
         x_prev, x, t_prev, L_prev = x, z, t, L
         if residual < cfg.eps:
-            status = Status.CONVERGED
+            status, reason = Status.CONVERGED, ""
             break
+    else:
+        status, reason = Status.MAX_ITER, f"no residual below eps in max_iter = {cfg.max_iter}"
 
-    return SolveResult(x=x, status=status, trace=RunTrace(x0, objectives0, tuple(records)))
+    return SolveResult(x, status, RunTrace(x0, objectives0, tuple(records)), reason)

@@ -250,18 +250,24 @@ def pareto_segment(name: str, count: int = 20) -> Array:
     raise KeyError(f"no closed-form Pareto segment for {name!r}")
 
 
+def _json_numbers(v) -> bool:
+    """Whether ``v`` is a JSON number, not a bool, or a list of them at any depth."""
+    kinds = set(map(type, v)) if isinstance(v, list) else {type(v)}  # no call per number
+    return kinds <= {int, float} or list in kinds and all(map(_json_numbers, v))
+
+
 def load_problem_file(path: Union[str, Path]) -> Problem:
     """Load a quadratic problem definition.
 
-    The file is JSON with fields ``name``, ``n``, ``m``, ``lower``, ``upper``,
-    optional ``l1_weight``, and a list ``objectives`` of
-    ``{"quad": n x n matrix, "linear": n vector, "constant": scalar}``
-    entries meaning ``f_i(x) = x'Q_i x / 2 + b_i'x + c_i``; ``linear`` and
-    ``constant`` default to zero.  ``quad`` is symmetrized.  Raises
-    ``ValueError`` unless ``n`` and ``m`` are JSON integers, there are ``m``
-    objectives, the bounds have ``n`` entries each and are finite (the
-    descriptor checks that), every coefficient has its shape and is finite,
-    and ``l1_weight`` is finite and nonnegative.
+    The file is JSON with the fields ``name``, ``n``, ``m``, ``lower``, ``upper``,
+    optional ``l1_weight`` and a list ``objectives`` of ``{"quad": n x n matrix,
+    "linear": n vector, "constant": scalar}`` entries meaning ``f_i(x) = x'Q_i x / 2
+    + b_i'x + c_i``; ``linear`` and ``constant`` default to zero, and ``quad`` is
+    symmetrized.  Raises ``ValueError`` on any other key, at either level, and
+    unless ``name`` is a string, ``n`` and ``m`` are JSON integers, every other
+    number is a JSON number (a bool is not), there are ``m`` objectives, the
+    bounds have ``n`` entries each and are finite, every coefficient has its
+    shape and is finite, and ``l1_weight`` is finite and nonnegative.
 
     ``L_true``, the gradient Lipschitz constant, is the largest
     ``|eigenvalue|`` over all ``Q_i``.  The convexity flag holds when every ``Q_i`` is positive
@@ -269,13 +275,17 @@ def load_problem_file(path: Union[str, Path]) -> Problem:
     ``f`` and ``grad f`` each cost one ``(m, n, n)`` matrix-vector product.
     """
     spec = json.loads(Path(path).read_text())
-    n, m = spec["n"], spec["m"]
-    if type(n) is not int or type(m) is not int:
-        raise ValueError(f"n and m must be integers, got {n!r} and {m!r}")
+    unknown = (set(spec) - {"name", "n", "m", "lower", "upper", "l1_weight", "objectives"}).union(
+        *(set(o) - {"quad", "linear", "constant"} for o in spec["objectives"]))
+    if unknown or not _json_numbers([spec["lower"], spec["upper"], spec.get("l1_weight", 0)]
+                                    + [list(o.values()) for o in spec["objectives"]]):
+        raise ValueError(f"unknown keys {sorted(unknown)}" if unknown else "expected a JSON number")
+    n, m, name = spec["n"], spec["m"], spec["name"]
+    if type(n) is not int or type(m) is not int or type(name) is not str:
+        raise ValueError(f"n and m must be integers and name a string, got {n!r}, {m!r}, {name!r}")
     if len(spec["objectives"]) != m:
         raise ValueError("objective count does not match m")
-    lower = tuple(float(v) for v in spec["lower"])
-    upper = tuple(float(v) for v in spec["upper"])
+    lower, upper = (tuple(map(float, spec[key])) for key in ("lower", "upper"))
     if len(lower) != n or len(upper) != n:
         raise ValueError(f"box bounds need {n} entries each, got {len(lower)} and {len(upper)}")
     quads = np.array([o["quad"] for o in spec["objectives"]], dtype=float)
@@ -297,5 +307,5 @@ def load_problem_file(path: Union[str, Path]) -> Problem:
     def smooth_jac(x: Array) -> Array:
         return quads @ x + lins
 
-    return _problem(str(spec["name"]), n, m, smooth, smooth_jac, lower, upper,
+    return _problem(name, n, m, smooth, smooth_jac, lower, upper,
                     float(spec.get("l1_weight", 0.0)), convex, L)

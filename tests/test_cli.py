@@ -149,11 +149,13 @@ def test_diverging_fixed_step_gives_error_rows(tmp_path):
         report = run_benchmark(bc)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert report.failed == len(report.rows) == 3
-    assert "error" in {r.status for r in report.rows}
-    # Error rows say why, in the report and in results.csv; others say nothing.
+    assert "non_finite" in {r.status for r in report.rows}
+    # Every row that did not converge says why, in the report and in
+    # results.csv; an overflowed row keeps its last finite iterate.
     for r, row in zip(report.rows, _read_csv(tmp_path / "results.csv")[1:]):
-        assert ("non-finite" in r.reason) == (r.status == "error")
-        assert row[8] == r.reason
+        assert ("non-finite" in r.reason) == (r.status == "non_finite")
+        assert r.reason and row[8] == r.reason
+        assert r.iterations > 0 and np.isfinite(r.objectives).all()
 
 
 def test_profiles_tau_only_when_nothing_converges(tmp_path):

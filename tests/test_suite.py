@@ -338,6 +338,15 @@ def test_load_problem_file_rejects_malformed(tmp_path):
         with pytest.raises(ValueError, match="finite"):
             load_problem_file(path)
 
+    # A mistyped file must not load as a different problem: each of these
+    # once loaded as the name "None", weight 1.0, box (1.0, 0.0) and linear 0.
+    misspelt = dict(two_bowls, objectives=[{"quad": eye}, {"quad": eye, "lineer": [1, 1]}])
+    for bad, match in (({"name": None}, "string"), ({"l1_weight": True}, "JSON number"),
+                       ({"lower": [True, "0"]}, "JSON number"), (misspelt, "lineer")):
+        path = _write_problem_file(tmp_path, dict(two_bowls, **bad))
+        with pytest.raises(ValueError, match=match):
+            load_problem_file(path)
+
 
 def test_load_problem_file_rejects_box_length(tmp_path):
     quad = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
