@@ -11,7 +11,12 @@ once, so a slow phase of the host spreads over all of them.  For each
 workload, mode and metric the output holds the median, the quartiles and
 the number of runs; ``correct`` is true only if every run was.  The summary
 goes under ``--label`` in the ``--out`` JSON file, which keeps the other
-labels it already holds.
+labels it already holds.  After the timed rounds each checkout also runs
+its own ``scripts/call_counts.py --seed <seed>`` once; the summary's
+``call_counts`` holds, per workload, the Python and C calls per line-search
+trial, the trials and the solves, or null for a checkout without the script.
+These counts do not depend on the host's speed, so they show a change in
+the work per trial that wall time cannot resolve.
 
 ``--parent DIR`` names a second checkout to compare against.  Each round
 then runs every workload in each mode in both checkouts, ``DIR`` first in
@@ -37,6 +42,8 @@ from pathlib import Path
 
 RUNNER = Path("perfbench") / "run.py"
 DECLARATION = Path("BENCHMARK.json")
+CALL_COUNTS = Path("scripts") / "call_counts.py"
+COUNT_KEYS = ("python_calls_per_trial", "c_calls_per_trial", "trials", "solves")
 
 
 def parse_result(stdout: str) -> dict:
@@ -94,6 +101,17 @@ def run_once(workload: str, seed: int, seconds: float, trace: int, root: Path) -
     return parse_result(done.stdout)
 
 
+def call_counts(seed: int, root: Path):
+    """Per workload, the ``COUNT_KEYS`` of one run of ``scripts/call_counts.py``
+    in the checkout at ``root``, with its own ``src``; None if it has no such script."""
+    if not (root / CALL_COUNTS).is_file():
+        return None
+    done = subprocess.run([sys.executable, str(CALL_COUNTS), "--seed", str(seed)], cwd=root,
+                          capture_output=True, text=True, check=True)
+    return {w: {key: counts[key] for key in COUNT_KEYS}
+            for w, counts in json.loads(done.stdout)["workloads"].items()}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", required=True, help="key of this summary in the output")
@@ -141,7 +159,8 @@ def main(argv=None) -> int:
     for label in roots:
         doc[label] = {"seed": args.seed, "seconds": seconds, "runs": args.runs,
                       "workloads": {w: {f"trace{t}": summarise(raw[label, w, t]) for t in (0, 1)}
-                                    for w in workloads}}
+                                    for w in workloads},
+                      "call_counts": call_counts(args.seed, roots[label])}
     if "parent" in roots:
         for (label, w, t), results in raw.items():
             if label == args.label:

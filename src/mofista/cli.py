@@ -256,8 +256,8 @@ def _write_profiles(path: Path, rows: Sequence[RunRow], solvers: Sequence[str]) 
 
 _CSV_LIST = lambda s: tuple(part.strip() for part in s.split(",") if part.strip())
 
-# The one declaration of every setting: flag (also its config-file key) ->
-# (BenchConfig field, type, help).  Defaults live on BenchConfig alone.
+# The one declaration of every setting: flag -> (BenchConfig field, type,
+# help).  Defaults live on BenchConfig alone.
 _SETTINGS = {
     "problems": ("problems", _CSV_LIST, "comma-separated problem names, or 'all'"),
     "runs": ("runs", int, "runs per problem"),
@@ -274,26 +274,6 @@ _SETTINGS = {
 }
 
 
-def _parse_config_file(path: str) -> dict:
-    """key=value lines; '#' comments; keys match the CLI flags."""
-    values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        key = key.lower().replace("-", "_")
-        if key not in _SETTINGS:
-            raise ConfigError(f"{path}:{lineno}: unknown option {key!r}")
-        try:
-            values[key] = _SETTINGS[key][1](value)
-        except ValueError:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from None
-    return values
-
-
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="mofista-bench", argument_default=argparse.SUPPRESS,
@@ -304,16 +284,13 @@ def _build_parser() -> argparse.ArgumentParser:
         shown = ",".join(default) if isinstance(default, tuple) else default
         ap.add_argument("--" + key.replace("_", "-"), dest=key, type=kind,
                         help=f"{text} (default {shown})")
-    ap.add_argument("--config", help="key=value file supplying defaults for any flag")
     return ap
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     flags = vars(_build_parser().parse_args(argv))
     try:
-        values = _parse_config_file(flags.pop("config")) if "config" in flags else {}
-        values.update(flags)
-        report = run_benchmark(BenchConfig(**{_SETTINGS[k][0]: v for k, v in values.items()}))
+        report = run_benchmark(BenchConfig(**{_SETTINGS[k][0]: v for k, v in flags.items()}))
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

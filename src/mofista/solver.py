@@ -10,15 +10,16 @@ step-constant ratio ``omega = L_new / L_old``:
 
 One trial at ``(t, y, L)`` solves the subproblem from the last iteration's
 weights; the dual solve returns ``z`` with the step ``d = z - y``, ``||d||^2``,
-``grad f(y) d`` and ``g(z)`` it computed.  The trial tests the quadratic upper
-bound on the smooth parts at ``d``, with residual ``||d||_inf`` and curvature
-``L_seen = max_i 2 (f_i(z) - f_i(y) - <grad f_i(y), d>) / ||d||^2`` (0 if
-``d = 0``).  The line search first deflates ``L`` by at most ``1/sigma``, to
-the largest ``L_seen`` of the last six accepted iterations rounded up to a
-quarter power of ``beta`` (a ratio within 1e-6 of one stays on it), off the
-bound where rounding decides the test, then inflates by ``beta`` until a
-trial passes; each inflation rescales ``omega`` and rebuilds ``(t, y)``, so
-accepted iterations keep ``t (t - 1) / L = t_prev^2 / L_prev`` exactly.
+``grad f(y) d`` and ``g(z)`` it computed; the residual is ``||d||_inf``.  Only
+``BACKTRACKING`` tests the quadratic upper bound on the smooth parts at ``d``,
+and it keeps the curvature ``L_seen = max_i 2 (f_i(z) - f_i(y) - <grad f_i(y),
+d>) / ||d||^2`` (0 if ``d = 0``) of the trial it accepts.  The line search
+first deflates ``L`` by at most ``1/sigma``, to the largest ``L_seen`` of the
+last six accepted iterations rounded up to a quarter power of ``beta`` (a ratio
+within 1e-6 of one stays on it), off the bound where rounding decides the test,
+then inflates by ``beta`` until a trial passes; each inflation rescales
+``omega`` and rebuilds ``(t, y)``, so accepted iterations keep ``t (t - 1) / L
+= t_prev^2 / L_prev`` exactly.
 
 Seeding ``t_prev = 0`` makes the first iteration use ``t = 1`` and
 ``y = x0`` regardless of retries, so backtracking at the start only adjusts
@@ -227,9 +228,7 @@ def run_solver(p: ProblemInstance, x0: Array, cfg: Optional[SolverConfig] = None
                 weights, z, _, gap, (d, dd, gd, gz) = _solve_dual(model, cfg.subproblem, warm)
                 # An exactly zero step has f(z) = f(y) without a call.
                 fz = np.asarray(p.smooth(z), dtype=float) if dd > 0.0 or d.any() else model.fy
-                # A NaN max() drops is never read: the trial fails or _evaluate raises.
-                seen = 2.0 * max((fz - model.fy - gd).tolist()) / dd if dd > 0.0 else 0.0
-                if _upper_bound_holds(model.fy, gd, dd, fz, L) or not adaptive:
+                if not adaptive or _upper_bound_holds(model.fy, gd, dd, fz, L):
                     break
                 backtracks += 1
                 omega *= cfg.beta
@@ -249,7 +248,8 @@ def run_solver(p: ProblemInstance, x0: Array, cfg: Optional[SolverConfig] = None
             k=k, L=L, backtracks=backtracks, residual=residual, t=t, y=y, x=z, objectives=Fx,
             dual_gap=gap, wall_ms=(time.perf_counter() - tick) * 1e3))
         warm = project_simplex(weights)  # once for every trial of the next iteration
-        window.append(seen)
+        if adaptive:  # L_seen of the accepted trial
+            window.append(2.0 * max((fz - model.fy - gd).tolist()) / dd if dd > 0.0 else 0.0)
         x_prev, x, t_prev, L_prev = x, z, t, L
         if residual < cfg.eps:
             status, reason = Status.CONVERGED, ""

@@ -263,34 +263,41 @@ def load_problem_file(path: Union[str, Path]) -> Problem:
     optional ``l1_weight`` and a list ``objectives`` of ``{"quad": n x n matrix,
     "linear": n vector, "constant": scalar}`` entries meaning ``f_i(x) = x'Q_i x / 2
     + b_i'x + c_i``; ``linear`` and ``constant`` default to zero, and ``quad`` is
-    symmetrized.  Raises ``ValueError`` on any other key, at either level, and
-    unless ``name`` is a string, ``n`` and ``m`` are JSON integers, every other
-    number is a JSON number (a bool is not), there are ``m`` objectives, the
-    bounds have ``n`` entries each and are finite, every coefficient has its
-    shape and is finite, and ``l1_weight`` is finite and nonnegative.
+    symmetrized.  Raises ``ValueError`` on a missing field (``l1_weight``, ``linear`` and
+    ``constant`` aside), a field not named here, at either level, or a ``lower``,
+    ``upper`` or ``objectives`` that is not a list; and unless ``name`` is a string, ``n``
+    and ``m`` are JSON integers, every other number is a JSON number (a bool is not),
+    there are ``m`` objectives, the bounds have ``n`` entries each and are finite, every
+    coefficient has its shape and is finite, and ``l1_weight`` is finite and nonnegative.
 
     ``L_true``, the gradient Lipschitz constant, is the largest
     ``|eigenvalue|`` over all ``Q_i``.  The convexity flag holds when every ``Q_i`` is positive
     semidefinite up to eigenvalue rounding, ``n * eps * max|eig(Q_i)|``.
-    ``f`` and ``grad f`` each cost one ``(m, n, n)`` matrix-vector product.
+    ``f`` and ``grad f`` at one point share one ``(m, n, n)`` matrix-vector
+    product ``quads @ x``: the last point's is kept, keyed by its shape and bytes.
     """
     spec = json.loads(Path(path).read_text())
+    objs = spec.get("objectives") if isinstance(spec, dict) else None
+    if not (isinstance(objs, list) and all(isinstance(o, dict) and "quad" in o for o in objs)
+            and {"name", "n", "m", "lower", "upper"} <= spec.keys()
+            and isinstance(spec["lower"], list) and isinstance(spec["upper"], list)):
+        raise ValueError("expected name, n, m, lower and upper lists and objectives with a quad")
     unknown = (set(spec) - {"name", "n", "m", "lower", "upper", "l1_weight", "objectives"}).union(
-        *(set(o) - {"quad", "linear", "constant"} for o in spec["objectives"]))
+        *(set(o) - {"quad", "linear", "constant"} for o in objs))
     if unknown or not _json_numbers([spec["lower"], spec["upper"], spec.get("l1_weight", 0)]
-                                    + [list(o.values()) for o in spec["objectives"]]):
+                                    + [list(o.values()) for o in objs]):
         raise ValueError(f"unknown keys {sorted(unknown)}" if unknown else "expected a JSON number")
     n, m, name = spec["n"], spec["m"], spec["name"]
     if type(n) is not int or type(m) is not int or type(name) is not str:
         raise ValueError(f"n and m must be integers and name a string, got {n!r}, {m!r}, {name!r}")
-    if len(spec["objectives"]) != m:
+    if len(objs) != m:
         raise ValueError("objective count does not match m")
     lower, upper = (tuple(map(float, spec[key])) for key in ("lower", "upper"))
     if len(lower) != n or len(upper) != n:
         raise ValueError(f"box bounds need {n} entries each, got {len(lower)} and {len(upper)}")
-    quads = np.array([o["quad"] for o in spec["objectives"]], dtype=float)
-    lins = np.array([o.get("linear", np.zeros(n)) for o in spec["objectives"]], dtype=float)
-    consts = np.array([o.get("constant", 0.0) for o in spec["objectives"]], dtype=float)
+    quads = np.array([o["quad"] for o in objs], dtype=float)
+    lins = np.array([o.get("linear", np.zeros(n)) for o in objs], dtype=float)
+    consts = np.array([o.get("constant", 0.0) for o in objs], dtype=float)
     if quads.shape != (m, n, n) or lins.shape != (m, n) or consts.shape != (m,):
         raise ValueError("malformed quadratic coefficients")
     if not all(np.isfinite(a).all() for a in (quads, lins, consts)):
@@ -301,11 +308,20 @@ def load_problem_file(path: Union[str, Path]) -> Problem:
     convex = bool(np.all(np.min(eigs, axis=1) >= -n * np.finfo(float).eps * radius))
     L = float(np.max(radius))
 
+    last = [(None, None)]  # the last point's (shape, bytes) and quads @ x, replaced whole
+
+    def product(x: Array) -> Array:
+        x = np.asarray(x, dtype=float)
+        seen, qx = last[0]
+        if seen != (key := (x.shape, x.tobytes())):
+            last[0] = key, qx = key, quads @ x
+        return qx
+
     def smooth(x: Array) -> Array:
-        return 0.5 * ((quads @ x) @ x) + lins @ x + consts
+        return 0.5 * (product(x) @ x) + lins @ x + consts
 
     def smooth_jac(x: Array) -> Array:
-        return quads @ x + lins
+        return product(x) + lins
 
     return _problem(name, n, m, smooth, smooth_jac, lower, upper,
                     float(spec.get("l1_weight", 0.0)), convex, L)

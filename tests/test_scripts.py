@@ -147,6 +147,18 @@ def test_bench_summarises_canned_runs():
         "median": 1.5, "q1": 1.5, "q3": 1.5, "n": 1, "unit": "ms"}
 
 
+def _call_counts_stub(calls_per_trial):
+    """A ``scripts/call_counts.py`` that prints fixed counts for ``--seed 1``
+    run from the root of its checkout."""
+    counts = {"builtin_m2": {"solves": 2, "trials": 8, "python_calls_per_trial": calls_per_trial,
+                             "c_calls_per_trial": 70.25, "totals": {}}}
+    return ("import json, pathlib, sys\n"
+            "assert sys.argv[1:] == ['--seed', '1']\n"
+            "assert pathlib.Path('scripts', 'call_counts.py').resolve() == "
+            "pathlib.Path(__file__).resolve()\n"
+            f"print(json.dumps({{'seed': 1, 'workloads': {counts!r}}}, indent=1))\n")
+
+
 def test_bench_interleaves_modes_and_keeps_other_labels(tmp_path, monkeypatch):
     bench = load_script("bench")
     monkeypatch.chdir(tmp_path)
@@ -178,6 +190,7 @@ def test_bench_interleaves_modes_and_keeps_other_labels(tmp_path, monkeypatch):
     assert doc["parent"] == {"runs": 3}
     p50 = doc["change"]["workloads"]["cli_suite"]["trace1"]["metrics"]["solve_ms_p50"]
     assert (p50["median"], p50["n"]) == (6.0, 2)
+    assert doc["change"]["call_counts"] is None  # this checkout has no call_counts.py
 
     # With --parent the parent checkout's passes come first in odd rounds and
     # this one's first in even rounds.
@@ -194,12 +207,20 @@ def test_bench_interleaves_modes_and_keeps_other_labels(tmp_path, monkeypatch):
     (parent / "BENCHMARK.json").write_text(json.dumps(declared))
     with pytest.raises(SystemExit):
         bench.main(["--parent", str(parent), "--label", "parent", "--out", str(out)])
+    # Each side runs its own call_counts.py once, with the seed, in its own root.
+    for root, calls_per_trial in ((parent, 25.5), (here, 24.5)):
+        (root / "scripts").mkdir()
+        (root / "scripts" / "call_counts.py").write_text(_call_counts_stub(calls_per_trial))
     calls.clear()
     assert bench.main(argv) == 0
     first, second = ([(root, w, t) for _, w, t in rounds] for root in (parent, here))
     assert calls == first + second + second + first + first + second
     doc = json.loads(out.read_text())
     assert set(doc) == {"parent", "change"}
+    for label, calls_per_trial in (("parent", 25.5), ("change", 24.5)):
+        assert doc[label]["call_counts"] == {"builtin_m2": {
+            "python_calls_per_trial": calls_per_trial, "c_calls_per_trial": 70.25,
+            "trials": 8, "solves": 2}}
     # builtin_m2 trace 0 is each label's first pass: runs 1, 13, 17 of the
     # parent against 5, 9, 21 here, so this checkout wins round 2 only.
     for label, values in (("parent", [1.0, 13.0, 17.0]), ("change", [5.0, 9.0, 21.0])):

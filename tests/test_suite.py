@@ -1,6 +1,8 @@
 """Benchmark suite: registry, descriptors, analytic data, and file loading."""
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -347,6 +349,16 @@ def test_load_problem_file_rejects_malformed(tmp_path):
         with pytest.raises(ValueError, match=match):
             load_problem_file(path)
 
+    # Missing or mistyped structure: each once raised KeyError or TypeError.
+    shapeless = [{k: v for k, v in two_bowls.items() if k != key}
+                 for key in ("objectives", "name", "n")]
+    shapeless += [dict(two_bowls, objectives=[{"quad": eye}, {"linear": [1.0, 1.0]}]),
+                  [two_bowls], dict(two_bowls, lower=0), dict(two_bowls, objectives=None)]
+    for bad in shapeless:
+        path = _write_problem_file(tmp_path, bad)
+        with pytest.raises(ValueError, match="expected name, n, m"):
+            load_problem_file(path)
+
 
 def test_load_problem_file_rejects_box_length(tmp_path):
     quad = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
@@ -389,6 +401,64 @@ def test_load_problem_file_convexity_is_scale_aware(tmp_path):
     body = {"name": "tilt", "n": 2, "m": 1, "lower": [0.0, 0.0], "upper": [1.0, 1.0],
             "objectives": [{"quad": [[1.0, 0.0], [0.0, -1e-9]]}]}
     assert load_problem_file(_write_problem_file(tmp_path, body))[1].convex is False
+
+
+def test_loaded_oracles_share_one_product_per_point(tmp_path):
+    rng = np.random.default_rng(3)
+    m, n = 3, 5
+    a = rng.standard_normal((m, n, n))
+    quads = a + np.transpose(a, (0, 2, 1))  # symmetric, so the loader keeps it bit for bit
+    lins, consts = rng.standard_normal((m, n)), rng.standard_normal(m)
+    body = {"name": "shared", "n": n, "m": m, "lower": [-1.0] * n, "upper": [1.0] * n,
+            "objectives": [{"quad": q.tolist(), "linear": b.tolist(), "constant": float(c)}
+                           for q, b, c in zip(quads, lins, consts)]}
+    p, _ = load_problem_file(_write_problem_file(tmp_path, body))
+
+    def check(point, oracle):
+        x = np.array(point, dtype=float)  # a copy, with its own uncached product
+        want = (0.5 * ((quads @ x) @ x) + lins @ x + consts if oracle is p.smooth
+                else quads @ x + lins)
+        assert oracle(point).tobytes() == want.tobytes()
+
+    x = rng.standard_normal(n)
+    check(x, p.smooth)
+    check(x, p.smooth_jac)
+    x[2] += 0.5  # the same array, changed in place between calls
+    check(x, p.smooth_jac)
+    check(x, p.smooth)
+    listed = (x * 3.0).tolist()
+    for oracle in (p.smooth, p.smooth_jac, p.smooth_jac, p.smooth):
+        check(listed, oracle)
+        check(x, oracle)
+    x[:] = listed  # now equal to the list's point
+    check(x, p.smooth)
+    check(listed, p.smooth_jac)
+
+    # Threads sharing the instance, more than there are cores and switched
+    # often, each get their own point's values.
+    points = [rng.standard_normal(n) for _ in range(4)]
+    errors, start = [], threading.Barrier(len(points))
+
+    def hammer(point):
+        start.wait(timeout=60)
+        try:
+            for i in range(2000):
+                check(point, (p.smooth, p.smooth_jac)[i % 2])
+        except AssertionError as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=hammer, args=(pt,)) for pt in points]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
 
 
 def _grid_vector(rng, n, exponent):
