@@ -16,7 +16,7 @@ from .suite import (ProblemDescriptor, available_problems, builtin_problem,
                     load_problem_file, pareto_segment, sample_initial_points)
 from .diagnostics import (ReferenceSet, accepted_L_bound_check, gap_step_bounds_check,
                           level_set_reference, lyapunov_energies,
-                          lyapunov_monotone_check, rate_bound_check)
+                          lyapunov_monotone_check, momentum_growth_check)
 from .metrics import (Front, PerformanceProfile, nondominated_filter,
                       performance_profile, purity)
 from .cli import BenchConfig, BenchReport, ConfigError, run_benchmark
@@ -35,7 +35,7 @@ __all__ = [
     "load_problem_file", "pareto_segment", "sample_initial_points",
     "ReferenceSet", "accepted_L_bound_check", "gap_step_bounds_check",
     "level_set_reference", "lyapunov_energies", "lyapunov_monotone_check",
-    "rate_bound_check",
+    "momentum_growth_check",
     "Front", "PerformanceProfile", "nondominated_filter", "performance_profile",
     "purity",
     "BenchConfig", "BenchReport", "ConfigError", "run_benchmark",

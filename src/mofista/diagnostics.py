@@ -2,10 +2,10 @@
 
 Every check here replays a recorded :class:`~mofista.solver.RunTrace`
 and tests an inequality that holds mathematically for convex instances;
-all but :func:`accepted_L_bound_check` test it at every point ``z`` of a
-:class:`ReferenceSet`, returning true only if it holds at each.  The
-central quantities, for iterate ``x_k`` with momentum parameter
-``t_{k-1}`` and accepted curvature estimate ``L_{k-1}``, are
+all but :func:`momentum_growth_check` and :func:`accepted_L_bound_check`
+test it at every point ``z`` of a :class:`ReferenceSet`, returning true
+only if it holds at each.  The central quantities, for iterate ``x_k`` with
+momentum parameter ``t_{k-1}`` and accepted curvature estimate ``L_{k-1}``, are
 
 .. math::
 
@@ -19,9 +19,8 @@ and the energy
     E_k = \\frac{2\\, t_{k-1}^2}{L_{k-1}} \\, \\sigma_k(z) + \\|\\rho_k(z)\\|^2,
 
 which is non-increasing along accepted iterations and starts below
-``||x_0 - z||^2``.  Combining this decay with the growth of ``t_k`` yields
-the ``O(1/k^2)`` bound on the worst-component gap that
-:func:`rate_bound_check` verifies.
+``||x_0 - z||^2``.  With the growth of ``t_k`` and the cap on ``L`` this
+decay gives the ``O(1/k^2)`` bound on the worst-component gap.
 
 All checks are pure functions of immutable traces; tolerances are small
 absolute slacks sized for accumulated floating-point error, not for
@@ -45,7 +44,7 @@ __all__ = [
     "lyapunov_energies",
     "lyapunov_monotone_check",
     "gap_step_bounds_check",
-    "rate_bound_check",
+    "momentum_growth_check",
     "accepted_L_bound_check",
     "level_set_reference",
 ]
@@ -79,12 +78,6 @@ def _gaps(trace: RunTrace, p: ProblemInstance, Z: ReferenceSet) -> Array:
     return np.vstack([np.min(F - F_z, axis=1) for F in trace.objective_rows()])
 
 
-def _sq_dists(trace: RunTrace, Z: ReferenceSet) -> Array:
-    """``||x_0 - z||^2`` for each point of the set."""
-    diffs = Z.points - trace.x0
-    return np.sum(diffs * diffs, axis=1)
-
-
 def lyapunov_energies(trace: RunTrace, p: ProblemInstance, Z: ReferenceSet) -> Array:
     """``(K, N)`` energies: row ``k - 1`` is ``E_k`` at every point of Z."""
     sigma = _gaps(trace, p, Z)
@@ -107,7 +100,7 @@ def lyapunov_monotone_check(trace: RunTrace, p: ProblemInstance,
     """
     energies = lyapunov_energies(trace, p, Z)
     # energies[:1] is the first row, or nothing for a trace without records
-    if np.any(energies[:1] > _sq_dists(trace, Z) + _STEP_SLACK):
+    if np.any(energies[:1] > np.sum((Z.points - trace.x0) ** 2, axis=1) + _STEP_SLACK):
         return False
     slack = _ENERGY_SLACK * (1.0 + np.abs(energies[:-1]))
     return bool(np.all(energies[1:] <= energies[:-1] + slack))
@@ -152,24 +145,20 @@ def _known(L_true: Optional[float]) -> float:
     return L_true
 
 
-def rate_bound_check(trace: RunTrace, p: ProblemInstance, L_true: Optional[float],
-                     cfg: SolverConfig, Z: ReferenceSet) -> bool:
-    """Check the accelerated worst-component rate against every z in Z.
+def momentum_growth_check(trace: RunTrace, L_true: Optional[float], cfg: SolverConfig) -> bool:
+    """True iff the record of every iterate ``x_k`` has ``t_{k-1}^2 * 8 beta L_f
+    >= (k+1)^2 L_{k-1}``, where ``L_f = L_true`` (``None`` raises ``ValueError``).
 
-    .. math::
-
-        \\min_i [F_i(x_k) - F_i(z)]
-            \\le \\frac{4 \\beta L_f \\|x_0 - z\\|^2}{(k+1)^2} + 10^{-8}
-
-    for all accepted iterations k, where ``L_f = L_true`` is a known gradient
-    Lipschitz constant (``None`` raises ``ValueError``).  Requires a convex
-    instance started with ``L_init <= beta * L_f`` so that accepted
-    estimates stay below the theoretical cap.
+    No reference set is needed.  The energy check at ``z`` gives ``sigma_k(z)
+    <= L_{k-1} ||x_0 - z||^2 / (2 t_{k-1}^2)``; with this growth that is the
+    rate ``sigma_k(z) <= 4 beta L_f ||x_0 - z||^2 / (k+1)^2``.  The momentum
+    recursion guarantees the growth, for an ``L`` that may fall as well as rise
+    (Scheinberg, Goldfarb & Bai, 2014), while every accepted ``L`` is at most
+    ``beta L_f``: the cap of :func:`accepted_L_bound_check`, given ``L_init <=
+    beta L_f``.  Accelerated variants only: ``PGM`` keeps ``t = 1``.
     """
-    scale = 4.0 * cfg.beta * _known(L_true) * _sq_dists(trace, Z)
-    sigma = _gaps(trace, p, Z)
-    k = np.arange(1, len(sigma), dtype=float)[:, None]
-    return bool(np.all(sigma[1:] <= scale / (k + 1.0) ** 2 + _STEP_SLACK))
+    scale = 8.0 * cfg.beta * _known(L_true)
+    return all(r.t ** 2 * scale >= (r.k + 1) ** 2 * r.L for r in trace.records)
 
 
 def accepted_L_bound_check(trace: RunTrace, L_true: Optional[float], cfg: SolverConfig) -> bool:

@@ -250,10 +250,11 @@ def pareto_segment(name: str, count: int = 20) -> Array:
     raise KeyError(f"no closed-form Pareto segment for {name!r}")
 
 
-def _json_numbers(v) -> bool:
-    """Whether ``v`` is a JSON number, not a bool, or a list of them at any depth."""
-    kinds = set(map(type, v)) if isinstance(v, list) else {type(v)}  # no call per number
-    return kinds <= {int, float} or list in kinds and all(map(_json_numbers, v))
+def _json_numbers(v, depth: int) -> bool:
+    """Whether ``v`` is JSON numbers, not bools, nested in lists exactly ``depth`` deep."""
+    if depth > 1:  # one call per row, none per number
+        return isinstance(v, list) and all(map(_json_numbers, v, [depth - 1] * len(v)))
+    return isinstance(v, list) == (depth == 1) and {*map(type, v if depth else [v])} <= {int, float}
 
 
 def load_problem_file(path: Union[str, Path]) -> Problem:
@@ -266,9 +267,10 @@ def load_problem_file(path: Union[str, Path]) -> Problem:
     symmetrized.  Raises ``ValueError`` on a missing field (``l1_weight``, ``linear`` and
     ``constant`` aside), a field not named here, at either level, or a ``lower``,
     ``upper`` or ``objectives`` that is not a list; and unless ``name`` is a string, ``n``
-    and ``m`` are JSON integers, every other number is a JSON number (a bool is not),
-    there are ``m`` objectives, the bounds have ``n`` entries each and are finite, every
-    coefficient has its shape and is finite, and ``l1_weight`` is finite and nonnegative.
+    and ``m`` are JSON integers, other fields hold JSON numbers (not bools) nested 2 deep
+    in ``quad``, 1 in the bounds and ``linear`` and 0 otherwise, there are ``m`` objectives,
+    the bounds have ``n`` entries each and are finite, every coefficient has its shape and
+    is finite, and ``l1_weight`` is finite and nonnegative.
 
     ``L_true``, the gradient Lipschitz constant, is the largest
     ``|eigenvalue|`` over all ``Q_i``.  The convexity flag holds when every ``Q_i`` is positive
@@ -284,9 +286,12 @@ def load_problem_file(path: Union[str, Path]) -> Problem:
         raise ValueError("expected name, n, m, lower and upper lists and objectives with a quad")
     unknown = (set(spec) - {"name", "n", "m", "lower", "upper", "l1_weight", "objectives"}).union(
         *(set(o) - {"quad", "linear", "constant"} for o in objs))
-    if unknown or not _json_numbers([spec["lower"], spec["upper"], spec.get("l1_weight", 0)]
-                                    + [list(o.values()) for o in objs]):
-        raise ValueError(f"unknown keys {sorted(unknown)}" if unknown else "expected a JSON number")
+    depths = {"lower": 1, "upper": 1, "l1_weight": 0, "quad": 2, "linear": 1, "constant": 0}
+    bad = "; ".join(sorted({f"{key}: expected JSON numbers at list depth {depths[key]}"
+                            for obj in (spec, *objs) for key in obj.keys() & depths
+                            if not _json_numbers(obj[key], depths[key])}))
+    if unknown or bad:
+        raise ValueError(f"unknown keys {sorted(unknown)}" if unknown else f"malformed {bad}")
     n, m, name = spec["n"], spec["m"], spec["name"]
     if type(n) is not int or type(m) is not int or type(name) is not str:
         raise ValueError(f"n and m must be integers and name a string, got {n!r}, {m!r}, {name!r}")

@@ -1,4 +1,4 @@
-"""Trace diagnostics: energies, one-step bounds, rate bounds, references."""
+"""Trace diagnostics: energies, one-step bounds, momentum growth, references."""
 
 import dataclasses
 
@@ -19,11 +19,12 @@ from mofista import (
     level_set_reference,
     lyapunov_energies,
     lyapunov_monotone_check,
+    momentum_growth_check,
     pareto_segment,
-    rate_bound_check,
     run_solver,
     sample_initial_points,
 )
+from mofista.solver import fista_step
 
 
 # ---------------------------------------------------------------------------
@@ -39,12 +40,11 @@ def test_reference_set_validation():
 
 def test_checks_reject_reference_set_of_wrong_width():
     # MHHM1 has n = 1; a 3-wide set is not a set of points of the problem.
-    p, desc = builtin_problem("MHHM1")
+    p, _ = builtin_problem("MHHM1")
     cfg = SolverConfig(eps=1e-6)
     trace = run_solver(p, np.array([0.5]), cfg).trace
     wide = ReferenceSet(np.array([[0.8, 0.85, 0.9]]))
-    for check in (lyapunov_monotone_check, gap_step_bounds_check,
-                  lambda tr, p, Z: rate_bound_check(tr, p, desc.L_true, cfg, Z)):
+    for check in (lyapunov_monotone_check, gap_step_bounds_check):
         with pytest.raises(ValueError, match="shape"):
             check(trace, p, wide)
     with pytest.raises(ValueError, match="shape"):
@@ -139,10 +139,6 @@ def test_checks_hold_on_convex_runs(variant):
             assert gap_step_bounds_check(res.trace, p, refs), (name, seed)
 
 
-def _rate_check(trace, p, Z):
-    return rate_bound_check(trace, p, 1.0, SolverConfig(), Z)  # L_f of both squares
-
-
 # name: (check, problem, iterates, trace settings, points where every
 # inequality holds, the one point where the trace breaks an inequality by far
 # more than its slack)
@@ -159,8 +155,6 @@ _BROKEN = {
     # sigma_0(2) - sigma_1(2) = -2 < -L/2 [2<u, y - x0> + |u|^2] = -1
     "step_decay": (gap_step_bounds_check, _two_squares, [0.0, 2.0], {"L": 0.5},
                    [0.0, 1.0, -2.0], 2.0),
-    # stuck at 3: sigma_5(0) = 4.5 > 4 beta L_f ||x0 - 0||^2 / 6^2 = 2
-    "rate": (_rate_check, _half_square, [3.0] * 6, {}, [3.0, 4.0, -4.0], 0.0),
 }
 
 
@@ -258,7 +252,40 @@ def test_lyapunov_single_objective_run():
 
 
 # ---------------------------------------------------------------------------
-# rate certificate
+# momentum growth and the rate it certifies
+
+
+def test_growth_check_fails_where_t_stops_growing():
+    # Stuck at 3 with t = L = 1 on f = x^2/2 (L_f = 1, beta = 2): the record
+    # of x_k needs 1 * 8 * 2 * 1 >= (k+1)^2, which holds up to k = 3 only.
+    p = _half_square()
+    cfg = SolverConfig()
+    trace = _trace_through(p, [3.0] * 6)
+    assert momentum_growth_check(dataclasses.replace(trace, records=trace.records[:3]), 1.0, cfg)
+    assert not momentum_growth_check(dataclasses.replace(trace, records=trace.records[:4]), 1.0, cfg)
+    assert not momentum_growth_check(trace, 1.0, cfg)
+
+
+def test_growth_check_holds_along_the_momentum_recursion():
+    # t follows fista_step's recursion with omega = L_k / L_{k-1} while L
+    # falls and rises below beta * L_f = 2, as backtracking may move it.
+    Ls = [2.0, 0.5, 1.0, 0.01, 2.0, 2.0, 0.3, 1.9, 0.05, 2.0]
+    t, L_prev, records = 0.0, Ls[0], []
+    for k, L in enumerate(Ls, start=1):
+        t, _ = fista_step(np.zeros(1), np.zeros(1), t, L / L_prev)
+        records.append(IterationRecord(k=k, L=L, backtracks=0, residual=0.0, t=t,
+                                       y=np.zeros(1), x=np.zeros(1), objectives=np.zeros(1),
+                                       dual_gap=0.0, wall_ms=0.0))
+        L_prev = L
+    trace = RunTrace(x0=np.zeros(1), objectives0=np.zeros(1), records=tuple(records))
+    assert momentum_growth_check(trace, 1.0, SolverConfig())
+    # The proof leaves a factor of at least 2 (L <= beta * L_f, not 2 beta L_f),
+    # and exactly 2 at the first record: L = 2, t = 1.  A fourfold L there fails.
+    ratios = [r.t ** 2 * 16.0 / ((r.k + 1) ** 2 * r.L) for r in records]
+    assert min(ratios) == ratios[0] == 2.0
+    quadrupled = (dataclasses.replace(records[0], L=8.0),) + trace.records[1:]
+    assert not momentum_growth_check(dataclasses.replace(trace, records=quadrupled),
+                                     1.0, SolverConfig())
 
 
 def test_rate_bound_requires_lipschitz_constant():
@@ -267,21 +294,30 @@ def test_rate_bound_requires_lipschitz_constant():
     assert desc.L_true is None
     cfg = SolverConfig(eps=1e-6, max_iter=3)
     res = run_solver(p, np.array([0.5, 0.5]), cfg)
-    ref = ReferenceSet(np.array([[0.0, 0.0]]))
     with pytest.raises(ValueError, match="Lipschitz constant L_true"):
-        rate_bound_check(res.trace, p, desc.L_true, cfg, ref)
+        momentum_growth_check(res.trace, desc.L_true, cfg)
     with pytest.raises(ValueError, match="Lipschitz constant L_true"):
         accepted_L_bound_check(res.trace, desc.L_true, cfg)
 
 
 def test_rate_bound_holds_on_accelerated_run():
+    # Energy decay at z, momentum growth and the L cap give
+    # sigma_k(z) <= 4 beta L_f ||x0 - z||^2 / (k+1)^2; check the premises
+    # and the bound they imply at points of the Pareto segment.
     p, desc = builtin_problem("BK1")
     cfg = SolverConfig(eps=1e-6)
+    ref = ReferenceSet(pareto_segment("BK1", 10))
+    F_z = np.vstack([p.smooth(z) for z in ref.points])
     for seed in range(2):
         x0 = sample_initial_points(desc, 1, seed)[0]
-        res = run_solver(p, x0, cfg)
-        ref = ReferenceSet(pareto_segment("BK1", 10))
-        assert rate_bound_check(res.trace, p, desc.L_true, cfg, ref)
+        trace = run_solver(p, x0, cfg).trace
+        assert lyapunov_monotone_check(trace, p, ref)
+        assert momentum_growth_check(trace, desc.L_true, cfg)
+        assert accepted_L_bound_check(trace, desc.L_true, cfg)
+        scale = 4.0 * cfg.beta * desc.L_true * np.sum((ref.points - x0) ** 2, axis=1)
+        for rec in trace.records:
+            sigma = np.min(rec.objectives - F_z, axis=1)
+            assert np.all(sigma <= scale / (rec.k + 1) ** 2 + 1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Smoke tests for the tooling under ``scripts/`` and the documented API."""
 
+import dataclasses
 import importlib.util
 import json
 import re
@@ -10,7 +11,6 @@ import numpy as np
 import pytest
 
 import mofista
-from mofista.problems import evaluate_objectives
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -27,17 +27,42 @@ def test_verify_trace_invariants_passes():
     assert load_script("verify_trace_invariants").main([]) == 0
 
 
-def test_rate_check_in_verify_script_can_fail_on_sp1():
-    # The rate bound only constrains iterates whose worst-component gap to a
-    # Pareto point is positive.  On SP1, with the script's starts and
-    # settings, a backtracking run has such an iterate.
+def _halve_every_t(trace):
+    return dataclasses.replace(trace, records=tuple(
+        dataclasses.replace(r, t=0.5 * r.t) for r in trace.records))
+
+
+def test_growth_check_in_verify_script_binds_on_sp1():
+    # On SP1, with the script's starts and settings, backtracking leaves the
+    # growth inequality t^2 * 8 beta L_f >= (k+1)^2 L less room than the
+    # factor 4 that halving every t takes away, so that plant is flagged.
     p, desc = mofista.builtin_problem("SP1")
-    F_z = np.vstack([evaluate_objectives(p, z) for z in mofista.pareto_segment("SP1", 20)])
     cfg = mofista.SolverConfig(eps=1e-6, max_iter=500)
-    gaps = [np.min(F[None, :] - F_z, axis=1)
-            for x0 in mofista.sample_initial_points(desc, 5, seed=(7, 3))
-            for F in mofista.run_solver(p, x0, cfg).trace.objective_rows()[1:]]
-    assert np.max(gaps) > 0.0
+    traces = [mofista.run_solver(p, x0, cfg).trace
+              for x0 in mofista.sample_initial_points(desc, 5, seed=(7, 3))]
+    ratios = [r.t ** 2 * 8.0 * cfg.beta * desc.L_true / ((r.k + 1) ** 2 * r.L)
+              for trace in traces for r in trace.records]
+    assert min(ratios) < 4.0
+    assert all(mofista.momentum_growth_check(tr, desc.L_true, cfg) for tr in traces)
+    assert not all(mofista.momentum_growth_check(_halve_every_t(tr), desc.L_true, cfg)
+                   for tr in traces)
+
+
+def test_verify_trace_invariants_names_the_failed_checks(monkeypatch, capsys):
+    verify = load_script("verify_trace_invariants")
+
+    def planted(p, x0, cfg):
+        res = mofista.run_solver(p, x0, cfg)
+        return dataclasses.replace(res, trace=_halve_every_t(res.trace))
+
+    monkeypatch.setattr(verify, "run_solver", planted)
+    assert verify.main([]) == 1
+    captured = capsys.readouterr()
+    flags = [line.rsplit("checks=", 1)[1] for line in captured.out.splitlines()]
+    assert flags and all(re.fullmatch(r"ok|FAIL:(step|energy|growth|cap)(,(energy|growth|cap))*", f)
+                         for f in flags)
+    assert any("growth" in f for f in flags)
+    assert f"{sum(f != 'ok' for f in flags)} trace check(s) failed" in captured.err
 
 
 def test_trace_digest_repeats_with_one_line_per_run(capsys):

@@ -349,6 +349,19 @@ def test_load_problem_file_rejects_malformed(tmp_path):
         with pytest.raises(ValueError, match=match):
             load_problem_file(path)
 
+    # Values at the wrong depth of lists: each once raised TypeError from
+    # float() or NumPy's "inhomogeneous shape" error, which names no field.
+    for field, bad in (("lower", {"lower": [[0.0], [0.0]]}), ("upper", {"upper": [[0.0], [0.0]]}),
+                       ("l1_weight", {"l1_weight": [1.0]}),
+                       ("constant", {"objectives": [{"quad": eye, "constant": [1.0]}, {"quad": eye}]}),
+                       ("linear", {"objectives": [{"quad": eye, "linear": [[1.0], [2.0]]},
+                                                  {"quad": eye}]}),
+                       ("quad", {"objectives": [{"quad": [[[1.0], [0.0]], [[0.0], [1.0]]]},
+                                                {"quad": eye}]})):
+        path = _write_problem_file(tmp_path, dict(two_bowls, **bad))
+        with pytest.raises(ValueError, match=f"malformed {field}: .* list depth"):
+            load_problem_file(path)
+
     # Missing or mistyped structure: each once raised KeyError or TypeError.
     shapeless = [{k: v for k, v in two_bowls.items() if k != key}
                  for key in ("objectives", "name", "n")]
