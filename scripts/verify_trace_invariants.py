@@ -12,8 +12,11 @@ trace:
   * cap: the accepted-L cap.
 
 The step and energy checks use a level-set reference per start; growth
-and cap need the trace alone.  Each line names the checks that failed
-(``checks=FAIL:growth,energy``).  Exits nonzero if any check fails.
+and cap need the trace alone.  Each line gives the size of its start's
+reference set (``ref=41`` when all 40 draws were kept after ``x0``; ``ref=1``
+means the energy and step checks tested ``z = x0`` alone) and names the
+checks that failed (``checks=FAIL:growth,energy``).  Exits nonzero if any
+check fails.
 """
 
 import argparse
@@ -52,7 +55,8 @@ def main(argv=None) -> int:
                 failed = [check for check, ok in checks.items() if not ok]
                 failures += bool(failed)
                 flag = "FAIL:" + ",".join(failed) if failed else "ok"
-                print(f"{name:8s} {label:12s} iters={len(res.trace.records):4d} "
+                print(f"{name:8s} {label:12s} ref={len(Z.points):2d} "
+                      f"iters={len(res.trace.records):4d} "
                       f"status={res.status.value:10s} checks={flag}")
     if failures:
         print(f"{failures} trace check(s) failed", file=sys.stderr)

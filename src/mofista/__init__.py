@@ -13,7 +13,7 @@ from .subproblem import SubproblemConfig
 from .solver import (IterationRecord, RunTrace, SolveResult, SolverConfig, Status,
                      Variant, run_solver)
 from .suite import (ProblemDescriptor, available_problems, builtin_problem,
-                    load_problem_file, pareto_segment, sample_initial_points)
+                    load_problem_file, sample_initial_points)
 from .diagnostics import (ReferenceSet, accepted_L_bound_check, gap_step_bounds_check,
                           level_set_reference, lyapunov_energies,
                           lyapunov_monotone_check, momentum_growth_check)
@@ -32,7 +32,7 @@ __all__ = [
     "IterationRecord", "RunTrace", "SolveResult", "SolverConfig", "Status", "Variant",
     "run_solver",
     "ProblemDescriptor", "available_problems", "builtin_problem",
-    "load_problem_file", "pareto_segment", "sample_initial_points",
+    "load_problem_file", "sample_initial_points",
     "ReferenceSet", "accepted_L_bound_check", "gap_step_bounds_check",
     "level_set_reference", "lyapunov_energies", "lyapunov_monotone_check",
     "momentum_growth_check",

@@ -3,7 +3,7 @@
 Protocol per (problem, solver) pair: run every solver from the *same*
 initial points, record per-run iteration counts / wall time / final
 iterates, then aggregate mean iterations, mean wall time, and purity of
-each solver's merged nondominated front.  All emitted CSV content is
+each solver's front against the merged one.  All emitted CSV content is
 deterministic for a fixed seed except the wall-time columns.
 """
 
@@ -22,8 +22,8 @@ import numpy as np
 
 from .metrics import Front, nondominated_filter, performance_profile, purity
 from .plots import emit_svg_scatter
-from .problems import Array, ProblemInstance
-from .solver import SolverConfig, Status, Variant, _check_real, _is_number, run_solver
+from .problems import Array, ProblemInstance, _is_number
+from .solver import SolverConfig, Status, Variant, _check_real, run_solver
 from .suite import ProblemDescriptor, available_problems, builtin_problem, \
     sample_initial_points
 
@@ -177,17 +177,16 @@ def run_benchmark(bc: BenchConfig) -> BenchReport:
             fronts[solver] = nondominated_filter(
                 np.vstack([r.objectives for r in sub]), np.vstack([r.x for r in sub])
             ) if sub else Front(objectives=np.empty((0, p.m)))
-        front_list = list(fronts.values())
+        merged = nondominated_filter(np.vstack([f.objectives for f in fronts.values()]))
         for solver, group in groups.items():
             rows += group
             aggregates.append((
                 desc.name, solver,
                 float(np.mean([r.iterations for r in group])),
                 float(np.mean([r.wall_ms for r in group])),
-                purity(fronts[solver], front_list),
+                purity(fronts[solver], merged),
             ))
         _write_fronts(bc.out_dir / f"fronts_{desc.name}.csv", fronts, p)
-        merged = nondominated_filter(np.vstack([f.objectives for f in front_list]))
         emit_svg_scatter(merged, bc.out_dir / f"front_{desc.name}.svg")
 
     _write_results(bc.out_dir / "results.csv", rows)

@@ -20,7 +20,8 @@ and the energy
 
 which is non-increasing along accepted iterations and starts below
 ``||x_0 - z||^2``.  With the growth of ``t_k`` and the cap on ``L`` this
-decay gives the ``O(1/k^2)`` bound on the worst-component gap.
+decay gives the ``O(1/k^2)`` bound on the worst-component gap; the growth
+check is vacuous for ``PGM``, and the cap for both fixed-step variants.
 
 All checks are pure functions of immutable traces; tolerances are small
 absolute slacks sized for accumulated floating-point error, not for
@@ -155,10 +156,11 @@ def momentum_growth_check(trace: RunTrace, L_true: Optional[float], cfg: SolverC
     recursion guarantees the growth, for an ``L`` that may fall as well as rise
     (Scheinberg, Goldfarb & Bai, 2014), while every accepted ``L`` is at most
     ``beta L_f``: the cap of :func:`accepted_L_bound_check`, given ``L_init <=
-    beta L_f``.  Accelerated variants only: ``PGM`` keeps ``t = 1``.
+    beta L_f``.  Vacuously true for ``PGM``, which keeps ``t = 1``.
     """
     scale = 8.0 * cfg.beta * _known(L_true)
-    return all(r.t ** 2 * scale >= (r.k + 1) ** 2 * r.L for r in trace.records)
+    return cfg.variant is Variant.PGM or all(
+        r.t ** 2 * scale >= (r.k + 1) ** 2 * r.L for r in trace.records)
 
 
 def accepted_L_bound_check(trace: RunTrace, L_true: Optional[float], cfg: SolverConfig) -> bool:

@@ -64,21 +64,16 @@ def nondominated_filter(objectives: Array, decisions: Optional[Array] = None) ->
     return Front(objectives=uniq[keep], decisions=kept_dec)
 
 
-def purity(front_a: Front, all_fronts: Sequence[Front]) -> float:
-    """Share of ``front_a`` surviving in the combined nondominated reference.
-
-    The reference front merges every competitor's front and refilters; a
-    point of ``front_a`` counts as surviving when it matches a reference
-    point to within 1e-8 in the max norm.  An empty front scores 0.
-    """
-    if not any(f is front_a for f in all_fronts):
-        raise ValueError("front_a must be one of all_fronts")
-    if len(front_a) == 0:
+def purity(front: Front, reference: Front) -> float:
+    """Share of ``front``'s points within 1e-8 (max norm) of a point of ``reference``,
+    the nondominated union of all competitors' fronts, which the caller merges once.
+    An empty front scores 0; fronts of different widths raise ``ValueError``."""
+    if front.objectives.shape[1] != reference.objectives.shape[1]:
+        raise ValueError("front and reference need the same number of objectives")
+    if len(front) == 0:
         return 0.0
-    merged = np.vstack([f.objectives for f in all_fronts if len(f) > 0])
-    reference = nondominated_filter(merged).objectives
-    dist = np.max(np.abs(front_a.objectives[:, None, :] - reference[None, :, :]), axis=2)
-    return float(np.count_nonzero(np.min(dist, axis=1) <= _MATCH_TOL)) / len(front_a)
+    dist = np.max(np.abs(front.objectives[:, None, :] - reference.objectives[None, :, :]), axis=2)
+    return float(np.count_nonzero(np.min(dist, axis=1) <= _MATCH_TOL)) / len(front)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -38,6 +39,11 @@ class EvaluationError(RuntimeError):
     def __init__(self, message: str, x: Array):
         super().__init__(message)
         self.x = np.asarray(x, dtype=float)
+
+
+def _is_number(value, kind: type = numbers.Integral) -> bool:
+    """A number of ``kind``, Python's or NumPy's; a bool does not count."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _check_step(t: float) -> None:
@@ -132,7 +138,7 @@ class ProblemInstance:
     Parameters
     ----------
     n, m : int
-        Decision and objective dimensions.
+        Decision and objective dimensions, integers (not bools) of at least 1.
     smooth : callable
         ``x -> (m,)`` array of smooth objective values ``f_i(x)``.
     smooth_jac : callable
@@ -148,8 +154,8 @@ class ProblemInstance:
     nonsmooth: NonsmoothPart = field(default_factory=Zero)
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.m < 1:
-            raise ValueError("problem dimensions must be positive")
+        if not (_is_number(self.n) and _is_number(self.m) and self.n >= 1 and self.m >= 1):
+            raise ValueError(f"n and m must be integers of at least 1, got {self.n!r}, {self.m!r}")
 
 
 def evaluate_objectives(p: ProblemInstance, x: Array) -> Array:

@@ -48,7 +48,7 @@ from typing import Optional
 
 import numpy as np
 
-from .problems import Array, EvaluationError, ProblemInstance, _evaluate
+from .problems import Array, EvaluationError, ProblemInstance, _evaluate, _is_number
 from .subproblem import (_ROUNDING, SubproblemConfig, SubproblemError, _linearize,
                          _solve_dual, project_simplex)
 
@@ -65,11 +65,6 @@ __all__ = [
 
 _MAX_BACKTRACKS = 100
 _WINDOW = 6  # accepted iterations whose largest L_seen the first trial aims at
-
-
-def _is_number(value, kind: type = numbers.Integral) -> bool:
-    """A number of ``kind``, Python's or NumPy's; a bool does not count."""
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _check_real(value, name: str, low: float = 0.0, error: type = ValueError) -> None:

@@ -300,7 +300,8 @@ def solve_subproblem(x: Array, y: Array, L: float, p: ProblemInstance,
 
     ``warm_weights``, when given, of shape ``(p.m,)``, are projected onto the
     simplex and seed the dual solve; the solver keeps no state between calls.
-    When ``y`` equals ``x`` in value one ``f`` call serves both points.
+    When ``y`` equals ``x`` in value one ``f`` call serves both points.  Raises
+    :class:`SubproblemError` on an uncertified solve, one with a NaN gap included.
     """
     if warm_weights is not None and np.shape(warm_weights) != (p.m,):
         raise ValueError(f"warm weights shape {np.shape(warm_weights)}, expected {(p.m,)}")
@@ -308,6 +309,8 @@ def solve_subproblem(x: Array, y: Array, L: float, p: ProblemInstance,
     fx, Fx = _evaluate(p, x)
     model = _linearize(y, L, p, Fx, fx if np.array_equal(x, y) else None)
     weights, z, primal, gap, _ = _solve_dual(model, cfg or SubproblemConfig(), warm)
+    if math.isnan(gap):  # a NaN gap passes _solve_dual's tolerance test
+        raise SubproblemError("dual gap is NaN: the model has a non-finite value")
     return SubproblemSolution(z, primal, weights, gap)
 
 

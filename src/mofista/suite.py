@@ -29,7 +29,6 @@ __all__ = [
     "available_problems",
     "builtin_problem",
     "sample_initial_points",
-    "pareto_segment",
     "load_problem_file",
 ]
 
@@ -228,26 +227,6 @@ def _ff1(name: str, l1_weight: float) -> Problem:
 
 
 _register("FF1", _ff1)
-
-
-def pareto_segment(name: str, count: int = 20) -> Array:
-    """Evenly spaced decision-space Pareto points for instances whose optimal
-    set is known in closed form (smooth variants only)."""
-    s = np.linspace(0.0, 1.0, count)
-    if name == "BK1":
-        return np.column_stack([5.0 * s, 5.0 * s])
-    if name == "JOS1":
-        return np.column_stack([2.0 * s, 2.0 * s])
-    if name == "SP1":
-        # Stationary points of lam * f1 + (1 - lam) * f2 over lam in (0, 1).
-        pts = []
-        for lam in np.linspace(1e-3, 1.0 - 1e-3, count):
-            a = np.array([[2.0 * lam + 2.0, -2.0],
-                          [-2.0, 2.0 * (1.0 - lam) + 2.0]])
-            b = np.array([2.0 * lam, 6.0 * (1.0 - lam)])
-            pts.append(np.linalg.solve(a, b))
-        return np.vstack(pts)
-    raise KeyError(f"no closed-form Pareto segment for {name!r}")
 
 
 def _json_numbers(v, depth: int) -> bool:

@@ -26,7 +26,6 @@ from mofista import (
     lyapunov_monotone_check,
     momentum_growth_check,
     nondominated_filter,
-    pareto_segment,
     purity,
     run_benchmark,
     run_solver,
@@ -231,7 +230,9 @@ def segment_traces():
         p, desc = builtin_problem(name)
         cfg = SolverConfig(L_init=1.0, beta=2.0, sigma=2.0, eps=1e-6,
                            max_iter=1000)
-        segment = pareto_segment(name, 20)
+        # the Pareto set: s * (2, 2) for JOS1 and s * (5, 5) for BK1, s in [0, 1]
+        corner = [2.0, 2.0] if name == "JOS1" else [5.0, 5.0]
+        segment = np.outer(np.linspace(0.0, 1.0, 20), corner)
         for seed in range(10):
             x0 = sample_initial_points(desc, 1, seed)[0]
             res = run_solver(p, x0, cfg)
@@ -305,7 +306,7 @@ def test_09_stationarity_detection():
     starts = {
         "BK1": np.array([2.0, 2.0]),
         "JOS1": np.array([1.0, 1.0]),
-        "SP1": pareto_segment("SP1", 9)[4],
+        "SP1": np.array([1.8, 2.2]),  # w = (1/2, 1/2): [[3, -2], [-2, 3]] x = [1, 3]
         "VFM1": np.array([1.0 / 3.0, 0.0]),
         "MHHM1": np.array([0.85]),
         "MHHM2": np.array([0.85, (0.6 + 0.7 + 0.6) / 3.0]),
@@ -333,10 +334,11 @@ def test_09_stationarity_detection():
 def test_10_purity_oracle():
     a = Front(objectives=np.array([[0.0, 0.0], [1.0, 1.0]]))
     b = Front(objectives=np.array([[0.5, 0.5]]))
-    assert purity(a, [a, b]) == 0.5
-    assert purity(b, [a, b]) == 0.0
+    merged = nondominated_filter(np.vstack([a.objectives, b.objectives]))
+    assert purity(a, merged) == 0.5
+    assert purity(b, merged) == 0.0
     single = nondominated_filter(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert purity(single, [single]) == 1.0
+    assert purity(single, single) == 1.0
     print("ACCEPTANCE 10 purity-oracle: PASS")
 
 

@@ -20,7 +20,6 @@ from mofista import (
     lyapunov_energies,
     lyapunov_monotone_check,
     momentum_growth_check,
-    pareto_segment,
     run_solver,
     sample_initial_points,
 )
@@ -288,6 +287,23 @@ def test_growth_check_holds_along_the_momentum_recursion():
                                      1.0, SolverConfig())
 
 
+def test_growth_check_passes_pgm_and_flags_halved_t_on_fixed():
+    # PGM keeps t = 1, so (k+1)^2 outgrows t^2 * 8 beta L_f / L after a few
+    # iterations; the check is vacuous there, as the cap is for fixed steps.
+    # A fixed step at the cap beta * L_f leaves the growth a factor near 2,
+    # which halving every t takes away.
+    p, desc = builtin_problem("SP1")
+    x0 = sample_initial_points(desc, 1, 0)[0]
+    for variant, L in (("pgm", desc.L_true), ("fixed", 2.0 * desc.L_true)):
+        cfg = SolverConfig(variant=variant, L_init=L, eps=1e-9)
+        res = run_solver(p, x0, cfg)
+        assert res.status is Status.CONVERGED and len(res.trace.records) > 4
+        assert momentum_growth_check(res.trace, desc.L_true, cfg), variant
+    halved = tuple(dataclasses.replace(r, t=0.5 * r.t) for r in res.trace.records)
+    assert not momentum_growth_check(dataclasses.replace(res.trace, records=halved),
+                                     desc.L_true, cfg)
+
+
 def test_rate_bound_requires_lipschitz_constant():
     # so does the accepted-L cap, here on a backtracking run
     p, desc = builtin_problem("FF1")
@@ -297,16 +313,18 @@ def test_rate_bound_requires_lipschitz_constant():
     with pytest.raises(ValueError, match="Lipschitz constant L_true"):
         momentum_growth_check(res.trace, desc.L_true, cfg)
     with pytest.raises(ValueError, match="Lipschitz constant L_true"):
+        momentum_growth_check(res.trace, desc.L_true, dataclasses.replace(cfg, variant="pgm"))
+    with pytest.raises(ValueError, match="Lipschitz constant L_true"):
         accepted_L_bound_check(res.trace, desc.L_true, cfg)
 
 
 def test_rate_bound_holds_on_accelerated_run():
     # Energy decay at z, momentum growth and the L cap give
     # sigma_k(z) <= 4 beta L_f ||x0 - z||^2 / (k+1)^2; check the premises
-    # and the bound they imply at points of the Pareto segment.
+    # and the bound they imply at points of BK1's Pareto set s * (5, 5).
     p, desc = builtin_problem("BK1")
     cfg = SolverConfig(eps=1e-6)
-    ref = ReferenceSet(pareto_segment("BK1", 10))
+    ref = ReferenceSet(np.outer(np.linspace(0.0, 1.0, 10), [5.0, 5.0]))
     F_z = np.vstack([p.smooth(z) for z in ref.points])
     for seed in range(2):
         x0 = sample_initial_points(desc, 1, seed)[0]

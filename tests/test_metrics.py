@@ -86,42 +86,51 @@ def test_front_validation_and_len():
 # purity
 
 
+def _merged(*fronts):
+    return nondominated_filter(np.vstack([f.objectives for f in fronts]))
+
+
 def test_purity_worked_two_front_example():
     a = Front(objectives=np.array([[0.0, 0.0], [1.0, 1.0]]))
     b = Front(objectives=np.array([[0.5, 0.5]]))
-    assert purity(a, [a, b]) == 0.5
-    assert purity(b, [a, b]) == 0.0
+    assert purity(a, _merged(a, b)) == 0.5
+    assert purity(b, _merged(a, b)) == 0.0
 
 
 def test_purity_single_front_is_one():
     a = nondominated_filter(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert purity(a, [a]) == 1.0
+    assert purity(a, _merged(a)) == 1.0
 
 
 def test_purity_disjoint_incomparable_fronts():
     a = Front(objectives=np.array([[0.0, 3.0]]))
     b = Front(objectives=np.array([[3.0, 0.0]]))
-    assert purity(a, [a, b]) == 1.0
-    assert purity(b, [a, b]) == 1.0
+    assert purity(a, _merged(a, b)) == 1.0
+    assert purity(b, _merged(a, b)) == 1.0
 
 
-def test_purity_requires_membership():
-    a = Front(objectives=np.array([[0.0, 0.0]]))
-    b = Front(objectives=np.array([[0.0, 0.0]]))  # equal values, distinct object
-    with pytest.raises(ValueError):
-        purity(a, [b])
+def test_purity_rejects_fronts_of_different_widths():
+    # Without the check a (2, 1) front would broadcast against a (2, 2)
+    # reference and score silently.
+    narrow = Front(objectives=np.array([[0.0], [1.0]]))
+    wide = Front(objectives=np.array([[0.0, 1.0], [1.0, 0.0]]))
+    for front, reference in ((narrow, wide), (wide, narrow)):
+        with pytest.raises(ValueError, match="number of objectives"):
+            purity(front, reference)
+    with pytest.raises(ValueError, match="number of objectives"):
+        purity(nondominated_filter(np.empty((0, 3))), wide)
 
 
 def test_purity_empty_front_scores_zero():
     empty = nondominated_filter(np.empty((0, 2)))
     other = Front(objectives=np.array([[1.0, 1.0]]))
-    assert purity(empty, [empty, other]) == 0.0
+    assert purity(empty, _merged(empty, other)) == 0.0
 
 
 def test_purity_invariant_under_duplicated_front():
     a = Front(objectives=np.array([[0.0, 2.0], [2.0, 0.0]]))
     b = Front(objectives=np.array([[1.0, 1.0]]))
-    assert purity(a, [a, b]) == purity(a, [a, b, b, a])
+    assert purity(a, _merged(a, b)) == purity(a, _merged(a, b, b, a))
 
 
 # ---------------------------------------------------------------------------

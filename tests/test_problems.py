@@ -159,6 +159,9 @@ def test_evaluate_wrong_length_point_raises():
 
 
 def test_problem_dims_validated():
-    with pytest.raises(ValueError):
-        ProblemInstance(n=0, m=1, smooth=lambda x: x, smooth_jac=lambda x: x)
+    # n = 2.5 and m = True are numbers above 1, but not integer dimensions.
+    for n, m in [(0, 1), (1, 0), (2.5, 1), (2, True)]:
+        with pytest.raises(ValueError, match="integers of at least 1"):
+            ProblemInstance(n=n, m=m, smooth=lambda x: x, smooth_jac=lambda x: x)
+    assert ProblemInstance(n=np.int64(2), m=1, smooth=lambda x: x, smooth_jac=lambda x: x).n == 2
 

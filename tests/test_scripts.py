@@ -23,8 +23,24 @@ def load_script(name):
     return module
 
 
-def test_verify_trace_invariants_passes():
-    assert load_script("verify_trace_invariants").main([]) == 0
+def test_verify_trace_invariants_passes(monkeypatch, capsys):
+    # Each line reports the size of its start's reference set: the script
+    # draws one per start, then runs both variants over the starts.
+    verify = load_script("verify_trace_invariants")
+    sizes = []
+
+    def recorded(p, desc, x0):
+        Z = mofista.level_set_reference(p, desc, x0)
+        sizes.append(len(Z.points))
+        return Z
+
+    monkeypatch.setattr(verify, "level_set_reference", recorded)
+    assert verify.main([]) == 0
+    printed = [int(n) for n in re.findall(r" ref=\s*(\d+) ", capsys.readouterr().out)]
+    starts = 5  # the script's default --seeds
+    assert printed == [n for i in range(0, len(sizes), starts)
+                       for n in sizes[i:i + starts] * 2]
+    assert printed and all(1 <= n <= 41 for n in printed)
 
 
 def _halve_every_t(trace):

@@ -663,7 +663,10 @@ def test_divergent_step_raises_at_overflowed_iterate(variant):
             sol = solve_subproblem(x_prev, rec.y, cfg.L_init, p, warm_weights=warm)
             np.testing.assert_array_equal(sol.z, rec.x)
             x_prev, warm = rec.x, sol.weights
-        bad = solve_subproblem(x, y, cfg.L_init, p, warm_weights=warm).z
+        # The solver's loop takes the dual solve's z as it comes, even where
+        # the fixed variant's y makes the gap NaN, which solve_subproblem refuses.
+        model = _linearize(y, cfg.L_init, p, evaluate_objectives(p, x))
+        bad = _solve_dual(model, cfg.subproblem, project_simplex(warm))[1]
         assert np.all(np.isfinite(bad))
         assert not np.all(np.isfinite(p.smooth(bad)))
 

@@ -11,7 +11,7 @@ from mofista import (CustomNonsmooth, ProblemInstance, SolverConfig, SubproblemC
                      sample_initial_points)
 from mofista.problems import evaluate_objectives
 from mofista.subproblem import (_QP_CUTOFF, SubproblemError, _Model, _linearize,
-                                _simplex_qp, project_simplex, solve_subproblem,
+                                _simplex_qp, _solve_dual, project_simplex, solve_subproblem,
                                 weak_pareto_residual)
 from reference import (dual_value, inner_primal_step, kkt_residual, model_evaluation,
                        subproblem_objective)
@@ -195,17 +195,21 @@ def nan_at_y(p, y, source, pos):
 @pytest.mark.parametrize("m", [2, 3])
 def test_nan_at_y_gives_numpys_bits_wherever_it_sits(m, source, pos):
     # A NaN in f(y) or a row of grad f(y) makes the first gap NaN, which ends
-    # the solve there: value, gap and z are that evaluation's, with NumPy's
-    # max of the inner terms, first NaN or last.
+    # the dual solve there: value, gap and z are that evaluation's, with
+    # NumPy's max of the inner terms, first NaN or last.  The solver's loop
+    # takes that evaluation as it is; solve_subproblem refuses it.
     rng = np.random.default_rng(71 + m)
     base, L_f = quad_instance(rng.uniform(-1, 1, (m, 2)), rng.uniform(0.25, 1.5, m), 0.3)
     x, y = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
     p = nan_at_y(base, y, source, pos)
-    sol = solve_subproblem(x, y, 2.0 * L_f, p)
+    model = _linearize(y, 2.0 * L_f, p, evaluate_objectives(p, x))
+    _, z_got, value, dual_gap, _ = _solve_dual(model, SubproblemConfig(), None)
     _, primal, gap, z, _ = model_evaluation(np.full(m, 1.0 / m), x, y, 2.0 * L_f, p)
-    assert np.isnan(sol.value) and np.isnan(sol.dual_gap)
-    for got, want in ((sol.value, primal), (sol.dual_gap, gap), (sol.z, z)):
+    assert np.isnan(value) and np.isnan(dual_gap)
+    for got, want in ((value, primal), (dual_gap, gap), (z_got, z)):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    with pytest.raises(SubproblemError, match="NaN"):
+        solve_subproblem(x, y, 2.0 * L_f, p)
 
 
 # ----------------------------------------------------------------- the solver
@@ -555,6 +559,18 @@ def test_one_nan_in_the_curvature_ends_the_solve(pos):
     with pytest.raises(SubproblemError, match=re.escape(f"dual gap {gap:.3e} above")):
         solve_subproblem(x, y, 3.0, q, SubproblemConfig(tol=1e-12))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_jacobian_raises_instead_of_a_nan_solution(bad):
+    # The gap of such a model is NaN, and NaN is above no tolerance: the
+    # solve must not hand back z = (nan, nan) as if it were certified.
+    p, _ = builtin_problem("SP1")
+    q = replace(p, smooth_jac=lambda x: np.full((2, 2), bad))
+    with pytest.raises(SubproblemError, match="NaN"):
+        solve_subproblem(np.zeros(2), np.zeros(2), 5.0, q)
+    with pytest.raises(SubproblemError, match="NaN"):
+        weak_pareto_residual(np.zeros(2), np.zeros(2), 5.0, q)
 
 
 def simplex_qp_lstsq(c, Q, w):

@@ -15,7 +15,6 @@ from mofista import (
     available_problems,
     builtin_problem,
     load_problem_file,
-    pareto_segment,
     sample_initial_points,
 )
 from mofista.subproblem import weak_pareto_residual
@@ -187,25 +186,22 @@ def test_curvature_bounded_by_lipschitz_constant(name):
 
 
 # ---------------------------------------------------------------------------
-# closed-form Pareto segments
+# closed-form Pareto points
 
-
-def test_pareto_segment_endpoints_and_shape():
-    seg = pareto_segment("BK1", 7)
-    assert seg.shape == (7, 2)
-    assert np.allclose(seg[0], [0.0, 0.0])
-    assert np.allclose(seg[-1], [5.0, 5.0])
-    assert np.allclose(seg[:, 0], seg[:, 1])
-
-    seg = pareto_segment("JOS1")
-    assert seg.shape == (20, 2)
-    assert np.allclose(seg[-1], [2.0, 2.0])
+# BK1's Pareto set is s * (5, 5) and JOS1's s * (2, 2), s in [0, 1].  SP1's
+# stationary point of lam * f1 + (1 - lam) * f2 solves [[2 lam + 2, -2],
+# [-2, 4 - 2 lam]] x = [2 lam, 6 (1 - lam)]: (3, 3) at lam = 0, (1.8, 2.2)
+# at lam = 1/2 and (1, 1) at lam = 1.
+PARETO_POINTS = {
+    "BK1": np.outer(np.linspace(0.0, 1.0, 5), [5.0, 5.0]),
+    "JOS1": np.outer(np.linspace(0.0, 1.0, 5), [2.0, 2.0]),
+    "SP1": np.array([[3.0, 3.0], [1.8, 2.2], [1.0, 1.0]]),
+}
 
 
 def test_sp1_segment_is_stationary():
     p, _ = builtin_problem("SP1")
-    seg = pareto_segment("SP1", 15)
-    for lam, x in zip(np.linspace(1e-3, 1.0 - 1e-3, 15), seg):
+    for lam, x in zip([0.0, 0.5, 1.0], PARETO_POINTS["SP1"]):
         jac = p.smooth_jac(x)
         combo = lam * jac[0] + (1.0 - lam) * jac[1]
         assert np.max(np.abs(combo)) <= 1e-10
@@ -216,13 +212,8 @@ def test_segment_points_have_zero_residual(name):
     # The solver certifies a duality gap, which controls ||z - y|| only up to
     # sqrt(2 gap / L); at Pareto points that leaves residuals of ~1e-6.
     p, desc = builtin_problem(name)
-    for x in pareto_segment(name, 5):
+    for x in PARETO_POINTS[name]:
         assert weak_pareto_residual(x, x, desc.L_true, p) <= 1e-5
-
-
-def test_segment_unknown_name():
-    with pytest.raises(KeyError):
-        pareto_segment("FF1")
 
 
 # ---------------------------------------------------------------------------
