@@ -31,19 +31,45 @@ must run one benchmark: ``BENCHMARK.json`` and every file under
 
     mkdir ../base && git archive HEAD~1 | tar -x -C ../base
     python3 scripts/bench.py --parent ../base --label change --out BENCH.json
+
+With ``--parent`` a paired phase follows the timed rounds, in this process,
+so that drift of the host between processes does not reach it.  Each
+checkout's ``src/mofista`` is imported under a module name of its own, and
+each workload's units of work are built through that checkout's own
+``perfbench/workloads.py``: its solves for the solve workloads, and one
+``run_benchmark`` call per problem and sub-run of a ``cli_suite`` pass.
+Every unit runs once per side in each of ``PAIRED_ROUNDS`` rounds, the side
+that goes first alternating from unit to unit and round to round, and each
+side keeps its fastest time per unit.  This checkout's summary then holds
+``paired``: per workload, ``ratio``, the geometric mean over units of this
+checkout's time over the parent's, its bootstrap 95% interval over units
+from ``ci_low`` to ``ci_high``, and the ``solves`` (units) and ``rounds``
+behind it; ``paired`` is null when either checkout lacks ``src/mofista``
+or ``perfbench/workloads.py``.
 """
 
 import argparse
+import importlib
+import importlib.util
 import json
+import math
+import random
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 RUNNER = Path("perfbench") / "run.py"
 DECLARATION = Path("BENCHMARK.json")
 CALL_COUNTS = Path("scripts") / "call_counts.py"
 COUNT_KEYS = ("python_calls_per_trial", "c_calls_per_trial", "trials", "solves")
+WORKLOADS_PY = Path("perfbench") / "workloads.py"
+PACKAGE = Path("src") / "mofista"
+PAIRED_ROUNDS = 7
+BOOTSTRAP = 2000
 
 
 def parse_result(stdout: str) -> dict:
@@ -112,6 +138,76 @@ def call_counts(seed: int, root: Path):
             for w, counts in json.loads(done.stdout)["workloads"].items()}
 
 
+def import_file(name: str, path: Path, package_dir=None):
+    """Import ``path`` as module ``name`` (a package when ``package_dir`` is
+    given, whose submodules are then found there), registered in ``sys.modules``."""
+    search = None if package_dir is None else [str(package_dir)]
+    spec = importlib.util.spec_from_file_location(name, path, submodule_search_locations=search)
+    sys.modules[name] = module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def load_checkout(root: Path, name: str) -> tuple:
+    """``(workloads, mods)`` of the checkout at ``root``: its
+    ``perfbench/workloads.py`` as module ``<name>_workloads``, and its
+    ``src/mofista`` as package ``name``, so that its relative imports resolve
+    inside that copy; ``mods`` maps the names in ``workloads.MODULES`` to
+    the package's modules, as ``workloads.import_program`` does."""
+    for key in [k for k in sys.modules if k.startswith(name + ".")]:
+        del sys.modules[key]  # submodules of an earlier import under this name
+    workloads = import_file(f"{name}_workloads", root / WORKLOADS_PY)
+    import_file(name, root / PACKAGE / "__init__.py", root / PACKAGE)
+    return workloads, SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}")
+                                         for m in workloads.MODULES})
+
+
+def units(workloads, mods, workload: str, seed: int, work: Path) -> list:
+    """The units of work of one workload, as callables: each solve of a
+    solve workload, or each ``run_benchmark`` call of a ``cli_suite`` pass
+    split by problem."""
+    if workload == "cli_suite":
+        return [lambda bc=bc: mods.cli.run_benchmark(bc)
+                for name in workloads.CLI_PROBLEMS
+                for bc in workloads.cli_pass(mods, seed, work / name, (name,))]
+    jobs, _ = workloads.setup_solves(mods, workload, seed,
+                                     workloads.write_inputs(workload, seed, work))
+    return [lambda job=job: workloads.solve(mods, job) for job in jobs]
+
+
+def paired(roots: dict, workloads: list, seed: int, rounds: int = PAIRED_ROUNDS,
+           clock=time.perf_counter):
+    """Per workload, the paired in-process time ratio of the second checkout
+    in ``roots`` against the first (see the module docstring), or None
+    unless both checkouts hold ``src/mofista`` and ``perfbench/workloads.py``."""
+    if not all((r / WORKLOADS_PY).is_file() and (r / PACKAGE).is_dir() for r in roots.values()):
+        return None
+    sides = [load_checkout(root, f"_paired_{k}") for k, root in enumerate(roots.values())]
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload in workloads:
+            work = [Path(tmp, workload, str(k)) for k in range(len(sides))]
+            for path in work:
+                path.mkdir(parents=True)
+            jobs = [units(wl, mods, workload, seed, w) for (wl, mods), w in zip(sides, work)]
+            best = [[math.inf] * len(jobs[0]) for _ in sides]
+            for k in range(rounds):
+                for i in range(len(jobs[0])):
+                    for side in (0, 1) if (k + i) % 2 == 0 else (1, 0):
+                        start = clock()
+                        jobs[side][i]()
+                        best[side][i] = min(best[side][i], clock() - start)
+            ratios = [mine / theirs for theirs, mine in zip(*best)]
+            draws = random.Random(seed)
+            means = sorted(statistics.geometric_mean(draws.choices(ratios, k=len(ratios)))
+                           for _ in range(BOOTSTRAP))
+            out[workload] = {"ratio": statistics.geometric_mean(ratios),
+                             "ci_low": means[int(0.025 * BOOTSTRAP)],
+                             "ci_high": means[int(0.975 * BOOTSTRAP) - 1],
+                             "solves": len(ratios), "rounds": rounds}
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", required=True, help="key of this summary in the output")
@@ -162,6 +258,7 @@ def main(argv=None) -> int:
                                     for w in workloads},
                       "call_counts": call_counts(args.seed, roots[label])}
     if "parent" in roots:
+        doc[args.label]["paired"] = paired(roots, workloads, args.seed)
         for (label, w, t), results in raw.items():
             if label == args.label:
                 doc[label]["workloads"][w][f"trace{t}"]["pairs"] = count_pairs(

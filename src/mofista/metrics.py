@@ -84,11 +84,6 @@ class PerformanceProfile:
     taus: Array        # (T,) sorted finite ratio breakpoints, starting at 1
     fractions: Array   # (S, T); fractions[s, t] = share of problems solved within taus[t]
 
-    def value(self, solver: str, tau: float) -> float:
-        s = self.solvers.index(solver)
-        t = np.searchsorted(self.taus, tau, side="right") - 1
-        return 0.0 if t < 0 else float(self.fractions[s, t])
-
 
 def performance_profile(costs: Array, solvers: Sequence[str]) -> PerformanceProfile:
     """Ratio-based profiles of a solvers-by-problems cost table.

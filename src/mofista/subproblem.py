@@ -15,10 +15,11 @@ and the dual supergradient at ``lam`` is the vector ``b`` of inner linear
 terms at ``z(lam)``.  One routine serves every ``m``: Newton rounds on the
 dual, each maximizing over the simplex, exactly by an active-set method, the
 quadratic model at the last point evaluated, with curvature ``G D G^T / L``
-from the prox Jacobian ``D`` (``NonsmoothPart.prox_jvp``).  Once two rounds in
-a row improve nothing, idle rounds 2-11 halve the last improving step down to
-``2**-10``, and the twelfth stops.  So does a certified gap ``max_i b_i(z) -
-lam . b(z)``, free and exact at any weights, within its rounding floor.  Only
+from the prox Jacobian ``D`` (``NonsmoothPart.prox_jvp``), and faces of two
+or three weights in closed form.  Once two rounds in a row improve nothing,
+idle rounds 2-11 halve the last improving step down to ``2**-10``, and the
+twelfth stops.  So does a certified gap ``max_i b_i(z) - lam . b(z)``, free
+and exact at any weights, within its rounding floor.  Only
 ``solve_subproblem`` builds a ``SubproblemSolution``.
 
 Everything here is stateless; warm starts are passed in by the caller.
@@ -174,8 +175,12 @@ def _simplex_qp(c: Array, Q: Array, w: Array) -> Array:
     system of normal magnitude: the gradient times the reciprocal curvature,
     or 0 when the curvature is 0.  Its step ``s`` moves ``s`` onto ``r`` and
     off ``i0``, and is applied to the two weights in place; every other
-    weight is 0 and stays so.  Once every weight is free, a step that drops
-    none ends the solve without pricing.
+    weight is 0 and stays so.  A face of three weights is solved on Python
+    floats by the pseudo-inverse of its symmetrized 2x2 system, whose
+    eigenvalues are ``mid +- h`` (Golub & Van Loan), dropping one at or below
+    ``_QP_CUTOFF`` times the other as least squares does: within rounding of
+    ``np.linalg.lstsq``, which larger faces use.  Once every weight is free,
+    a step that drops none ends the solve without pricing.
     """
     w = w.copy()
     free = w > 0.0
@@ -202,7 +207,48 @@ def _simplex_qp(c: Array, Q: Array, w: Array) -> Array:
                 free[j] = False
                 continue
             w[r], w[i0] = max(w.item(r) + s, 0.0), max(w.item(i0) - s, 0.0)
-        elif face.size > 2:
+        elif face.size == 3:
+            # i0 is the largest weight, the first of a tie; r and t follow in index order.
+            idx, ws, gs, Qs = face.tolist(), w.tolist(), grad.tolist(), Q.tolist()
+            top = [ws[k] for k in idx]
+            p0 = top.index(max(top))
+            i0, (r, t) = idx[p0], idx[:p0] + idx[p0 + 1:]
+            (Qi, Qr, Qt), qi = (Qs[i0], Qs[r], Qs[t]), Qs[i0][i0]
+            g1, g2 = gs[r] - gs[i0], gs[t] - gs[i0]
+            a = Qr[r] - Qr[i0] - Qi[r] + qi
+            b = Qr[t] - Qr[i0] - Qi[t] + qi
+            b2 = Qt[r] - Qt[i0] - Qi[r] + qi
+            e = Qt[t] - Qt[i0] - Qi[t] + qi
+            # Eigenvalues mid +- h of the symmetric part; big is the larger in magnitude.
+            o, mid = 0.5 * (b + b2), 0.5 * (a + e)
+            h = math.hypot(0.5 * (a - e), o)
+            big, small = (mid + h, mid - h) if mid >= 0.0 else (mid - h, mid + h)
+            if abs(small) > _QP_CUTOFF * abs(big):  # both kept: the inverse
+                # Scaled by a power of two, exactly, so that det cannot underflow.
+                sc = math.ldexp(1.0, min(-math.frexp(big)[1], 1000))
+                det = a * sc * (e * sc) - o * sc * (o * sc)
+                s1 = (e * sc * g1 - o * sc * g2) / det * sc
+                s2 = (a * sc * g2 - o * sc * g1) / det * sc
+            elif big != 0.0:  # small dropped: (q - small I) / (big - small) / big
+                gap = big - small
+                s1 = ((a - small) / gap * g1 + o / gap * g2) / big
+                s2 = (o / gap * g1 + (e - small) / gap * g2) / big
+            else:  # q is 0: lstsq's zero step
+                s1 = s2 = 0.0
+            f1, f2 = g1 - (a * s1 + b * s2), g2 - (b2 * s1 + e * s2)
+            ridge = math.hypot(f1, f2) > _QP_CUTOFF * math.hypot(g1, g2)
+            d = [f1, f2] if ridge else [s1, s2]
+            d.insert(p0, -(d[0] + d[1]))
+            limit, k = min([(-wk / dk, k) for wk, dk, k in zip(top, d, idx) if dk < 0.0],
+                           default=(math.inf, i0))
+            # A ridge, or a weight that reaches zero first: stop there and drop it.
+            drop = ridge or limit < 1.0
+            for j, wj, dj in zip(idx, top, d):
+                w[j] = max(wj + (limit if drop else 1.0) * dj, 0.0)
+            if drop:
+                w[k], free[k] = 0.0, False
+                continue
+        elif face.size > 3:
             i0 = face[w[face].argmax()]
             rest = face[face != i0]
             g = grad[rest] - grad[i0]
@@ -211,7 +257,7 @@ def _simplex_qp(c: Array, Q: Array, w: Array) -> Array:
                  + Q[i0, i0])
             step = np.linalg.lstsq(q, g, rcond=_QP_CUTOFF)[0]
             flat = g - q @ step
-            ridge = math.sqrt(flat.dot(flat)) > _QP_CUTOFF * math.sqrt(g.dot(g))
+            ridge = math.hypot(*flat.tolist()) > _QP_CUTOFF * math.hypot(*g.tolist())
             d = np.zeros(w.size)
             d[rest] = flat if ridge else step
             d[i0] = -d[rest].sum()

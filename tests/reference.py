@@ -1,9 +1,10 @@
 """Reference oracles of the prox-linear subproblem and the upper-bound test.
 
 Written from the definitions, with no code shared with ``mofista.subproblem``
-or ``mofista.solver`` beyond the problem's own oracles, so the tests that
-check the solvers against them (grid searches, duality sandwiches, KKT
-residuals) compare two independent computations.  The model at ``(x, y, L)``
+or ``mofista.solver`` beyond the problem's own oracles and the least-squares
+cutoff ``_QP_CUTOFF``, so the tests that check the solvers against them (grid
+searches, duality sandwiches, KKT residuals, least-squares active-set
+solves) compare two independent computations.  The model at ``(x, y, L)``
 is
 
     phi(z) = max_i [<grad f_i(y), z - y> + f_i(y) - F_i(x)] + g(z) + L/2 ||z - y||^2,
@@ -12,9 +13,12 @@ and its dual at simplex weights ``lam`` is the weighted Lagrangian at
 ``z(lam) = prox_{g/L}(y - grad f(y)^T lam / L)``.
 """
 
+import math
+
 import numpy as np
 
 from mofista.problems import evaluate_objectives
+from mofista.subproblem import _QP_CUTOFF
 
 
 def _checked(L):
@@ -92,3 +96,43 @@ def sufficient_decrease_check(p, y, z, L):
     c = 0.5 * L * float(d @ d)
     slack = 16.0 * np.finfo(float).eps * (np.abs(fz) + np.abs(fy) + np.abs(gd) + c)
     return bool(np.all(fz <= fy + gd + c + slack))
+
+
+def simplex_qp_lstsq(c, Q, w, faces=None):
+    """Reference for ``_simplex_qp``: the same active-set method with the
+    least-squares cutoff solve on every face, faces of one and two weights
+    too; the size of each face it solves on is appended to ``faces`` when given."""
+    w = w.copy()
+    free = w > 0.0
+    for _ in range(4 * w.size):
+        face = np.flatnonzero(free)
+        i0 = face[np.argmax(w[face])]
+        rest = face[face != i0]
+        grad = c - Q @ w
+        if faces is not None:
+            faces.append(face.size)
+        if rest.size:
+            g = grad[rest] - grad[i0]
+            q = (Q[np.ix_(rest, rest)] - Q[rest, i0][:, None] - Q[i0, rest][None, :]
+                 + Q[i0, i0])
+            step = np.linalg.lstsq(q, g, rcond=_QP_CUTOFF)[0]
+            flat = g - q @ step
+            ridge = math.hypot(*flat.tolist()) > _QP_CUTOFF * math.hypot(*g.tolist())
+            d = np.zeros(w.size)
+            d[rest] = flat if ridge else step
+            d[i0] = -float(np.sum(d[rest]))
+            shrink = np.flatnonzero(d < 0.0)
+            limits = -w[shrink] / d[shrink]
+            if ridge or (shrink.size and limits.min() < 1.0):
+                k = int(np.argmin(limits))
+                w = np.maximum(w + limits[k] * d, 0.0)
+                w[shrink[k]] = 0.0
+                free[shrink[k]] = False
+                continue
+            w = np.maximum(w + d, 0.0)
+            grad = c - Q @ w
+        out = np.flatnonzero(~free)
+        if not out.size or float(np.max(grad[out])) <= float(w @ grad):
+            break
+        free[out[np.argmax(grad[out])]] = True
+    return w

@@ -140,27 +140,26 @@ def test_purity_invariant_under_duplicated_front():
 def test_profile_identical_rows_jump_to_one():
     prof = performance_profile(np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]),
                                ["a", "b"])
-    assert prof.value("a", 1.0) == 1.0
-    assert prof.value("b", 1.0) == 1.0
-    assert prof.value("a", 0.5) == 0.0
+    # One breakpoint at tau = 1, where both curves reach 1; below it they are 0.
+    np.testing.assert_array_equal(prof.taus, [1.0])
+    np.testing.assert_array_equal(prof.fractions, [[1.0], [1.0]])
 
 
 def test_profile_uniformly_slower_solver():
     prof = performance_profile(np.array([[1.0, 1.0], [2.0, 2.0]]), ["fast", "slow"])
-    assert prof.value("fast", 1.0) == 1.0
-    assert prof.value("slow", 1.0) == 0.0
-    assert prof.value("slow", 1.999) == 0.0
-    assert prof.value("slow", 2.0) == 1.0
-    assert prof.value("slow", 10.0) == 1.0
+    # The curves are steps between breakpoints: slow is 0 on [1, 2) and 1 from 2 on.
+    np.testing.assert_array_equal(prof.taus, [1.0, 2.0])
+    np.testing.assert_array_equal(prof.fractions, [[1.0, 1.0], [0.0, 1.0]])
 
 
 def test_profile_failures_cap_the_curve():
     costs = np.array([[1.0, np.nan], [2.0, 1.0]])
     prof = performance_profile(costs, ["a", "b"])
     # solver a fails one of two problems: its curve tops out at 0.5
-    assert prof.value("a", 1.0) == 0.5
-    assert prof.value("a", prof.taus[-1]) == 0.5
-    assert prof.value("b", prof.taus[-1]) == 1.0
+    assert prof.taus[0] == 1.0
+    assert prof.fractions[0, 0] == 0.5
+    assert prof.fractions[0, -1] == 0.5
+    assert prof.fractions[1, -1] == 1.0
 
 
 def test_profile_with_failures_but_a_finite_cost_per_problem_is_silent():
@@ -170,8 +169,9 @@ def test_profile_with_failures_but_a_finite_cost_per_problem_is_silent():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         prof = performance_profile(costs, ["a", "b"])
-    assert prof.value("a", prof.taus[-1]) == 0.5
-    assert prof.value("b", 1.0) == 0.75 and prof.value("b", prof.taus[-1]) == 0.75
+    assert prof.taus[0] == 1.0
+    assert prof.fractions[0, -1] == 0.5
+    assert prof.fractions[1, 0] == 0.75 and prof.fractions[1, -1] == 0.75
 
 
 def test_profile_rejects_problems_failed_by_all():
@@ -180,7 +180,7 @@ def test_profile_rejects_problems_failed_by_all():
     with pytest.raises(ValueError, match="finite cost"):
         performance_profile(costs, ["a", "b"])
     prof = performance_profile(costs[:, :1], ["a", "b"])
-    assert prof.value("a", 1.0) == 1.0
+    assert prof.fractions[0, 0] == 1.0
     assert prof.taus[0] == 1.0
 
 

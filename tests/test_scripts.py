@@ -1,6 +1,7 @@
 """Smoke tests for the tooling under ``scripts/`` and the documented API."""
 
 import dataclasses
+import importlib
 import importlib.util
 import json
 import re
@@ -274,6 +275,56 @@ def test_bench_interleaves_modes_and_keeps_other_labels(tmp_path, monkeypatch):
             assert doc["change"]["workloads"][workload][trace]["pairs"] == {
                 "solve_ms_p50": {"won": 1, "lost": 2, "tied": 0},
                 "iterations_total": {"won": 0, "lost": 0, "tied": 3}}
+
+
+FAKE_CLOCK = """import random
+now = [0.0]
+noise = random.Random(5)
+
+
+def tick(cost):
+    now[0] += cost * (1.0 + 0.05 * noise.random())
+
+
+def clock():
+    return now[0]
+"""
+
+
+def _paired_stub(root, planted):
+    """A checkout of 24 solves, each of which advances the shared fake clock
+    by its own cost plus ``planted``, with 5% of noise."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "src" / "mofista").mkdir(parents=True)
+    (root / "src" / "mofista" / "__init__.py").write_text("from . import solver\n")
+    (root / "src" / "mofista" / "solver.py").write_text(
+        f"import fake_clock\n\n\ndef run_solver(cost):\n    fake_clock.tick(cost + {planted!r})\n")
+    (root / "perfbench" / "workloads.py").write_text(
+        "MODULES = ('solver',)\n\n\n"
+        "def write_inputs(workload, seed, work):\n    return []\n\n\n"
+        "def setup_solves(mods, workload, seed, inputs):\n"
+        "    return [0.001 * (1 + k % 5) for k in range(24)], []\n\n\n"
+        "def solve(mods, job):\n    return mods.solver.run_solver(job)\n")
+    return root
+
+
+def test_bench_paired_phase_resolves_a_planted_cost(tmp_path, monkeypatch):
+    bench = load_script("bench")
+    (tmp_path / "fake_clock.py").write_text(FAKE_CLOCK)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    clock = importlib.import_module("fake_clock").clock
+    parent = _paired_stub(tmp_path / "parent", 0.0)
+    # Each checkout is imported under its own name: the planted 0.2 ms per
+    # solve, 7-20% of a solve, shows in every pair.
+    slow = bench.paired({"parent": parent, "change": _paired_stub(tmp_path / "slow", 2e-4)},
+                        ["generated_m3"], 1, rounds=3, clock=clock)["generated_m3"]
+    assert (slow["solves"], slow["rounds"]) == (24, 3)
+    assert 1.0 < slow["ci_low"] < slow["ratio"] < slow["ci_high"]
+    same = bench.paired({"parent": parent, "change": _paired_stub(tmp_path / "same", 0.0)},
+                        ["generated_m3"], 1, rounds=3, clock=clock)["generated_m3"]
+    assert same["ci_low"] < 1.0 < same["ci_high"]
+    # A checkout without the package or the workloads pairs nothing.
+    assert bench.paired({"parent": parent, "change": tmp_path}, ["generated_m3"], 1) is None
 
 
 def test_paper_table_repeats_and_matches_the_committed_rows(tmp_path, capsys):

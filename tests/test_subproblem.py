@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from mofista.subproblem import (_QP_CUTOFF, SubproblemError, _Model, _linearize,
                                 _simplex_qp, _solve_dual, project_simplex, solve_subproblem,
                                 weak_pareto_residual)
 from reference import (dual_value, inner_primal_step, kkt_residual, model_evaluation,
-                       subproblem_objective)
+                       simplex_qp_lstsq, subproblem_objective)
 
 
 def quad_instance(centers, scales, weight=0.0):
@@ -573,43 +574,6 @@ def test_non_finite_jacobian_raises_instead_of_a_nan_solution(bad):
         weak_pareto_residual(np.zeros(2), np.zeros(2), 5.0, q)
 
 
-def simplex_qp_lstsq(c, Q, w):
-    """Reference for ``_simplex_qp``: the same active-set method with the
-    least-squares cutoff solve on every face, one-dimensional ones too."""
-    w = w.copy()
-    free = w > 0.0
-    for _ in range(4 * w.size):
-        face = np.flatnonzero(free)
-        i0 = face[np.argmax(w[face])]
-        rest = face[face != i0]
-        grad = c - Q @ w
-        if rest.size:
-            g = grad[rest] - grad[i0]
-            q = (Q[np.ix_(rest, rest)] - Q[rest, i0][:, None] - Q[i0, rest][None, :]
-                 + Q[i0, i0])
-            step = np.linalg.lstsq(q, g, rcond=_QP_CUTOFF)[0]
-            flat = g - q @ step
-            ridge = float(np.linalg.norm(flat)) > _QP_CUTOFF * float(np.linalg.norm(g))
-            d = np.zeros(w.size)
-            d[rest] = flat if ridge else step
-            d[i0] = -float(np.sum(d[rest]))
-            shrink = np.flatnonzero(d < 0.0)
-            limits = -w[shrink] / d[shrink]
-            if ridge or (shrink.size and limits.min() < 1.0):
-                k = int(np.argmin(limits))
-                w = np.maximum(w + limits[k] * d, 0.0)
-                w[shrink[k]] = 0.0
-                free[shrink[k]] = False
-                continue
-            w = np.maximum(w + d, 0.0)
-            grad = c - Q @ w
-        out = np.flatnonzero(~free)
-        if not out.size or float(np.max(grad[out])) <= float(w @ grad):
-            break
-        free[out[np.argmax(grad[out])]] = True
-    return w
-
-
 def qp_cases(rng):
     """Random ``(c, Q, w)`` for m = 2, 3 and 5 over magnitudes 1e-8 to 1e8,
     with flat (``q == 0``) and nearly flat one-dimensional faces; larger
@@ -631,13 +595,124 @@ def qp_cases(rng):
             yield scale * rng.standard_normal(m), np.zeros((m, m)), np.full(m, 1.0 / m)
 
 
-def test_simplex_qp_matches_lstsq_bit_for_bit():
-    faces = 0
-    for c, Q, w in qp_cases(np.random.default_rng(41)):
-        got, want = _simplex_qp(c, Q, w), simplex_qp_lstsq(c, Q, w)
-        assert got.tobytes() == want.tobytes(), (c, Q, w)
-        faces += int(np.count_nonzero(w) == 2)
-    assert faces > 500
+def large_face_cases(rng):
+    """Random ``(c, Q, w)`` for m = 4 to 6 over magnitudes 1e-8 to 1e8 whose
+    well-conditioned curvature puts the maximizer inside or near the simplex,
+    so that most solves end on a face of four weights or more."""
+    for m in (4, 5, 6):
+        for scale in 10.0 ** np.arange(-8, 9, 2):
+            for _ in range(25):
+                A = rng.standard_normal((m, m))
+                w = rng.dirichlet(np.ones(m))
+                w[rng.random(m) < 0.1] = 0.0
+                w = w / w.sum() if w.sum() > 0.0 else np.eye(m)[0]
+                yield scale * rng.uniform(0.0, 1.0, m), scale * (A @ A.T + m * np.eye(m)), w
+
+
+def test_simplex_qp_matches_lstsq_bit_for_bit_off_faces_of_three():
+    # Faces of two (closed form) and of four or more (lstsq) keep the bits of
+    # the reference; a solve that passes a face of three is checked below.
+    counts = {2: 0, 4: 0}
+    rng = np.random.default_rng(41)
+    for c, Q, w in list(qp_cases(rng)) + list(large_face_cases(rng)):
+        faces = []
+        want = simplex_qp_lstsq(c, Q, w, faces)
+        if 3 in faces:
+            continue
+        assert _simplex_qp(c, Q, w).tobytes() == want.tobytes(), (c, Q, w)
+        counts[2] += 2 in faces
+        counts[4] += max(faces) >= 4
+    assert counts[2] > 500 and counts[4] > 500, counts
+
+
+def face_of_three_cases(rng):
+    """Random ``(c, Q, w)`` for m = 3 over magnitudes 1e-8 to 1e8.  Most put
+    a chosen 2x2 face curvature ``q`` on the face of the largest weight (the
+    row and column of that weight are 0): positive definite, rank one,
+    ill-conditioned near the cutoff, diagonal or nearly so (equal or nearly
+    equal eigenvalues), 0, or with subnormal off-diagonal entries; the others
+    are full 3x3 curvature of rank 1 to 3, with or without a subnormal pair
+    of entries.  (A subnormal ``c`` is left out: its rounding noise is as
+    large as the gradient, so the ridge test flips on noise.)"""
+    def on_face(q, i0):
+        Q = np.zeros((3, 3))
+        rest = [k for k in range(3) if k != i0]
+        Q[np.ix_(rest, rest)] = q
+        return Q
+
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for scale in 10.0 ** np.arange(-8, 9):
+        for _ in range(175):
+            w = rng.dirichlet(np.ones(3))
+            if rng.random() < 0.2:
+                w[rng.integers(3)] = 0.0
+                w /= w.sum()
+            i0 = int(np.argmax(w))
+            c = scale * rng.standard_normal(3)
+            A = rng.standard_normal((3, int(rng.integers(1, 4))))
+            B, v = rng.standard_normal((2, 2)), rng.standard_normal(2)
+            x = scale * rng.uniform(0.5, 2.0)
+            U = np.linalg.qr(B)[0]
+            tiny = 1e-310 * rng.standard_normal()
+            yield c, scale * (A @ A.T), w
+            yield c, on_face(scale * (B @ B.T), i0), w
+            yield c, on_face(scale * np.outer(v, v), i0), w
+            yield c, on_face(scale * (U * [1.0, 10.0 ** rng.uniform(-9.0, -5.0)]) @ U.T, i0), w
+            yield c, on_face(x * (np.diag([1.0, 1.0 + rng.choice([0.0, 1e-16, 1e-12])])
+                                  + rng.choice([0.0, 1e-17]) * swap), i0), w
+            yield c, np.zeros((3, 3)), w
+            yield c, on_face(np.array([[x, tiny], [tiny, x * rng.choice([1.0, 2.0])]]), i0), w
+            T = scale * (A @ A.T)
+            T[0, 1] = T[1, 0] = tiny
+            yield c, T, w
+
+
+def test_simplex_qp_on_faces_of_three_matches_lstsq_within_rounding():
+    # The closed-form pseudo-inverse and LAPACK's SVD round differently; on a
+    # kept curvature of condition up to 1 / _QP_CUTOFF a step's error is up to
+    # eps / _QP_CUTOFF relative, and the weights are at most 1.
+    tol = np.finfo(float).eps / _QP_CUTOFF
+    solved = 0
+    with np.errstate(all="ignore"):
+        for c, Q, w in face_of_three_cases(np.random.default_rng(43)):
+            faces = []
+            want = simplex_qp_lstsq(c, Q, w, faces)
+            got = _simplex_qp(c, Q, w)
+            assert np.all(np.abs(got - want) <= tol), (c, Q, w, got, want)
+            solved += 3 in faces
+    assert solved >= 20_000
+
+
+def test_simplex_qp_on_a_face_of_three_raises_on_no_finite_input():
+    # Python floats raise ZeroDivisionError where NumPy returns inf or NaN:
+    # equal eigenvalues (q diagonal), q = 0, subnormal and overflowing
+    # entries, symmetric or not, must all come back as weights.
+    rng = np.random.default_rng(47)
+    specials = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, 1e154, 1e300, 1.7e308,
+                         -1.7e308])
+    with np.errstate(all="ignore"):
+        for _ in range(3000):
+            S = rng.choice(specials, (3, 3)) * rng.choice([1.0, 0.5, 2.0], (3, 3))
+            Q = S + S.T if rng.random() < 0.5 else S
+            c = rng.choice(specials, 3)
+            w = rng.dirichlet(np.ones(3))
+            assert _simplex_qp(c, Q, w).shape == (3,)
+            assert _simplex_qp(c, np.diag(rng.choice(specials[4:8], 3)), w).shape == (3,)
+
+
+def test_simplex_qp_ridge_test_on_a_large_face_does_not_overflow():
+    # The gradient's norm on a face of four overflows as sqrt(g . g); math.hypot
+    # scales.  With unit curvature nothing else overflows, so no warning at all.
+    c, w = np.array([1e200, -1e200, 3e199, -2e199]), np.full(4, 0.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(_simplex_qp(c, np.eye(4), w), np.eye(4)[0])
+    # At curvature 1e-300 the least-squares step itself overflows to inf, and
+    # stepping by it warns of 0 * inf; the ridge test still does not overflow.
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        _simplex_qp(c, 1e-300 * np.eye(4), w)
+    assert not [s for s in seen if "overflow" in str(s.message)]
 
 
 @pytest.mark.parametrize("m", [3, 4])
