@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Print one digest line per solver run on the built-in problems.
 
-Without ``--problems`` the run also covers two quadratics with m = 3 and
-n = 4 that ``load_problem_file`` reads from a spec written to a temporary
-file, ``loaded`` without and ``loaded_l1`` with an l1 term.  For every
+Without ``--problems`` the run also covers three quadratics that
+``load_problem_file`` reads from a spec written to a temporary file:
+``loaded`` and ``loaded_l1``, with m = 3 and n = 4, without and with an l1
+term, and ``loaded_m5``, with m = 5 and n = 4, drawn by perfbench's
+``quadratic_spec`` at seed 5, whose dual solves pass faces of four and five
+weights.  For every
 problem, every variant (backtracking, fixed, pgm) and 12 starts from
 ``sample_initial_points(desc, 12, 0)``, runs the solver with ``eps=1e-6``
 and ``max_iter=500``.  Each line holds the status, the iteration
@@ -20,6 +23,7 @@ their outputs are identical:
 
 import argparse
 import hashlib
+import importlib
 import json
 import sys
 import tempfile
@@ -31,6 +35,7 @@ from mofista import (SolverConfig, available_problems, builtin_problem, load_pro
                      run_solver, sample_initial_points)
 
 STARTS = 12
+ROOT = Path(__file__).resolve().parent.parent
 
 # Convex: each quad is positive definite, with largest eigenvalue 4 overall.
 LOADED = {"n": 4, "m": 3, "lower": [-2.0] * 4, "upper": [2.0] * 4, "objectives": [
@@ -43,12 +48,15 @@ LOADED = {"n": 4, "m": 3, "lower": [-2.0] * 4, "upper": [2.0] * 4, "objectives":
 
 
 def loaded_problems():
-    """``(instance, descriptor)`` of ``loaded`` and ``loaded_l1``, read back
-    by ``load_problem_file``."""
+    """``(instance, descriptor)`` of ``loaded``, ``loaded_l1`` and
+    ``loaded_m5``, read back by ``load_problem_file``."""
+    sys.path.insert(0, str(ROOT))
+    quadratic_spec = importlib.import_module("perfbench.workloads").quadratic_spec
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "loaded.json"
         out = []
-        for spec in (dict(LOADED, name="loaded"), dict(LOADED, name="loaded_l1", l1_weight=0.5)):
+        for spec in (dict(LOADED, name="loaded"), dict(LOADED, name="loaded_l1", l1_weight=0.5),
+                     quadratic_spec(np.random.default_rng(5), "loaded_m5", 5, 4)):
             path.write_text(json.dumps(spec))
             out.append(load_problem_file(path))
     return out

@@ -15,12 +15,12 @@ and the dual supergradient at ``lam`` is the vector ``b`` of inner linear
 terms at ``z(lam)``.  One routine serves every ``m``: Newton rounds on the
 dual, each maximizing over the simplex, exactly by an active-set method, the
 quadratic model at the last point evaluated, with curvature ``G D G^T / L``
-from the prox Jacobian ``D`` (``NonsmoothPart.prox_jvp``), and faces of two
-or three weights in closed form.  Once two rounds in a row improve nothing,
-idle rounds 2-11 halve the last improving step down to ``2**-10``, and the
-twelfth stops.  So does a certified gap ``max_i b_i(z) - lam . b(z)``, free
-and exact at any weights, within its rounding floor.  Only
-``solve_subproblem`` builds a ``SubproblemSolution``.
+from the prox Jacobian ``D`` (``NonsmoothPart.prox_jvp``): a face of two
+weights in place, larger faces by one update whose step the size picks.  Once
+two rounds in a row improve nothing, idle rounds 2-11 halve the last improving
+step down to ``2**-10``, and the twelfth stops, as does a certified gap
+``max_i b_i(z) - lam . b(z)``, free and exact at any weights, within its
+rounding floor.  Only ``solve_subproblem`` builds a ``SubproblemSolution``.
 
 Everything here is stateless; warm starts are passed in by the caller.
 """
@@ -160,29 +160,25 @@ def _linearize(y: Array, L: float, p: ProblemInstance, Fx: Array,
 
 
 def _simplex_qp(c: Array, Q: Array, w: Array) -> Array:
-    """Maximize ``c . w - w . Q w / 2`` (``Q`` symmetric positive
-    semidefinite) over the simplex by a primal active-set method from the
-    feasible ``w``.
+    """Maximize ``c . w - w . Q w / 2`` (``Q`` symmetric positive semidefinite)
+    over the simplex by a primal active-set method from the feasible ``w``.
 
-    Steps live in face coordinates: the largest free weight ``i0`` absorbs
-    the changes of the other free weights, so the Newton system has no
-    multiplier unknown and keeps the relative accuracy of the gradient.
-    The least-squares cutoff ``_QP_CUTOFF`` drops curvature below the
-    accuracy of ``Q``; a gradient left in the dropped directions marks a ridge,
-    along which the objective only rises, so it is followed to the boundary.
-    A face of two weights, ``i0`` and ``r``, is solved in closed form on
-    Python floats, bit for bit what LAPACK's least squares returns for a 1x1
-    system of normal magnitude: the gradient times the reciprocal curvature,
-    or 0 when the curvature is 0.  Its step ``s`` moves ``s`` onto ``r`` and
-    off ``i0``, and is applied to the two weights in place; every other
-    weight is 0 and stays so.  A face of three weights is solved on Python
-    floats by the pseudo-inverse of its symmetrized 2x2 system, whose
-    eigenvalues are ``mid +- h`` (Golub & Van Loan), dropping one at or below
-    ``_QP_CUTOFF`` times the other as least squares does: within rounding of
-    ``np.linalg.lstsq``, which larger faces use.  Once every weight is free,
-    a step that drops none ends the solve without pricing.
+    Steps live in face coordinates: the largest free weight ``i0`` absorbs the
+    changes of the others, so the Newton system has no multiplier unknown.  The
+    cutoff ``_QP_CUTOFF`` drops curvature below the accuracy of ``Q``, as least
+    squares does; a gradient left in the dropped directions marks a ridge, along
+    which the objective only rises, so it is followed to the boundary.  A face
+    of two weights is solved in place on Python floats, with LAPACK's bits for a
+    1x1 system of normal magnitude.  Larger faces share one update on Python
+    floats (the ridge test, the first weight to reach zero, the drop), and only
+    the step depends on the size: the pseudo-inverse of the symmetrized 2x2
+    system (eigenvalues ``mid +- h``, Golub & Van Loan) for three weights,
+    ``np.linalg.lstsq`` for more.  Where a step or a limit overflows, the pass
+    is solved again for the gradient over a power of two ``tau``, the full step
+    then being ``tau``.  Once every weight is free, a step that drops none ends
+    the solve.
     """
-    w = w.copy()
+    w, tau = w.copy(), 1.0
     free = w > 0.0
     # Each pass adds or drops one objective; the cap stops cycling on ties.
     for _ in range(4 * w.size):
@@ -194,83 +190,77 @@ def _simplex_qp(c: Array, Q: Array, w: Array) -> Array:
             i0, r = (a, b) if w.item(a) >= w.item(b) else (b, a)
             g = grad.item(r) - grad.item(i0)
             q = Q.item(r, r) - Q.item(r, i0) - Q.item(i0, r) + Q.item(i0, i0)
-            step = g * (1.0 / q) if q != 0.0 else 0.0
+            # 1 / q overflows below 2e-308; only q = 0 leaves a ridge, however large the step.
+            step = g * (1.0 / q) if q > 2e-308 or q < -2e-308 else g / q if q else 0.0
             flat = g - q * step
-            ridge = abs(flat) > _QP_CUTOFF * abs(g)
+            ridge = abs(flat) > _QP_CUTOFF * abs(g) and q == 0.0
             s = flat if ridge else step
             # The step is s on r and -s on i0: j shrinks, o grows.
             j, o = (i0, r) if s > 0.0 else (r, i0)
             limit = w.item(j) / abs(s) if s != 0.0 else math.inf
             if ridge or limit < 1.0:
-                w[o] = max(w.item(o) + limit * abs(s), 0.0)
+                moved = limit * abs(s)  # w[j] up to rounding, unless s is infinite or subnormal
+                w[o] = max(w.item(o) + (moved if moved < math.inf else w.item(j)), 0.0)
                 w[j] = 0.0
                 free[j] = False
                 continue
             w[r], w[i0] = max(w.item(r) + s, 0.0), max(w.item(i0) - s, 0.0)
-        elif face.size == 3:
-            # i0 is the largest weight, the first of a tie; r and t follow in index order.
-            idx, ws, gs, Qs = face.tolist(), w.tolist(), grad.tolist(), Q.tolist()
+        elif face.size > 2:
+            # i0 is the largest weight, the first of a tie; the rest follow in index order.
+            idx, ws, gs = face.tolist(), w.tolist(), grad.tolist()
             top = [ws[k] for k in idx]
             p0 = top.index(max(top))
-            i0, (r, t) = idx[p0], idx[:p0] + idx[p0 + 1:]
-            (Qi, Qr, Qt), qi = (Qs[i0], Qs[r], Qs[t]), Qs[i0][i0]
-            g1, g2 = gs[r] - gs[i0], gs[t] - gs[i0]
-            a = Qr[r] - Qr[i0] - Qi[r] + qi
-            b = Qr[t] - Qr[i0] - Qi[t] + qi
-            b2 = Qt[r] - Qt[i0] - Qi[r] + qi
-            e = Qt[t] - Qt[i0] - Qi[t] + qi
-            # Eigenvalues mid +- h of the symmetric part; big is the larger in magnitude.
-            o, mid = 0.5 * (b + b2), 0.5 * (a + e)
-            h = math.hypot(0.5 * (a - e), o)
-            big, small = (mid + h, mid - h) if mid >= 0.0 else (mid - h, mid + h)
-            if abs(small) > _QP_CUTOFF * abs(big):  # both kept: the inverse
-                # Scaled by a power of two, exactly, so that det cannot underflow.
-                sc = math.ldexp(1.0, min(-math.frexp(big)[1], 1000))
-                det = a * sc * (e * sc) - o * sc * (o * sc)
-                s1 = (e * sc * g1 - o * sc * g2) / det * sc
-                s2 = (a * sc * g2 - o * sc * g1) / det * sc
-            elif big != 0.0:  # small dropped: (q - small I) / (big - small) / big
-                gap = big - small
-                s1 = ((a - small) / gap * g1 + o / gap * g2) / big
-                s2 = (o / gap * g1 + (e - small) / gap * g2) / big
-            else:  # q is 0: lstsq's zero step
-                s1 = s2 = 0.0
-            f1, f2 = g1 - (a * s1 + b * s2), g2 - (b2 * s1 + e * s2)
-            ridge = math.hypot(f1, f2) > _QP_CUTOFF * math.hypot(g1, g2)
-            d = [f1, f2] if ridge else [s1, s2]
-            d.insert(p0, -(d[0] + d[1]))
+            i0, rest = idx[p0], idx[:p0] + idx[p0 + 1:]
+            if face.size == 3:
+                (r, t), Qs = rest, Q.tolist()
+                (Qi, Qr, Qt), qi = (Qs[i0], Qs[r], Qs[t]), Qs[i0][i0]
+                g1, g2 = (gs[r] - gs[i0]) / tau, (gs[t] - gs[i0]) / tau
+                a = Qr[r] - Qr[i0] - Qi[r] + qi
+                b = Qr[t] - Qr[i0] - Qi[t] + qi
+                b2 = Qt[r] - Qt[i0] - Qi[r] + qi
+                e = Qt[t] - Qt[i0] - Qi[t] + qi
+                # Eigenvalues mid +- h of the symmetric part; big is the larger in magnitude.
+                o, mid = 0.5 * (b + b2), 0.5 * (a + e)
+                h = math.hypot(0.5 * (a - e), o)
+                big, small = (mid + h, mid - h) if mid >= 0.0 else (mid - h, mid + h)
+                if abs(small) > _QP_CUTOFF * abs(big):  # both kept: the inverse
+                    # Scaled by a power of two, exactly, so that det cannot underflow.
+                    sc = math.ldexp(1.0, min(-math.frexp(big)[1], 1000))
+                    det = a * sc * (e * sc) - o * sc * (o * sc)
+                    s1 = (e * sc * g1 - o * sc * g2) / det * sc
+                    s2 = (a * sc * g2 - o * sc * g1) / det * sc
+                elif big != 0.0:  # small dropped: (q - small I) / (big - small) / big
+                    gap = big - small
+                    s1 = ((a - small) / gap * g1 + o / gap * g2) / big
+                    s2 = (o / gap * g1 + (e - small) / gap * g2) / big
+                else:  # q is 0: lstsq's zero step
+                    s1 = s2 = 0.0
+                flat = [g1 - (a * s1 + b * s2), g2 - (b2 * s1 + e * s2)]
+                g, step = (g1, g2), [s1, s2]
+            else:
+                # Kept in C order: ``q @ step`` rounds differently on a transposed q.
+                q = Q[np.ix_(rest, rest)] - Q[rest, i0][:, None] - Q[i0, rest] + Q[i0, i0]
+                with np.errstate(all="ignore"):  # a step that overflows is solved again
+                    g = (grad[rest] - grad[i0]) / tau
+                    step = (np.linalg.lstsq(q, g, rcond=_QP_CUTOFF)[0]
+                            if np.isfinite(q).all() else g * math.nan)  # LAPACK hangs on inf
+                    g, step, flat = g.tolist(), step.tolist(), (g - q @ step).tolist()
+            ridge = math.hypot(*flat) > _QP_CUTOFF * math.hypot(*g)
+            d = flat if ridge else step
+            d.insert(p0, -sum(d))
             limit, k = min([(-wk / dk, k) for wk, dk, k in zip(top, d, idx) if dk < 0.0],
                            default=(math.inf, i0))
-            # A ridge, or a weight that reaches zero first: stop there and drop it.
-            drop = ridge or limit < 1.0
+            drop = ridge or limit < tau
+            # |limit d| is at most m on a finite step: past 1e300 a step or a limit overflowed.
+            if not -1e300 < (limit if drop else tau) * d[p0] < 1e300 and tau == 1.0:
+                tau = math.ldexp(1.0, min(math.frexp(math.hypot(*g))[1] + 60, 1023))
+                continue
             for j, wj, dj in zip(idx, top, d):
-                w[j] = max(wj + (limit if drop else 1.0) * dj, 0.0)
+                w[j] = max(wj + (limit if drop else tau) * dj, 0.0)
+            tau = 1.0
             if drop:
                 w[k], free[k] = 0.0, False
                 continue
-        elif face.size > 3:
-            i0 = face[w[face].argmax()]
-            rest = face[face != i0]
-            g = grad[rest] - grad[i0]
-            # Kept in C order: ``q @ step`` rounds differently on a transposed q.
-            q = (Q[rest[:, None], rest] - Q[rest, i0][:, None] - Q[i0, rest][None, :]
-                 + Q[i0, i0])
-            step = np.linalg.lstsq(q, g, rcond=_QP_CUTOFF)[0]
-            flat = g - q @ step
-            ridge = math.hypot(*flat.tolist()) > _QP_CUTOFF * math.hypot(*g.tolist())
-            d = np.zeros(w.size)
-            d[rest] = flat if ridge else step
-            d[i0] = -d[rest].sum()
-            shrink = (d < 0.0).nonzero()[0]
-            limits = -w[shrink] / d[shrink]
-            if ridge or (shrink.size and limits.min() < 1.0):
-                # Stop at the first weight to reach zero and drop it.
-                k = limits.argmin()
-                w = np.maximum(w + limits[k] * d, 0.0)
-                w[shrink[k]] = 0.0
-                free[shrink[k]] = False
-                continue
-            w = np.maximum(w + d, 0.0)
         if all(free.tolist()):
             break
         if face.size > 1:

@@ -109,8 +109,8 @@ def test_trace_digest_default_run_covers_loaded_problems(capsys):
     # Byte-identical traces: a change that alters them on purpose regenerates
     # the file with ``scripts/trace_digest.py`` and says so.
     assert outputs[0] == (ROOT / "tests" / "trace_digest.txt").read_text()
-    # Both loaded problems have L_true, so every variant runs on each.
-    runs = [f"{name} {variant} {i}" for name in ("loaded", "loaded_l1")
+    # Every loaded problem has L_true, so every variant runs on each.
+    runs = [f"{name} {variant} {i}" for name in ("loaded", "loaded_l1", "loaded_m5")
             for variant in ("backtracking", "fixed", "pgm") for i in range(digest.STARTS)]
     lines = outputs[0].splitlines()
     loaded = [line for line in lines if line.startswith("loaded")]

@@ -595,11 +595,11 @@ def qp_cases(rng):
             yield scale * rng.standard_normal(m), np.zeros((m, m)), np.full(m, 1.0 / m)
 
 
-def large_face_cases(rng):
-    """Random ``(c, Q, w)`` for m = 4 to 6 over magnitudes 1e-8 to 1e8 whose
-    well-conditioned curvature puts the maximizer inside or near the simplex,
-    so that most solves end on a face of four weights or more."""
-    for m in (4, 5, 6):
+def large_face_cases(rng, sizes=range(4, 9)):
+    """Random ``(c, Q, w)`` for each m of ``sizes`` over magnitudes 1e-8 to
+    1e8 whose well-conditioned curvature puts the maximizer inside or near the
+    simplex, so that most solves end on a face of four weights or more."""
+    for m in sizes:
         for scale in 10.0 ** np.arange(-8, 9, 2):
             for _ in range(25):
                 A = rng.standard_normal((m, m))
@@ -683,21 +683,34 @@ def test_simplex_qp_on_faces_of_three_matches_lstsq_within_rounding():
     assert solved >= 20_000
 
 
-def test_simplex_qp_on_a_face_of_three_raises_on_no_finite_input():
-    # Python floats raise ZeroDivisionError where NumPy returns inf or NaN:
-    # equal eigenvalues (q diagonal), q = 0, subnormal and overflowing
-    # entries, symmetric or not, must all come back as weights.
+def test_simplex_qp_on_faces_of_nine_to_twelve_matches_lstsq_within_rounding():
+    # From eight terms NumPy sums d in pairwise blocks and Python's sum left to
+    # right, so the last bits may differ; the bound is the face-of-three test's.
+    tol = np.finfo(float).eps / _QP_CUTOFF
+    for c, Q, w in large_face_cases(np.random.default_rng(53), range(9, 13)):
+        faces = []
+        want = simplex_qp_lstsq(c, Q, w, faces)
+        assert np.all(np.abs(_simplex_qp(c, Q, w) - want) <= tol), (c, Q, w)
+        assert max(faces) >= 7, faces
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_simplex_qp_raises_on_no_finite_input(m):
+    # Python floats raise ZeroDivisionError where NumPy returns inf or NaN, and
+    # LAPACK's SVD may not return on an infinite face curvature: equal
+    # eigenvalues (q diagonal), q = 0, subnormal and overflowing entries,
+    # symmetric or not, must all come back as weights.
     rng = np.random.default_rng(47)
     specials = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, 1e154, 1e300, 1.7e308,
                          -1.7e308])
     with np.errstate(all="ignore"):
         for _ in range(3000):
-            S = rng.choice(specials, (3, 3)) * rng.choice([1.0, 0.5, 2.0], (3, 3))
+            S = rng.choice(specials, (m, m)) * rng.choice([1.0, 0.5, 2.0], (m, m))
             Q = S + S.T if rng.random() < 0.5 else S
-            c = rng.choice(specials, 3)
-            w = rng.dirichlet(np.ones(3))
-            assert _simplex_qp(c, Q, w).shape == (3,)
-            assert _simplex_qp(c, np.diag(rng.choice(specials[4:8], 3)), w).shape == (3,)
+            c = rng.choice(specials, m)
+            w = rng.dirichlet(np.ones(m))
+            assert _simplex_qp(c, Q, w).shape == (m,)
+            assert _simplex_qp(c, np.diag(rng.choice(specials[4:8], m)), w).shape == (m,)
 
 
 def test_simplex_qp_ridge_test_on_a_large_face_does_not_overflow():
@@ -707,12 +720,40 @@ def test_simplex_qp_ridge_test_on_a_large_face_does_not_overflow():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         np.testing.assert_array_equal(_simplex_qp(c, np.eye(4), w), np.eye(4)[0])
-    # At curvature 1e-300 the least-squares step itself overflows to inf, and
-    # stepping by it warns of 0 * inf; the ridge test still does not overflow.
-    with warnings.catch_warnings(record=True) as seen:
-        warnings.simplefilter("always")
-        _simplex_qp(c, 1e-300 * np.eye(4), w)
-    assert not [s for s in seen if "overflow" in str(s.message)]
+    # At curvature 1e-300 the least-squares step of 1e500 overflows; the face
+    # is solved again for the gradient over a power of two.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _simplex_qp(c, 1e-300 * np.eye(4), w)
+    np.testing.assert_allclose(got, np.eye(4)[0], rtol=0.0, atol=4 * np.finfo(float).eps)
+
+
+HUGE, SUBNORMAL = [1e200, -1e200, 3e199, -2e199], [8e-316, -8e-316, 3e-316, -2e-316]
+
+
+@pytest.mark.parametrize("m, c, curvature", [(2, HUGE, 1e-300), (3, HUGE, 1e-300),
+                                             (2, SUBNORMAL, 0.0), (3, SUBNORMAL, 0.0),
+                                             (4, SUBNORMAL, 0.0)],
+                         ids=["huge-2", "huge-3", "subnormal-2", "subnormal-3", "subnormal-4"])
+def test_simplex_qp_on_an_overflowing_or_subnormal_step_ends_at_a_vertex(m, c, curvature):
+    # A step of 1e500, or a subnormal ridge gradient whose limit w / |d| is
+    # 1e315, leaves the floats: the face is solved again for the gradient over
+    # a power of two, or on a face of two moves all of the dropped weight.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _simplex_qp(np.array(c[:m]), curvature * np.eye(m), np.full(m, 1.0 / m))
+    np.testing.assert_allclose(got, np.eye(m)[0], rtol=0.0, atol=4 * np.finfo(float).eps)
+
+
+def test_simplex_qp_on_a_subnormal_face_curvature_matches_lstsq():
+    # 1 / q overflows on the face of two with q = 3.34e-311, where g / q and
+    # the least-squares reference do not.
+    c, Q = np.array([9.66e-9, -1.29e-8, 2.33e-9]), np.diag([1.51e-8, 0.0, 3.34e-311])
+    w = np.array([0.0, 0.885, 0.115])
+    want = simplex_qp_lstsq(c, Q, w)
+    np.testing.assert_allclose(want, [0.485, 0.0, 0.515], atol=1e-3)
+    np.testing.assert_allclose(_simplex_qp(c, Q, w), want, rtol=0.0,
+                               atol=4 * np.finfo(float).eps)
 
 
 @pytest.mark.parametrize("m", [3, 4])
