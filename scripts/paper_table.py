@@ -1,9 +1,8 @@
-#!/usr/bin/env python3
 """Adaptive against monotone backtracking, beside the fixed-step baselines.
 
-    PYTHONPATH=src python3 scripts/paper_table.py --out paper_table.json
-
-Runs four variants from 20 starts per problem, ``sample_initial_points(desc,
+``scripts/goldens.py`` writes ``table`` of every built-in and of
+``generated_problems`` to ``paper_table.json`` and prints its ``markdown``.
+Each problem runs four variants from 20 starts, ``sample_initial_points(desc,
 20, 0)``, with ``eps=1e-6`` and ``max_iter=1000``:
 
 - ``backtracking``: ``Variant.BACKTRACKING`` with the default ``sigma = 2``,
@@ -17,22 +16,16 @@ Runs four variants from 20 starts per problem, ``sample_initial_points(desc,
 - ``pgm``: ``Variant.PGM`` with ``L_init = L_true``.
 
 The fixed-step rows are ``n/a`` for problems without ``L_true`` (DD1, FF1).
-Without ``--problems`` the run covers every built-in and then the generated
-convex quadratics of ``perfbench``'s ``generated_m3`` and
-``generated_large_n`` workloads at seed 1, read through
+The generated problems are the convex quadratics of ``perfbench``'s
+``generated_m3`` and ``generated_large_n`` workloads at seed 1, read through
 ``load_problem_file``.  Each row holds the accepted iterations, the trials
 (iterations plus backtracks), the calls of ``f`` and of ``grad f``, counted
 by wrappers around the problem's oracles, and the count of each final
 status, over every run however it stopped.  ``totals`` sums the rows of
-each group for each variant.
-
-The JSON holds no wall time, so reruns give byte-identical files.  A
-markdown summary goes to stdout.
+each group for each variant.  The table holds no wall time, so reruns give
+byte-identical files.
 """
 
-import argparse
-import importlib
-import json
 import math
 import sys
 import tempfile
@@ -40,8 +33,11 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
-from mofista import (SolverConfig, available_problems, builtin_problem, load_problem_file,
-                     run_solver, sample_initial_points)
+from mofista import SolverConfig, load_problem_file, run_solver, sample_initial_points
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+from perfbench import workloads  # noqa: E402  (the generated problems' own generator)
 
 STARTS = 20
 EPS = 1e-6
@@ -50,7 +46,6 @@ MONOTONE_SIGMA = math.nextafter(1.0, 2.0)
 GENERATED_SEED = 1
 VARIANTS = ("backtracking", "monotone", "fixed", "pgm")
 COUNTS = ("runs", "iterations", "trials", "f_calls", "jac_calls")
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def configs(L_true):
@@ -98,8 +93,6 @@ def row(p, starts, cfg) -> dict:
 def generated_problems() -> dict:
     """``group -> [(instance, descriptor)]`` of perfbench's generated
     workloads, written by its own generator and read back."""
-    sys.path.insert(0, str(ROOT))
-    workloads = importlib.import_module("perfbench.workloads")
     with tempfile.TemporaryDirectory() as tmp:
         return {name: [load_problem_file(path) for path in
                        workloads.write_inputs(name, GENERATED_SEED, Path(tmp))]
@@ -134,7 +127,9 @@ def table(groups: dict) -> dict:
 
 
 def markdown(doc: dict) -> str:
-    """Iterations / trials per variant: one line per built-in, one per group total."""
+    """Iterations / trials per variant, one line per built-in and one per
+    group total; then the ``f`` and ``f + grad f`` calls of the adaptive and
+    the monotone rule per group."""
     def cell(c):
         return "n/a" if c == "n/a" else f"{c['iterations']} / {c['trials']}"
 
@@ -145,26 +140,11 @@ def markdown(doc: dict) -> str:
     for group, total in doc["totals"].items():
         lines.append(f"| **{group} total** | "
                      + " | ".join(cell(total[v]) for v in VARIANTS) + " |")
+    lines += ["", "| Group | `f` calls, adaptive | `f` calls, monotone "
+              "| `f` + `∇f` calls, adaptive | `f` + `∇f` calls, monotone |", "|---" * 5 + "|"]
+    for group, total in doc["totals"].items():
+        adaptive, monotone = total["backtracking"], total["monotone"]
+        lines.append(f"| {group} | {adaptive['f_calls']} | {monotone['f_calls']} "
+                     f"| {adaptive['f_calls'] + adaptive['jac_calls']} "
+                     f"| {monotone['f_calls'] + monotone['jac_calls']} |")
     return "\n".join(lines)
-
-
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--problems", nargs="+", default=None,
-                    help="built-in problems to run (default: all, then the generated ones)")
-    ap.add_argument("--out", type=Path, required=True, help="JSON file to write")
-    args = ap.parse_args(argv)
-
-    groups = {"builtin": [builtin_problem(name)
-                          for name in args.problems or available_problems()]}
-    if args.problems is None:
-        groups.update(generated_problems())
-    doc = table(groups)
-    args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    print(markdown(doc))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

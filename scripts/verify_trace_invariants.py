@@ -11,21 +11,28 @@ trace:
     decay and the cap, gives the O(1/k^2) worst-component rate,
   * cap: the accepted-L cap.
 
-The step and energy checks use a level-set reference per start; growth
-and cap need the trace alone.  Each line gives the size of its start's
-reference set (``ref=41`` when all 40 draws were kept after ``x0``; ``ref=1``
-means the energy and step checks tested ``z = x0`` alone) and names the
-checks that failed (``checks=FAIL:growth,energy``).  Exits nonzero if any
-check fails.
+The step and energy checks use a reference set in the start's level set
+``{z : F(z) <= F(x0)}``; growth and cap need the trace alone.  Each run's
+reference holds its start's level-set draws and, where ``F(x_K) <= F(x0)``
+at the run's last iterate ``x_K``, the 10 points ``x0 + s (x_K - x0)`` for
+``s = 0.1, ..., 1.0``: each ``F_i`` is convex, so they lie in the level set
+too.  Each line gives the size of the run's reference (``ref=51`` when all
+40 draws were kept after ``x0``; ``ref=11`` when no draw was, as on one VFM1
+start) and names the checks that failed (``checks=FAIL:growth,energy``).
+Exits nonzero if any check fails.
 """
 
 import argparse
 import sys
 
-from mofista import (SolverConfig, accepted_L_bound_check, available_problems,
+import numpy as np
+
+from mofista import (ReferenceSet, SolverConfig, accepted_L_bound_check, available_problems,
                      builtin_problem, gap_step_bounds_check, level_set_reference,
                      lyapunov_monotone_check, momentum_growth_check, run_solver,
                      sample_initial_points)
+
+SEGMENT = np.arange(1, 11)[:, None] / 10.0   # s = 0.1, ..., 1.0
 
 
 def main(argv=None) -> int:
@@ -48,6 +55,9 @@ def main(argv=None) -> int:
                                variant=label)
             for x0, Z in zip(starts, level_sets):
                 res = run_solver(p, x0, cfg)
+                F = res.trace.objective_rows()
+                if np.all(F[-1] <= F[0]):
+                    Z = ReferenceSet(np.vstack([Z.points, x0 + SEGMENT * (res.x - x0)]))
                 checks = {"step": gap_step_bounds_check(res.trace, p, Z),
                           "energy": lyapunov_monotone_check(res.trace, p, Z),
                           "growth": momentum_growth_check(res.trace, desc.L_true, cfg),

@@ -25,8 +25,9 @@ def load_script(name):
 
 
 def test_verify_trace_invariants_passes(monkeypatch, capsys):
-    # Each line reports the size of its start's reference set: the script
-    # draws one per start, then runs both variants over the starts.
+    # Each line reports the size of its run's reference set: the script
+    # draws one level set per start, then runs both variants over the
+    # starts, and every run adds 10 points of its segment [x0, x_K].
     verify = load_script("verify_trace_invariants")
     sizes = []
 
@@ -39,9 +40,9 @@ def test_verify_trace_invariants_passes(monkeypatch, capsys):
     assert verify.main([]) == 0
     printed = [int(n) for n in re.findall(r" ref=\s*(\d+) ", capsys.readouterr().out)]
     starts = 5  # the script's default --seeds
-    assert printed == [n for i in range(0, len(sizes), starts)
+    assert printed == [n + 10 for i in range(0, len(sizes), starts)
                        for n in sizes[i:i + starts] * 2]
-    assert printed and all(1 <= n <= 41 for n in printed)
+    assert printed and all(11 <= n <= 51 for n in printed)
 
 
 def _halve_every_t(trace):
@@ -82,48 +83,41 @@ def test_verify_trace_invariants_names_the_failed_checks(monkeypatch, capsys):
     assert f"{sum(f != 'ok' for f in flags)} trace check(s) failed" in captured.err
 
 
-def test_trace_digest_repeats_with_one_line_per_run(capsys):
-    digest = load_script("trace_digest")
-    outputs = []
-    for _ in range(2):
-        assert digest.main(["--problems", "BK1", "DD1"]) == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
-    # BK1 runs all three variants; DD1 has no L_true, so backtracking only.
-    runs = [f"{name} {variant} {i}" for name, variants in
-            (("BK1", ("backtracking", "fixed", "pgm")), ("DD1", ("backtracking",)))
-            for variant in variants for i in range(digest.STARTS)]
-    lines = outputs[0].splitlines()
+@pytest.fixture
+def goldens(monkeypatch):
+    # goldens.py imports paper_table from its own directory, as when it runs.
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    return load_script("goldens")
+
+
+# The line format of each golden under tests/.
+GOLDEN_LINES = {
+    "trace_digest.txt": r"\w+ (backtracking|fixed|pgm) \d+ \w+ \d+ [0-9a-f]{64}",
+    "cli_digest.txt": r"(mixed|capped|diverging) \w+\.\w+ [0-9a-f]{64}",
+    "nan_runs.txt": r"\w+ (f|jac) (0|-1) \d+ (backtracking|pgm): \w+ \d+ [0-9a-f]{16}",
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_LINES)
+def test_golden_matches_the_committed_file(name, goldens):
+    # Byte-identical outputs: a change that alters them on purpose rewrites
+    # the goldens with scripts/goldens.py and says why.
+    committed = (ROOT / "tests" / name).read_text().splitlines(keepends=True)
+    assert all(re.fullmatch(GOLDEN_LINES[name], line.rstrip("\n")) for line in committed)
+    assert [line + "\n" for line in goldens.GOLDENS[name]()] == committed
+
+
+def test_trace_digest_runs_every_variant_that_has_its_step_constant(goldens):
+    # Read from the committed file: DD1 and FF1 have no L_true, so they run
+    # backtracking alone; every other built-in and each loaded problem runs
+    # all three variants, each from the same starts.
+    names = [*mofista.available_problems(), "loaded", "loaded_l1", "loaded_m5"]
+    runs = [f"{name} {variant} {i}" for name in names
+            for variant in (("backtracking",) if name in ("DD1", "FF1")
+                            else ("backtracking", "fixed", "pgm"))
+            for i in range(goldens.STARTS)]
+    lines = (ROOT / "tests" / "trace_digest.txt").read_text().splitlines()
     assert [" ".join(line.split()[:3]) for line in lines] == runs
-    assert all(re.fullmatch(r"\w+ \d+ [0-9a-f]{64}", line.split(" ", 3)[3])
-               for line in lines)
-
-
-def test_trace_digest_default_run_covers_loaded_problems(capsys):
-    digest = load_script("trace_digest")
-    outputs = []
-    for _ in range(2):
-        assert digest.main([]) == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
-    # Byte-identical traces: a change that alters them on purpose regenerates
-    # the file with ``scripts/trace_digest.py`` and says so.
-    assert outputs[0] == (ROOT / "tests" / "trace_digest.txt").read_text()
-    # Every loaded problem has L_true, so every variant runs on each.
-    runs = [f"{name} {variant} {i}" for name in ("loaded", "loaded_l1", "loaded_m5")
-            for variant in ("backtracking", "fixed", "pgm") for i in range(digest.STARTS)]
-    lines = outputs[0].splitlines()
-    loaded = [line for line in lines if line.startswith("loaded")]
-    assert [" ".join(line.split()[:3]) for line in loaded] == runs
-    assert lines[-len(runs):] == loaded
-    assert all(re.fullmatch(r"\w+ \d+ [0-9a-f]{64}", line.split(" ", 3)[3]) for line in loaded)
-
-
-def test_cli_digest_matches_the_committed_file(capsys):
-    # Byte-identical CLI outputs outside the wall-time columns: a change that
-    # alters them on purpose regenerates the file with ``scripts/cli_digest.py``.
-    assert load_script("cli_digest").main([]) == 0
-    assert capsys.readouterr().out == (ROOT / "tests" / "cli_digest.txt").read_text()
 
 
 def test_readme_public_api_is_all():
@@ -327,15 +321,12 @@ def test_bench_paired_phase_resolves_a_planted_cost(tmp_path, monkeypatch):
     assert bench.paired({"parent": parent, "change": tmp_path}, ["generated_m3"], 1) is None
 
 
-def test_paper_table_repeats_and_matches_the_committed_rows(tmp_path, capsys):
+def test_paper_table_repeats_and_matches_the_committed_rows():
     table = load_script("paper_table")
-    outputs = []
-    for k in range(2):
-        out = tmp_path / f"table{k}.json"
-        assert table.main(["--problems", "BK1", "FF1", "--out", str(out)]) == 0
-        outputs.append((out.read_bytes(), capsys.readouterr().out))
+    groups = {"builtin": [mofista.builtin_problem(name) for name in ("BK1", "FF1")]}
+    outputs = [json.dumps(table.table(groups), indent=1) for _ in range(2)]
     assert outputs[0] == outputs[1]
-    doc = json.loads(outputs[0][0])
+    doc = json.loads(outputs[0])
     assert list(doc["rows"]) == ["BK1", "FF1"] and list(doc["totals"]) == ["builtin"]
     # FF1 has no L_true, so only the two backtracking rules run on it.
     assert doc["rows"]["FF1"]["fixed"] == doc["rows"]["FF1"]["pgm"] == "n/a"
@@ -352,6 +343,14 @@ def test_paper_table_repeats_and_matches_the_committed_rows(tmp_path, capsys):
     committed = json.loads((ROOT / "paper_table.json").read_text())
     assert committed["settings"] == doc["settings"]
     assert all(committed["rows"][name] == doc["rows"][name] for name in ("BK1", "FF1"))
+
+
+def test_readme_quotes_the_paper_table():
+    # The README's tables are the markdown of the committed JSON, as
+    # scripts/goldens.py prints it.
+    table = load_script("paper_table")
+    doc = json.loads((ROOT / "paper_table.json").read_text())
+    assert table.markdown(doc) in (ROOT / "README.md").read_text()
 
 
 def test_call_counts_repeat_on_a_small_slice(capsys, monkeypatch):

@@ -1,8 +1,5 @@
-import hashlib
-import itertools
 from dataclasses import fields, replace
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -711,52 +708,3 @@ def test_dual_solve_hands_back_its_step_bit_for_bit():
         grads = np.asarray(p.smooth_jac(rec.y), dtype=float)
         assert gd.tobytes() == (grads @ want).tobytes(), (name, rec.k)
         assert np.float64(gz).tobytes() == np.float64(p.nonsmooth.value(rec.x)).tobytes(), name
-
-
-def nan_planted(p, source, pos, call):
-    """``p`` whose ``call``-th call (from 0) of ``f`` or ``grad f`` returns
-    a NaN in entry or row ``pos``."""
-    count = [0]
-    oracle = p.smooth if source == "f" else p.smooth_jac
-
-    def planted(x):
-        out = np.array(oracle(x), dtype=float)
-        if count[0] == call:
-            out[pos] = np.nan
-        count[0] += 1
-        return out
-
-    return replace(p, **{"smooth" if source == "f" else "smooth_jac": planted})
-
-
-def nan_run_lines():
-    """One line per planted-NaN run: the run, its status, its iteration count
-    and a digest of its records.  Rewrite ``tests/nan_runs.txt`` from them with
-    ``cd tests && PYTHONPATH=../src python -c "import test_solver;
-    print(*test_solver.nan_run_lines(), sep=chr(10))" > nan_runs.txt``."""
-    lines = []
-    for name in ("SP1_l1", "MHHM2"):
-        base, desc = builtin_problem(name)
-        x0 = sample_initial_points(desc, 1, seed=2)[0]
-        for source, pos, call, variant in itertools.product(
-                ("f", "jac"), (0, -1), (0, 1, 2, 4, 9), ("backtracking", "pgm")):
-            cfg = SolverConfig(L_init=1.0 if variant == "backtracking" else desc.L_true,
-                               eps=1e-6, max_iter=200, variant=variant)
-            res = run_solver(nan_planted(base, source, pos, call), x0, cfg)
-            # Every run that does not converge says why.
-            assert bool(res.reason) == (res.status is not Status.CONVERGED)
-            recs = res.trace.records
-            parts = (np.asarray(v, dtype=float).tobytes() for r in recs
-                     for v in (r.L, r.x, r.objectives, r.dual_gap, r.residual))
-            digest = hashlib.sha256(b"".join(parts)).hexdigest()[:16]
-            lines.append(f"{name} {source} {pos} {call} {variant}: "
-                         f"{res.status.value} {len(recs)} {digest}")
-    return lines
-
-
-def test_planted_nan_runs_end_as_before_wherever_it_sits():
-    # One NaN, first or last among the objectives, in f(x0), f(y), f(z) or
-    # grad f at one of the first points: each run ends as it did when every
-    # maximum over the objectives was taken by NumPy, line for line as in
-    # tests/nan_runs.txt.
-    assert nan_run_lines() == (Path(__file__).parent / "nan_runs.txt").read_text().splitlines()
