@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
 """Count the interpreter calls each line-search trial makes.
 
-    python3 scripts/call_counts.py --seed 1 [--solves N] [--workloads NAME ...]
+    python3 scripts/call_counts.py --seed 1
 
 Runs one pass of each of the ``builtin_m2``, ``generated_m3`` and
-``generated_large_n`` benchmark workloads (``perfbench/workloads.py``), or
-of those named, in this process under ``sys.setprofile``; with ``--solves``
-only the first N solves of each pass.
+``generated_large_n`` benchmark workloads (``perfbench/workloads.py``) in
+this process under ``sys.setprofile``.
 
 A *trial* is one dual solve (``subproblem._solve_dual``).  For each
 workload the JSON printed holds the trials, the Python and C calls per
@@ -14,9 +13,10 @@ trial made inside ``solver.run_solver``, and the totals made inside
 ``run_solver``, ``_solve_dual`` and ``subproblem._simplex_qp``, each
 counting the calls nested in it but not its own.  A Python call is a frame
 entered, a generator resumed included; a C call is a call of a builtin
-function or method.  The counts depend only on the seed, the slice and the
-Python and NumPy versions, which are printed beside them, not on the
-machine's speed.
+function or method.  The counts depend only on the seed and the Python and
+NumPy versions, which are printed beside them, not on the machine's speed.
+``count_workload(workload, seed, solves)`` counts the first ``solves``
+solves of one pass alone.
 """
 
 from __future__ import annotations
@@ -80,18 +80,13 @@ def count_workload(workload: str, seed: int, solves=None) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--solves", type=int, default=None,
-                    help="count only the first N solves of each pass")
-    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=WORKLOADS)
     args = ap.parse_args(argv)
-    if args.solves is not None and args.solves < 1:
-        ap.error("--solves must be at least 1")
     for path in (ROOT / "src", ROOT / "perfbench"):
         if str(path) not in sys.path:
             sys.path.insert(0, str(path))
-    counts = {w: count_workload(w, args.seed, args.solves) for w in args.workloads}
+    counts = {w: count_workload(w, args.seed) for w in WORKLOADS}
     print(json.dumps({"python": platform.python_version(), "numpy": np.__version__,
-                      "seed": args.seed, "solves": args.solves, "workloads": counts},
+                      "seed": args.seed, "workloads": counts},
                      indent=1, sort_keys=True))
     return 0
 

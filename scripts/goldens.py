@@ -23,9 +23,9 @@ verbatim.
   ``dual_gap`` (``wall_ms`` is left out), however the run stopped.
 - ``tests/cli_digest.txt``: ``<config> <file> <sha256>`` for every file
   that ``run_benchmark`` writes on the three configurations of
-  ``CONFIGS``, in name order, with the wall-time columns (``wall_ms`` of
-  ``results.csv``, ``mean_ms`` of ``aggregates.csv``) dropped before
-  hashing.
+  ``CONFIGS``, in name order, as perfbench's ``workloads.cli_outputs``
+  reads it: with the wall-time columns (``wall_ms`` of ``results.csv``,
+  ``mean_ms`` of ``aggregates.csv``) dropped before hashing.
 - ``tests/nan_runs.txt``: one line per run of SP1_l1 and MHHM2 whose
   ``f`` or ``grad f`` returns one NaN, first or last among the objectives,
   at its 1st, 2nd, 3rd, 5th or 10th call: the run, its status, its
@@ -72,9 +72,6 @@ CONFIGS = {
     "diverging": dict(problems=("VFM1",), solvers=("fixed",), fixed_L=1e-3, runs=2),
 }
 
-WALL_COLUMNS = {"results.csv": "wall_ms", "aggregates.csv": "mean_ms"}
-
-
 def loaded_problems():
     """``(instance, descriptor)`` of ``loaded``, ``loaded_l1`` and
     ``loaded_m5``, read back by ``load_problem_file``."""
@@ -112,24 +109,13 @@ def trace_digest():
                 yield f"{desc.name} {label} {i} {res.status.value} {len(recs)} {digest(recs)}"
 
 
-def without_wall_times(path: Path) -> str:
-    """The file's text, minus its wall-time column if it has one."""
-    text = path.read_text()
-    if path.name not in WALL_COLUMNS:
-        return text
-    lines = [line.split(",") for line in text.splitlines()]
-    drop = lines[0].index(WALL_COLUMNS[path.name])
-    return "\n".join(",".join(c for i, c in enumerate(row) if i != drop) for row in lines)
-
-
 def cli_digest():
     for label, settings in CONFIGS.items():
         with tempfile.TemporaryDirectory() as tmp:
             out_dir = Path(tmp)
             run_benchmark(BenchConfig(out_dir=out_dir, **settings))
-            for path in sorted(out_dir.iterdir()):
-                sha = hashlib.sha256(without_wall_times(path).encode()).hexdigest()
-                yield f"{label} {path.name} {sha}"
+            for name, text in paper_table.workloads.cli_outputs(out_dir).items():
+                yield f"{label} {name} {hashlib.sha256(text.encode()).hexdigest()}"
 
 
 def nan_planted(p, source, pos, call):

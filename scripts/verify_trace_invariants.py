@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Replay the proved descent/rate relations on recorded solver traces.
 
+    PYTHONPATH=src python3 scripts/verify_trace_invariants.py
+
 Runs the backtracking and fixed-step variants on the built-in problems
-whose descriptor is ``convex``, from random starts, then checks on every
-trace:
+whose descriptor is ``convex``, from ``STARTS`` (5) random starts each,
+with ``eps=1e-6`` and ``max_iter=500``, then checks on every trace:
 
   * step: the one-step gap inequalities,
   * energy: monotone decay of the momentum energy,
@@ -19,10 +21,10 @@ at the run's last iterate ``x_K``, the 10 points ``x0 + s (x_K - x0)`` for
 too.  Each line gives the size of the run's reference (``ref=51`` when all
 40 draws were kept after ``x0``; ``ref=11`` when no draw was, as on one VFM1
 start) and names the checks that failed (``checks=FAIL:growth,energy``).
-Exits nonzero if any check fails.
+Exits nonzero if any check fails.  The tests read the same runs from
+``runs()``.
 """
 
-import argparse
 import sys
 
 import numpy as np
@@ -32,27 +34,25 @@ from mofista import (ReferenceSet, SolverConfig, accepted_L_bound_check, availab
                      lyapunov_monotone_check, momentum_growth_check, run_solver,
                      sample_initial_points)
 
+STARTS = 5
+EPS = 1e-6
+MAX_ITER = 500
 SEGMENT = np.arange(1, 11)[:, None] / 10.0   # s = 0.1, ..., 1.0
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seeds", type=int, default=5)
-    ap.add_argument("--eps", type=float, default=1e-6)
-    ap.add_argument("--max-iter", type=int, default=500)
-    args = ap.parse_args(argv)
-
-    failures = 0
+def runs():
+    """Yield ``(name, label, p, desc, cfg, res, Z, checks)`` for every run, in
+    the order ``main`` prints them: ``Z`` is the run's reference set and
+    ``checks`` maps each check's name to whether it held."""
     for name in available_problems():
         p, desc = builtin_problem(name)
         if not desc.convex:
             continue
-        starts = sample_initial_points(desc, args.seeds, seed=(7, len(name)))
+        starts = sample_initial_points(desc, STARTS, seed=(7, len(name)))
         level_sets = [level_set_reference(p, desc, x0) for x0 in starts]
         step_constants = {"backtracking": SolverConfig.L_init, "fixed": desc.L_true}
         for label, L_init in step_constants.items():
-            cfg = SolverConfig(L_init=L_init, eps=args.eps, max_iter=args.max_iter,
-                               variant=label)
+            cfg = SolverConfig(L_init=L_init, eps=EPS, max_iter=MAX_ITER, variant=label)
             for x0, Z in zip(starts, level_sets):
                 res = run_solver(p, x0, cfg)
                 F = res.trace.objective_rows()
@@ -62,12 +62,18 @@ def main(argv=None) -> int:
                           "energy": lyapunov_monotone_check(res.trace, p, Z),
                           "growth": momentum_growth_check(res.trace, desc.L_true, cfg),
                           "cap": accepted_L_bound_check(res.trace, desc.L_true, cfg)}
-                failed = [check for check, ok in checks.items() if not ok]
-                failures += bool(failed)
-                flag = "FAIL:" + ",".join(failed) if failed else "ok"
-                print(f"{name:8s} {label:12s} ref={len(Z.points):2d} "
-                      f"iters={len(res.trace.records):4d} "
-                      f"status={res.status.value:10s} checks={flag}")
+                yield name, label, p, desc, cfg, res, Z, checks
+
+
+def main() -> int:
+    failures = 0
+    for name, label, _, _, _, res, Z, checks in runs():
+        failed = [check for check, ok in checks.items() if not ok]
+        failures += bool(failed)
+        flag = "FAIL:" + ",".join(failed) if failed else "ok"
+        print(f"{name:8s} {label:12s} ref={len(Z.points):2d} "
+              f"iters={len(res.trace.records):4d} "
+              f"status={res.status.value:10s} checks={flag}")
     if failures:
         print(f"{failures} trace check(s) failed", file=sys.stderr)
     return 1 if failures else 0

@@ -175,16 +175,15 @@ def accepted_L_bound_check(trace: RunTrace, L_true: Optional[float], cfg: Solver
     return all(r.L <= cap * (1.0 + 1e-12) for r in trace.records)
 
 
-def level_set_reference(p: ProblemInstance, desc: ProblemDescriptor, x0: Array,
-                        seed: int = 0) -> ReferenceSet:
+def level_set_reference(p: ProblemInstance, desc: ProblemDescriptor, x0: Array) -> ReferenceSet:
     """Build a reference set inside the level set ``{z : F(z) <= F(x0)}``.
 
-    Uniform draws from the descriptor's box (:func:`sample_initial_points`)
-    are kept when ``F(z) <= F(x0)``, the same way for every n; drawing stops
+    Uniform draws from the descriptor's box (:func:`sample_initial_points`,
+    seed 0) are kept when ``F(z) <= F(x0)``, the same way for every n; drawing stops
     once ``_SAMPLES`` (40) are kept or after ``_DRAW_BUDGET`` (10,000) draws.
     ``x0`` itself is always the first row, so the set is nonempty.
     """
     F_x0 = evaluate_objectives(p, x0)
-    inside = (z for z in sample_initial_points(desc, _DRAW_BUDGET, seed)
+    inside = (z for z in sample_initial_points(desc, _DRAW_BUDGET, 0)
               if np.all(evaluate_objectives(p, z) <= F_x0 + 1e-12))
     return ReferenceSet(np.vstack([x0, *islice(inside, _SAMPLES)]))

@@ -67,10 +67,10 @@ def nondominated_filter(objectives: Array, decisions: Optional[Array] = None) ->
 def purity(front: Front, reference: Front) -> float:
     """Share of ``front``'s points within 1e-8 (max norm) of a point of ``reference``,
     the nondominated union of all competitors' fronts, which the caller merges once.
-    An empty front scores 0; fronts of different widths raise ``ValueError``."""
+    An empty front or reference scores 0; fronts of different widths raise ``ValueError``."""
     if front.objectives.shape[1] != reference.objectives.shape[1]:
         raise ValueError("front and reference need the same number of objectives")
-    if len(front) == 0:
+    if len(front) == 0 or len(reference) == 0:
         return 0.0
     dist = np.max(np.abs(front.objectives[:, None, :] - reference.objectives[None, :, :]), axis=2)
     return float(np.count_nonzero(np.min(dist, axis=1) <= _MATCH_TOL)) / len(front)

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .problems import Array, NonsmoothPart, ProblemInstance, WeightedL1, Zero
+from .problems import Array, NonsmoothPart, ProblemInstance, WeightedL1, Zero, _is_number
 
 __all__ = [
     "ProblemDescriptor",
@@ -84,8 +84,8 @@ def builtin_problem(name: str) -> Problem:
 def sample_initial_points(desc: ProblemDescriptor, count: int,
                           seed: Union[int, tuple[int, ...]]) -> Array:
     """Uniform draws from the descriptor's box; deterministic in the seed."""
-    if count < 1:
-        raise ValueError("count must be positive")
+    if not (_is_number(count) and count >= 1):
+        raise ValueError(f"count must be a positive integer, got {count!r}")
     rng = np.random.default_rng(seed)
     lower = np.asarray(desc.lower, dtype=float)
     upper = np.asarray(desc.upper, dtype=float)

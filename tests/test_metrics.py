@@ -125,6 +125,8 @@ def test_purity_empty_front_scores_zero():
     empty = nondominated_filter(np.empty((0, 2)))
     other = Front(objectives=np.array([[1.0, 1.0]]))
     assert purity(empty, _merged(empty, other)) == 0.0
+    # Against an empty reference no point of a front has a match.
+    assert purity(other, empty) == 0.0
 
 
 def test_purity_invariant_under_duplicated_front():

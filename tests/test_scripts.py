@@ -5,7 +5,6 @@ import importlib
 import importlib.util
 import json
 import re
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,25 +23,18 @@ def load_script(name):
     return module
 
 
-def test_verify_trace_invariants_passes(monkeypatch, capsys):
-    # Each line reports the size of its run's reference set: the script
-    # draws one level set per start, then runs both variants over the
-    # starts, and every run adds 10 points of its segment [x0, x_K].
-    verify = load_script("verify_trace_invariants")
-    sizes = []
-
-    def recorded(p, desc, x0):
-        Z = mofista.level_set_reference(p, desc, x0)
-        sizes.append(len(Z.points))
-        return Z
-
-    monkeypatch.setattr(verify, "level_set_reference", recorded)
-    assert verify.main([]) == 0
-    printed = [int(n) for n in re.findall(r" ref=\s*(\d+) ", capsys.readouterr().out)]
-    starts = 5  # the script's default --seeds
-    assert printed == [n + 10 for i in range(0, len(sizes), starts)
-                       for n in sizes[i:i + starts] * 2]
-    assert printed and all(11 <= n <= 51 for n in printed)
+def test_verify_trace_invariants_passes(verify_runs):
+    # Every check holds on each run of the script.  Each reference set is x0,
+    # up to 40 draws in its level set and the 10 points of the segment
+    # [x0, x_K], which every run adds since it ends with F(x_K) <= F(x0).
+    segment = load_script("verify_trace_invariants").SEGMENT
+    assert verify_runs
+    for *_, res, Z, checks in verify_runs:
+        assert all(checks.values())
+        x0 = res.trace.x0
+        assert 11 <= len(Z.points) <= 51
+        assert np.array_equal(Z.points[0], x0)
+        assert np.array_equal(Z.points[-10:], x0 + segment * (res.x - x0))
 
 
 def _halve_every_t(trace):
@@ -50,20 +42,19 @@ def _halve_every_t(trace):
         dataclasses.replace(r, t=0.5 * r.t) for r in trace.records))
 
 
-def test_growth_check_in_verify_script_binds_on_sp1():
-    # On SP1, with the script's starts and settings, backtracking leaves the
-    # growth inequality t^2 * 8 beta L_f >= (k+1)^2 L less room than the
-    # factor 4 that halving every t takes away, so that plant is flagged.
-    p, desc = mofista.builtin_problem("SP1")
-    cfg = mofista.SolverConfig(eps=1e-6, max_iter=500)
-    traces = [mofista.run_solver(p, x0, cfg).trace
-              for x0 in mofista.sample_initial_points(desc, 5, seed=(7, 3))]
+def test_growth_check_in_verify_script_binds_on_sp1(verify_runs):
+    # On the script's SP1 backtracking runs the growth inequality
+    # t^2 * 8 beta L_f >= (k+1)^2 L has less room than the factor 4 that
+    # halving every t takes away, so that plant is flagged.
+    runs = [(desc, cfg, res.trace) for name, label, _, desc, cfg, res, _, _ in verify_runs
+            if (name, label) == ("SP1", "backtracking")]
+    assert len(runs) == 5
     ratios = [r.t ** 2 * 8.0 * cfg.beta * desc.L_true / ((r.k + 1) ** 2 * r.L)
-              for trace in traces for r in trace.records]
+              for desc, cfg, trace in runs for r in trace.records]
     assert min(ratios) < 4.0
-    assert all(mofista.momentum_growth_check(tr, desc.L_true, cfg) for tr in traces)
+    assert all(mofista.momentum_growth_check(tr, desc.L_true, cfg) for desc, cfg, tr in runs)
     assert not all(mofista.momentum_growth_check(_halve_every_t(tr), desc.L_true, cfg)
-                   for tr in traces)
+                   for desc, cfg, tr in runs)
 
 
 def test_verify_trace_invariants_names_the_failed_checks(monkeypatch, capsys):
@@ -74,7 +65,7 @@ def test_verify_trace_invariants_names_the_failed_checks(monkeypatch, capsys):
         return dataclasses.replace(res, trace=_halve_every_t(res.trace))
 
     monkeypatch.setattr(verify, "run_solver", planted)
-    assert verify.main([]) == 1
+    assert verify.main() == 1
     captured = capsys.readouterr()
     flags = [line.rsplit("checks=", 1)[1] for line in captured.out.splitlines()]
     assert flags and all(re.fullmatch(r"ok|FAIL:(step|energy|growth|cap)(,(energy|growth|cap))*", f)
@@ -353,17 +344,13 @@ def test_readme_quotes_the_paper_table():
     assert table.markdown(doc) in (ROOT / "README.md").read_text()
 
 
-def test_call_counts_repeat_on_a_small_slice(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "path", list(sys.path))
+def test_call_counts_repeat_on_a_small_slice(monkeypatch):
+    # count_workload imports perfbench's workloads, as main puts it on the path.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     counts = load_script("call_counts")
-    argv = ["--solves", "3", "--workloads", "builtin_m2", "generated_m3"]
-    outputs = []
-    for _ in range(2):
-        assert counts.main(argv) == 0
-        outputs.append(json.loads(capsys.readouterr().out))
-    assert outputs[0] == outputs[1]
     for name in ("builtin_m2", "generated_m3"):
-        got = outputs[0]["workloads"][name]
+        got, again = (counts.count_workload(name, 1, solves=3) for _ in range(2))
+        assert got == again
         assert got["solves"] == 3 and got["trials"] >= 3
         outer, inner = got["totals"]["run_solver"], got["totals"]["_solve_dual"]
         assert outer["python"] > inner["python"] > 0 and outer["c"] > inner["c"] > 0

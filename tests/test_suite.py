@@ -235,8 +235,10 @@ def test_sample_initial_points_tuple_seed_and_count_check():
     _, desc = builtin_problem("BK1")
     pts = sample_initial_points(desc, 3, (0, 42))
     assert pts.shape == (3, 2)
-    with pytest.raises(ValueError):
-        sample_initial_points(desc, 0, 1)
+    assert sample_initial_points(desc, np.int64(2), 1).shape == (2, 2)
+    for count in (True, 2.5, 0):
+        with pytest.raises(ValueError, match="count must be a positive integer"):
+            sample_initial_points(desc, count, 1)
 
 
 # ---------------------------------------------------------------------------
