@@ -39,7 +39,7 @@ TRACKED = {"run_solver": "solver", "_solve_dual": "subproblem", "_simplex_qp": "
 
 def count_workload(workload: str, seed: int, solves=None) -> dict:
     """Calls made by one pass of ``workload`` (its first ``solves`` solves)."""
-    import workloads as wl
+    from perfbench import workloads as wl
 
     mods = SimpleNamespace(**{m: importlib.import_module("mofista." + m) for m in wl.MODULES})
     codes = {getattr(getattr(mods, module), name).__code__: name
@@ -81,7 +81,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
-    for path in (ROOT / "src", ROOT / "perfbench"):
+    for path in (ROOT / "src", ROOT):
         if str(path) not in sys.path:
             sys.path.insert(0, str(path))
     counts = {w: count_workload(w, args.seed) for w in WORKLOADS}

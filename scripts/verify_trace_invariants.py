@@ -21,8 +21,9 @@ at the run's last iterate ``x_K``, the 10 points ``x0 + s (x_K - x0)`` for
 too.  Each line gives the size of the run's reference (``ref=51`` when all
 40 draws were kept after ``x0``; ``ref=11`` when no draw was, as on one VFM1
 start) and names the checks that failed (``checks=FAIL:growth,energy``).
-Exits nonzero if any check fails.  The tests read the same runs from
-``runs()``.
+Exits 1 if any check fails.  The script takes no arguments: given any, it
+exits 2 before the first solve.  The tests read the same runs from
+``runs()``, and recompute a run's checks with ``trace_checks``.
 """
 
 import sys
@@ -38,6 +39,14 @@ STARTS = 5
 EPS = 1e-6
 MAX_ITER = 500
 SEGMENT = np.arange(1, 11)[:, None] / 10.0   # s = 0.1, ..., 1.0
+
+
+def trace_checks(trace, p, desc, cfg, Z) -> dict:
+    """Whether each of the four checks holds on ``trace``, by name."""
+    return {"step": gap_step_bounds_check(trace, p, Z),
+            "energy": lyapunov_monotone_check(trace, p, Z),
+            "growth": momentum_growth_check(trace, desc.L_true, cfg),
+            "cap": accepted_L_bound_check(trace, desc.L_true, cfg)}
 
 
 def runs():
@@ -58,14 +67,13 @@ def runs():
                 F = res.trace.objective_rows()
                 if np.all(F[-1] <= F[0]):
                     Z = ReferenceSet(np.vstack([Z.points, x0 + SEGMENT * (res.x - x0)]))
-                checks = {"step": gap_step_bounds_check(res.trace, p, Z),
-                          "energy": lyapunov_monotone_check(res.trace, p, Z),
-                          "growth": momentum_growth_check(res.trace, desc.L_true, cfg),
-                          "cap": accepted_L_bound_check(res.trace, desc.L_true, cfg)}
-                yield name, label, p, desc, cfg, res, Z, checks
+                yield name, label, p, desc, cfg, res, Z, trace_checks(res.trace, p, desc, cfg, Z)
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    if (sys.argv[1:] if argv is None else argv):
+        print("verify_trace_invariants.py takes no arguments", file=sys.stderr)
+        return 2
     failures = 0
     for name, label, _, _, _, res, Z, checks in runs():
         failed = [check for check, ok in checks.items() if not ok]

@@ -49,7 +49,6 @@ class BenchConfig:
     max_iter: int = SolverConfig.max_iter
     out_dir: Union[str, Path] = Path("bench_out")
     fixed_L: Optional[float] = None
-    fixed_L_scale: float = 1.0
 
     def __post_init__(self) -> None:
         for key in ("problems", "solvers"):
@@ -66,7 +65,6 @@ class BenchConfig:
         unknown = [s for s in self.solvers if s not in SOLVER_NAMES]
         if unknown:
             raise ConfigError(f"unknown solver(s) {unknown}; choose from {SOLVER_NAMES}")
-        _check_real(self.fixed_L_scale, "fixed_L_scale", error=ConfigError)
         if self.fixed_L is not None:
             _check_real(self.fixed_L, "fixed_L", error=ConfigError)
         _base_solver_config(self)
@@ -117,8 +115,8 @@ def _step_constant(name: str, desc: ProblemDescriptor, bc: BenchConfig) -> float
     if desc.L_true is None:
         raise ConfigError(
             f"solver {name!r} on {desc.name!r} needs --fixed-l: the instance "
-            "has no known gradient Lipschitz constant to scale")
-    return desc.L_true * bc.fixed_L_scale
+            "has no known gradient Lipschitz constant")
+    return desc.L_true
 
 
 def _single_run(p: ProblemInstance, cfg: SolverConfig, x0: Array,
@@ -268,8 +266,7 @@ _SETTINGS = {
     "eps": ("eps", float, "stopping residual"),
     "max_iter": ("max_iter", int, "iteration cap per run"),
     "out": ("out_dir", str, "output directory"),
-    "fixed_l": ("fixed_L", float, "step constant for fixed/pgm; overrides --fixed-l-scale"),
-    "fixed_l_scale": ("fixed_L_scale", float, "multiple of the known constant used by fixed/pgm"),
+    "fixed_l": ("fixed_L", float, "step constant for fixed/pgm in place of the known one"),
 }
 
 

@@ -49,13 +49,9 @@ def test_bench_config_rejects_bad_values():
         BenchConfig(solvers=("newton",))
     with pytest.raises(ConfigError):
         BenchConfig(fixed_L=-1.0)
-    with pytest.raises(ConfigError):
-        BenchConfig(fixed_L_scale=0.0)
     for bad in (np.nan, np.inf):
         with pytest.raises(ConfigError):
             BenchConfig(fixed_L=bad)
-        with pytest.raises(ConfigError):
-            BenchConfig(fixed_L_scale=bad)
     for repeated in ({"problems": ("SP1", "SP1")},
                      {"solvers": ("backtracking", "backtracking")}):
         with pytest.raises(ConfigError):
@@ -69,15 +65,13 @@ def test_bench_config_rejects_bad_values():
                 {"solvers": "backtracking"}, {"max_iter": 2.5}, {"eps": np.inf},
                 # Strings and non-sequences raised TypeError; True passed as 1.0.
                 {"L_init": "1"}, {"eps": "1e-3"}, {"problems": 5}, {"solvers": 5},
-                {"problems": None}, {"fixed_L": "2"}, {"fixed_L_scale": "1"},
-                {"fixed_L_scale": True}, {"fixed_L": True}, {"L_init": True}):
+                {"problems": None}, {"fixed_L": "2"}, {"fixed_L": True}, {"L_init": True}):
         with pytest.raises(ConfigError):
             BenchConfig(**bad)
     bc = BenchConfig(runs=np.int64(2), seed=np.int64(1), max_iter=np.int64(3))
     assert (bc.runs, bc.seed, bc.max_iter) == (2, 1, 3)
-    bc = BenchConfig(problems=["SP1"], L_init=np.float64(2.0), fixed_L=np.float32(3.0),
-                     fixed_L_scale=np.float64(0.5))
-    assert (bc.problems, bc.L_init, bc.fixed_L, bc.fixed_L_scale) == (("SP1",), 2.0, 3.0, 0.5)
+    bc = BenchConfig(problems=["SP1"], L_init=np.float64(2.0), fixed_L=np.float32(3.0))
+    assert (bc.problems, bc.L_init, bc.fixed_L) == (("SP1",), 2.0, 3.0)
     with pytest.raises(ConfigError, match="fixed_L must be positive and finite"):
         BenchConfig(fixed_L=-1.0)
 
@@ -274,7 +268,7 @@ def test_bad_settings_fail_before_the_first_solve(tmp_path, monkeypatch, capsys)
         raise AssertionError("solved before the configuration was checked")
 
     monkeypatch.setattr(cli, "run_solver", no_solve)
-    # SP1_l1 has a known constant to scale, FF1 does not: the missing
+    # SP1_l1 has a known constant, FF1 does not: the missing
     # --fixed-l must be found before SP1_l1's runs and before any output.
     out = tmp_path / "out"
     assert main(["--problems", "SP1_l1,FF1", "--solvers", "fixed", "--runs", "100",
@@ -355,7 +349,6 @@ _SETTING_SAMPLES = {
     "max_iter": ("7", 7),
     "out": ("from_flag", Path("from_flag")),
     "fixed_l": ("0.3", 0.3),
-    "fixed_l_scale": ("10", 10.0),
 }
 
 

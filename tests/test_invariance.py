@@ -1,29 +1,25 @@
 """Invariances on the generated problems, where they bind.
 
 The 24 convex quadratics of perfbench's ``generated_m3`` workload at seed 1,
-read through ``load_problem_file`` as ``scripts/paper_table.py`` reads them,
-3 starts each, every variant: 72 runs per variant.  Unlike most built-ins,
-which converge in two iterations, these runs take dozens of iterations and
-backtrack, so a defect in the line search has room to show.
+read through ``load_problem_file`` as ``scripts/goldens.py`` reads them for
+``paper_table.json``, 3 starts each, every variant: 72 runs per variant.
+Unlike most built-ins, which converge in two iterations, these runs take
+dozens of iterations and backtrack, so a defect in the line search has room
+to show.  The generator is ``perfbench.workloads``, imported by name.
 """
 
-import importlib
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
 from mofista import SolverConfig, WeightedL1, load_problem_file, run_solver, sample_initial_points
+from perfbench.workloads import write_inputs
 
-ROOT = Path(__file__).resolve().parent.parent
 VARIANTS = ("backtracking", "fixed", "pgm")
 
 
 @pytest.fixture(scope="module")
 def problems(tmp_path_factory):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.syspath_prepend(str(ROOT))
-        write_inputs = importlib.import_module("perfbench.workloads").write_inputs
     paths = write_inputs("generated_m3", 1, tmp_path_factory.mktemp("generated_m3"))
     return [load_problem_file(path) for path in paths]
 

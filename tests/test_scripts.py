@@ -2,7 +2,6 @@
 
 import dataclasses
 import importlib
-import importlib.util
 import json
 import re
 from pathlib import Path
@@ -10,31 +9,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bench
+import call_counts
+import goldens
 import mofista
+import verify_trace_invariants as verify
 
 ROOT = Path(__file__).resolve().parent.parent
-SCRIPTS = ROOT / "scripts"
-
-
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_verify_trace_invariants_passes(verify_runs):
     # Every check holds on each run of the script.  Each reference set is x0,
     # up to 40 draws in its level set and the 10 points of the segment
     # [x0, x_K], which every run adds since it ends with F(x_K) <= F(x0).
-    segment = load_script("verify_trace_invariants").SEGMENT
     assert verify_runs
     for *_, res, Z, checks in verify_runs:
         assert all(checks.values())
         x0 = res.trace.x0
         assert 11 <= len(Z.points) <= 51
         assert np.array_equal(Z.points[0], x0)
-        assert np.array_equal(Z.points[-10:], x0 + segment * (res.x - x0))
+        assert np.array_equal(Z.points[-10:], x0 + verify.SEGMENT * (res.x - x0))
 
 
 def _halve_every_t(trace):
@@ -57,15 +51,16 @@ def test_growth_check_in_verify_script_binds_on_sp1(verify_runs):
                    for desc, cfg, tr in runs)
 
 
-def test_verify_trace_invariants_names_the_failed_checks(monkeypatch, capsys):
-    verify = load_script("verify_trace_invariants")
+def test_verify_trace_invariants_names_the_failed_checks(verify_runs, monkeypatch, capsys):
+    # The script's runs with every t halved, each with its checks recomputed.
+    def planted():
+        for name, label, p, desc, cfg, res, Z, _ in verify_runs:
+            res = dataclasses.replace(res, trace=_halve_every_t(res.trace))
+            checks = verify.trace_checks(res.trace, p, desc, cfg, Z)
+            yield name, label, p, desc, cfg, res, Z, checks
 
-    def planted(p, x0, cfg):
-        res = mofista.run_solver(p, x0, cfg)
-        return dataclasses.replace(res, trace=_halve_every_t(res.trace))
-
-    monkeypatch.setattr(verify, "run_solver", planted)
-    assert verify.main() == 1
+    monkeypatch.setattr(verify, "runs", planted)
+    assert verify.main([]) == 1
     captured = capsys.readouterr()
     flags = [line.rsplit("checks=", 1)[1] for line in captured.out.splitlines()]
     assert flags and all(re.fullmatch(r"ok|FAIL:(step|energy|growth|cap)(,(energy|growth|cap))*", f)
@@ -74,11 +69,12 @@ def test_verify_trace_invariants_names_the_failed_checks(monkeypatch, capsys):
     assert f"{sum(f != 'ok' for f in flags)} trace check(s) failed" in captured.err
 
 
-@pytest.fixture
-def goldens(monkeypatch):
-    # goldens.py imports paper_table from its own directory, as when it runs.
-    monkeypatch.syspath_prepend(str(SCRIPTS))
-    return load_script("goldens")
+def test_verify_trace_invariants_refuses_arguments(monkeypatch, capsys):
+    # A flag of an old recipe, such as --eps, exits 2 before the first solve.
+    monkeypatch.setattr(verify, "runs", None)
+    monkeypatch.setattr("sys.argv", ["verify_trace_invariants.py", "--eps", "1e-3"])
+    assert verify.main() == 2
+    assert capsys.readouterr() == ("", "verify_trace_invariants.py takes no arguments\n")
 
 
 # The line format of each golden under tests/.
@@ -90,7 +86,7 @@ GOLDEN_LINES = {
 
 
 @pytest.mark.parametrize("name", GOLDEN_LINES)
-def test_golden_matches_the_committed_file(name, goldens):
+def test_golden_matches_the_committed_file(name):
     # Byte-identical outputs: a change that alters them on purpose rewrites
     # the goldens with scripts/goldens.py and says why.
     committed = (ROOT / "tests" / name).read_text().splitlines(keepends=True)
@@ -98,7 +94,7 @@ def test_golden_matches_the_committed_file(name, goldens):
     assert [line + "\n" for line in goldens.GOLDENS[name]()] == committed
 
 
-def test_trace_digest_runs_every_variant_that_has_its_step_constant(goldens):
+def test_trace_digest_runs_every_variant_that_has_its_step_constant():
     # Read from the committed file: DD1 and FF1 have no L_true, so they run
     # backtracking alone; every other built-in and each loaded problem runs
     # all three variants, each from the same starts.
@@ -161,7 +157,6 @@ def canned_run(p50, correct=True, failed=0):
 
 
 def test_bench_summarises_canned_runs():
-    bench = load_script("bench")
     runs = [bench.parse_result(canned_run(v)) for v in (2.0, 1.0, 5.0, 3.0, 4.0)]
     summary = bench.summarise(runs)
     assert summary["correct"] and summary["failed"] == 0
@@ -187,7 +182,6 @@ def _call_counts_stub(calls_per_trial):
 
 
 def test_bench_interleaves_modes_and_keeps_other_labels(tmp_path, monkeypatch):
-    bench = load_script("bench")
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "BENCH.json"
     assert bench.main(["--label", "change", "--out", str(out)]) == 2
@@ -294,7 +288,6 @@ def _paired_stub(root, planted):
 
 
 def test_bench_paired_phase_resolves_a_planted_cost(tmp_path, monkeypatch):
-    bench = load_script("bench")
     (tmp_path / "fake_clock.py").write_text(FAKE_CLOCK)
     monkeypatch.syspath_prepend(str(tmp_path))
     clock = importlib.import_module("fake_clock").clock
@@ -313,17 +306,16 @@ def test_bench_paired_phase_resolves_a_planted_cost(tmp_path, monkeypatch):
 
 
 def test_paper_table_repeats_and_matches_the_committed_rows():
-    table = load_script("paper_table")
     groups = {"builtin": [mofista.builtin_problem(name) for name in ("BK1", "FF1")]}
-    outputs = [json.dumps(table.table(groups), indent=1) for _ in range(2)]
+    outputs = [json.dumps(goldens.table(groups), indent=1) for _ in range(2)]
     assert outputs[0] == outputs[1]
     doc = json.loads(outputs[0])
     assert list(doc["rows"]) == ["BK1", "FF1"] and list(doc["totals"]) == ["builtin"]
     # FF1 has no L_true, so only the two backtracking rules run on it.
     assert doc["rows"]["FF1"]["fixed"] == doc["rows"]["FF1"]["pgm"] == "n/a"
-    for variant in table.VARIANTS:
+    for variant in goldens.VARIANTS:
         cell = doc["rows"]["BK1"][variant]
-        assert cell["runs"] == table.STARTS and cell["statuses"] == {"converged": 20}
+        assert cell["runs"] == goldens.TABLE_STARTS and cell["statuses"] == {"converged": 20}
         # Counted calls: iteration 1 reuses f(x0), so f stays under 1 + 2T per
         # run of T trials, and grad f takes one call per iteration at least.
         assert cell["trials"] <= cell["f_calls"] < cell["runs"] + 2 * cell["trials"]
@@ -339,17 +331,13 @@ def test_paper_table_repeats_and_matches_the_committed_rows():
 def test_readme_quotes_the_paper_table():
     # The README's tables are the markdown of the committed JSON, as
     # scripts/goldens.py prints it.
-    table = load_script("paper_table")
     doc = json.loads((ROOT / "paper_table.json").read_text())
-    assert table.markdown(doc) in (ROOT / "README.md").read_text()
+    assert goldens.markdown(doc) in (ROOT / "README.md").read_text()
 
 
-def test_call_counts_repeat_on_a_small_slice(monkeypatch):
-    # count_workload imports perfbench's workloads, as main puts it on the path.
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    counts = load_script("call_counts")
+def test_call_counts_repeat_on_a_small_slice():
     for name in ("builtin_m2", "generated_m3"):
-        got, again = (counts.count_workload(name, 1, solves=3) for _ in range(2))
+        got, again = (call_counts.count_workload(name, 1, solves=3) for _ in range(2))
         assert got == again
         assert got["solves"] == 3 and got["trials"] >= 3
         outer, inner = got["totals"]["run_solver"], got["totals"]["_solve_dual"]
